@@ -8,7 +8,15 @@ point and keeps the classical fourth-order Runge-Kutta scheme at full
 order between them.  Delayed stage states are read from the history for
 times at or below zero and from the trajectory's own cubic Hermite
 segments afterwards; the derivative stored at each mesh point doubles as
-the next step's first stage.
+the next step's first stage.  A step as long as the delay (max_step >=
+tau, one step per delay) is supported: its read at t + dt - tau falls on
+the right end of the last completed segment.
+
+The vector field is built once per run (model.vector_field) and the
+stepper keeps Q, M, E and their derivatives in flat float lists, checking
+finiteness and the nonnegativity floor once per step on the new state;
+model.rhs is the checked wrapper around the same field.  The Trajectory
+tuples are built once at the end.
 
 With tau = 0 the same stepper runs as a plain ODE integrator, the delayed
 state being the current stage state, so the no-delay limit stays
@@ -29,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .equilibria import Equilibrium
-from .model import InvalidStateError, ModelParams, NumericalError, SystemState, rhs, validate
+from .model import InvalidStateError, ModelParams, NumericalError, SystemState, validate, vector_field
 
 _DEFAULT_SUBSTEPS = 64
 _NEG_FLOOR = -1e-6
@@ -80,18 +88,18 @@ def scaled_equilibrium_history(eq: Equilibrium, factor: float = 1.1) -> History:
     return History.constant(SystemState(factor * eq.Q, factor * eq.M, factor * eq.E))
 
 
-def _hermite(y0: SystemState, f0: SystemState, y1: SystemState, f1: SystemState,
-             dt: float, s: float) -> SystemState:
+def _hermite_weights(s: float, dt: float) -> tuple[float, float, float, float]:
+    """Cubic Hermite weights at offset s in [0, 1] of a segment of length dt.
+
+    The derivative weights come scaled by dt, so a value reads
+    w0*y0 + v0*f0 + w1*y1 + v1*f1.
+    """
     s2 = s * s
-    h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-    h10 = s * (1.0 - s) ** 2
-    h01 = s2 * (3.0 - 2.0 * s)
-    h11 = s2 * (s - 1.0)
-    return SystemState(
-        h00 * y0[0] + dt * h10 * f0[0] + h01 * y1[0] + dt * h11 * f1[0],
-        h00 * y0[1] + dt * h10 * f0[1] + h01 * y1[1] + dt * h11 * f1[1],
-        h00 * y0[2] + dt * h10 * f0[2] + h01 * y1[2] + dt * h11 * f1[2],
-    )
+    w0 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
+    v0 = dt * (s * (1.0 - s) ** 2)
+    w1 = s2 * (3.0 - 2.0 * s)
+    v1 = dt * (s2 * (s - 1.0))
+    return w0, v0, w1, v1
 
 
 @dataclass(frozen=True)
@@ -122,11 +130,14 @@ def interpolate(traj: Trajectory, t: float) -> SystemState:
         )
     if t <= 0.0:
         return traj.history.eval(max(t, -traj.params.tau))
-    i = min(int(t / traj.dt), len(traj.states) - 2)
-    s = (t - traj.times[i]) / traj.dt
-    return _hermite(
-        traj.states[i], traj.derivs[i], traj.states[i + 1], traj.derivs[i + 1],
-        traj.dt, s,
+    dt = traj.dt
+    i = min(int(t / dt), len(traj.states) - 2)
+    w0, v0, w1, v1 = _hermite_weights((t - traj.times[i]) / dt, dt)
+    y0, f0, y1, f1 = traj.states[i], traj.derivs[i], traj.states[i + 1], traj.derivs[i + 1]
+    return SystemState(
+        w0 * y0[0] + v0 * f0[0] + w1 * y1[0] + v1 * f1[0],
+        w0 * y0[1] + v0 * f0[1] + w1 * y1[1] + v1 * f1[1],
+        w0 * y0[2] + v0 * f0[2] + w1 * y1[2] + v1 * f1[2],
     )
 
 
@@ -154,70 +165,79 @@ def integrate(
         dt = max_step if max_step is not None else 1.0 / _DEFAULT_SUBSTEPS
     n_steps = max(1, math.ceil(t_end / dt - 1e-12))
 
+    field = vector_field(p)
+    y0 = history.eval(0.0)
+    d0 = history.eval(-tau) if tau > 0.0 else y0
     times = [0.0]
-    states = [history.eval(0.0)]
-    delayed0 = history.eval(-tau) if tau > 0.0 else states[0]
-    derivs = [rhs(states[0], delayed0, p)]
+    Qs, Ms, Es = [y0.Q], [y0.M], [y0.E]
+    dQ0, dM0, dE0 = field(y0.Q, y0.M, y0.E, d0.Q, d0.E)
+    dQs, dMs, dEs = [dQ0], [dM0], [dE0]
 
-    def delayed_at(tq: float) -> SystemState:
+    def delayed(tq: float) -> tuple[float, float]:
+        """(Q, E) at time tq; the field never reads the delayed M."""
         if tq <= 0.0:
-            return history.eval(max(tq, -tau))
-        i = min(int(tq / dt), len(states) - 2)
-        return _hermite(states[i], derivs[i], states[i + 1], derivs[i + 1],
-                        dt, (tq - times[i]) / dt)
+            y = history.eval(max(tq, -tau))
+            return y.Q, y.E
+        # the last segment with both end derivatives stored: with one step
+        # per delay the read at t_next - tau falls on its right end
+        i = min(int(tq / dt), len(dQs) - 2)
+        w0, v0, w1, v1 = _hermite_weights((tq - times[i]) / dt, dt)
+        return (
+            w0 * Qs[i] + v0 * dQs[i] + w1 * Qs[i + 1] + v1 * dQs[i + 1],
+            w0 * Es[i] + v0 * dEs[i] + w1 * Es[i + 1] + v1 * dEs[i + 1],
+        )
 
+    isfinite = math.isfinite
     half = 0.5 * dt
     sixth = dt / 6.0
     for j in range(n_steps):
         t = times[j]
-        y = states[j]
-        k1 = derivs[j]
-        try:
-            if tau > 0.0:
-                yd_half = delayed_at(t + half - tau)
-                yd_full = delayed_at(t + dt - tau)
-                y2 = SystemState(y[0] + half * k1[0], y[1] + half * k1[1], y[2] + half * k1[2])
-                k2 = rhs(y2, yd_half, p)
-                y3 = SystemState(y[0] + half * k2[0], y[1] + half * k2[1], y[2] + half * k2[2])
-                k3 = rhs(y3, yd_half, p)
-                y4 = SystemState(y[0] + dt * k3[0], y[1] + dt * k3[1], y[2] + dt * k3[2])
-                k4 = rhs(y4, yd_full, p)
-            else:
-                y2 = SystemState(y[0] + half * k1[0], y[1] + half * k1[1], y[2] + half * k1[2])
-                k2 = rhs(y2, y2, p)
-                y3 = SystemState(y[0] + half * k2[0], y[1] + half * k2[1], y[2] + half * k2[2])
-                k3 = rhs(y3, y3, p)
-                y4 = SystemState(y[0] + dt * k3[0], y[1] + dt * k3[1], y[2] + dt * k3[2])
-                k4 = rhs(y4, y4, p)
-            y_next = SystemState(
-                y[0] + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
-                y[1] + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
-                y[2] + sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2]),
-            )
-            t_next = (j + 1) * dt
-            if not all(math.isfinite(v) for v in y_next):
-                raise DivergenceError(
-                    f"state non-finite at t={t_next!r}; last valid t={t!r}", t
-                )
-            low = min(y_next)
-            if low < _NEG_FLOOR:
-                raise InvariantViolationError(
-                    f"component reached {low!r} at t={t_next!r}", t
-                )
-            times.append(t_next)
-            states.append(y_next)
-            f_next = rhs(
-                y_next,
-                delayed_at(t_next - tau) if tau > 0.0 else y_next,
-                p,
-            )
-        except InvalidStateError as exc:
+        Q, M, E = Qs[j], Ms[j], Es[j]
+        kQ1, kM1, kE1 = dQs[j], dMs[j], dEs[j]
+        if tau > 0.0:
+            Qh, Eh = delayed(t + half - tau)
+            Qf, Ef = delayed(t + dt - tau)
+            Q2, M2, E2 = Q + half * kQ1, M + half * kM1, E + half * kE1
+            kQ2, kM2, kE2 = field(Q2, M2, E2, Qh, Eh)
+            Q3, M3, E3 = Q + half * kQ2, M + half * kM2, E + half * kE2
+            kQ3, kM3, kE3 = field(Q3, M3, E3, Qh, Eh)
+            Q4, M4, E4 = Q + dt * kQ3, M + dt * kM3, E + dt * kE3
+            kQ4, kM4, kE4 = field(Q4, M4, E4, Qf, Ef)
+        else:
+            Q2, M2, E2 = Q + half * kQ1, M + half * kM1, E + half * kE1
+            kQ2, kM2, kE2 = field(Q2, M2, E2, Q2, E2)
+            Q3, M3, E3 = Q + half * kQ2, M + half * kM2, E + half * kE2
+            kQ3, kM3, kE3 = field(Q3, M3, E3, Q3, E3)
+            Q4, M4, E4 = Q + dt * kQ3, M + dt * kM3, E + dt * kE3
+            kQ4, kM4, kE4 = field(Q4, M4, E4, Q4, E4)
+        Qn = Q + sixth * (kQ1 + 2.0 * (kQ2 + kQ3) + kQ4)
+        Mn = M + sixth * (kM1 + 2.0 * (kM2 + kM3) + kM4)
+        En = E + sixth * (kE1 + 2.0 * (kE2 + kE3) + kE4)
+        t_next = (j + 1) * dt
+        # a non-finite stage state propagates into the new state
+        if not (isfinite(Qn) and isfinite(Mn) and isfinite(En)):
             raise DivergenceError(
-                f"stage state non-finite after t={t!r}: {exc}", t
-            ) from exc
-        derivs.append(f_next)
+                f"state non-finite at t={t_next!r}; last valid t={t!r}", t
+            )
+        low = min(Qn, Mn, En)
+        if low < _NEG_FLOOR:
+            raise InvariantViolationError(
+                f"component reached {low!r} at t={t_next!r}", t
+            )
+        Qd, Ed = delayed(t_next - tau) if tau > 0.0 else (Qn, En)
+        kQ, kM, kE = field(Qn, Mn, En, Qd, Ed)
+        times.append(t_next)
+        Qs.append(Qn)
+        Ms.append(Mn)
+        Es.append(En)
+        dQs.append(kQ)
+        dMs.append(kM)
+        dEs.append(kE)
 
-    return Trajectory(p, history, dt, tuple(times), tuple(states), tuple(derivs))
+    return Trajectory(
+        p, history, dt, tuple(times),
+        tuple(map(SystemState, Qs, Ms, Es)), tuple(map(SystemState, dQs, dMs, dEs)),
+    )
 
 
 @dataclass(frozen=True)
@@ -325,18 +345,31 @@ def classify_asymptotics(
         for t, s in zip(traj.times, traj.states)
         if t >= t_transient
     ]
-    d_first = max(d for t, d in post if t <= t_transient + 0.1 * span)
-    d_last = max(d for t, d in post if t >= T - 0.1 * span)
+
+    def window_max(lo: float, hi: float, name: str) -> float:
+        ds = [d for t, d in post if lo <= t <= hi]
+        if not ds:
+            raise ValueError(
+                f"{name} after the transient holds no mesh point; "
+                f"shorten the step or the transient"
+            )
+        return max(ds)
+
+    d_first = window_max(t_transient, t_transient + 0.1 * span, "the first 10% window")
+    d_last = window_max(T - 0.1 * span, T, "the last 10% window")
     if d_last < 0.05 * d_first:
         return "converging"
     est = detect_period(traj, 0, t_transient)
     if est is not None and 0.8 <= est.amplitude_ratio <= 1.25:
         return "sustained-oscillation"
-    seg_max = []
-    for seg in range(8):
-        lo = t_transient + span * seg / 8.0
-        hi = t_transient + span * (seg + 1) / 8.0
-        seg_max.append(max(d for t, d in post if lo <= t <= hi))
+    seg_max = [
+        window_max(
+            t_transient + span * seg / 8.0,
+            t_transient + span * (seg + 1) / 8.0,
+            f"segment {seg + 1} of 8",
+        )
+        for seg in range(8)
+    ]
     growing = all(a < b for a, b in zip(seg_max, seg_max[1:]))
     if growing and seg_max[0] > 0.0 and seg_max[-1] > 10.0 * seg_max[0]:
         return "diverging"

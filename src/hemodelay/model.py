@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 
 class InvalidStateError(ValueError):
@@ -172,6 +172,28 @@ def validate(p: ModelParams) -> list[str]:
     return out
 
 
+def vector_field(
+    p: ModelParams,
+) -> Callable[[float, float, float, float, float], tuple[float, float, float]]:
+    """The vector field of `p` as a closure over its constants, built once per run.
+
+    The returned function maps (Qn, Mn, En, Qd, Ed) to (dQ, dM, dE); the
+    delayed M never enters the field.  It does no finiteness check: rhs is
+    the checked form.
+    """
+    beta, g, f = p.rates.beta, p.rates.g, p.rates.f
+    delta, mu, k = p.delta, p.mu, p.k
+    reward = 2.0 * math.exp(-p.gamma * p.tau)
+
+    def field(Qn: float, Mn: float, En: float, Qd: float, Ed: float) -> tuple[float, float, float]:
+        reentry = beta(Qn, En) * Qn
+        returned = reward * beta(Qd, Ed) * Qd
+        gQ = g(Qn)
+        return (-delta * Qn - gQ - reentry + returned, -mu * Mn + gQ, -k * En + f(Mn))
+
+    return field
+
+
 def rhs(now, delayed, p: ModelParams) -> SystemState:
     """Vector field at state `now` with delayed state `delayed`.
 
@@ -185,13 +207,7 @@ def rhs(now, delayed, p: ModelParams) -> SystemState:
     Qd, Md, Ed = delayed
     if not all(map(math.isfinite, (Qn, Mn, En, Qd, Md, Ed))):
         raise InvalidStateError(f"non-finite state: now={tuple(now)} delayed={tuple(delayed)}")
-    r = p.rates
-    reentry = r.beta(Qn, En) * Qn
-    returned = 2.0 * math.exp(-p.gamma * p.tau) * r.beta(Qd, Ed) * Qd
-    dQ = -p.delta * Qn - r.g(Qn) - reentry + returned
-    dM = -p.mu * Mn + r.g(Qn)
-    dE = -p.k * En + r.f(Mn)
-    return SystemState(dQ, dM, dE)
+    return SystemState(*vector_field(p)(Qn, Mn, En, Qd, Ed))
 
 
 def default_params(tau: float = 0.0) -> ModelParams:

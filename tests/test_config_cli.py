@@ -315,6 +315,14 @@ class TestSimulateCommand:
                      "--t-end", "10", "--transient", "10"])
         assert code == 2
 
+    def test_transient_window_without_mesh_point(self, tmp_path, capsys):
+        code = main(["simulate", "--out-dir", str(tmp_path), "--tau", "1.4",
+                     "--t-end", "20", "--transient", "19.5", "--max-step", "0.7"])
+        assert code == 2
+        assert "first 10% window after the transient holds no mesh point" in (
+            capsys.readouterr().err
+        )
+
     def test_config_run_tau_and_flag_override(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE_CFG + "\n[run]\ntau = 0.5\n")
         out = tmp_path / "a"
@@ -337,6 +345,15 @@ class TestSweepCommand:
         assert header == ["tau", "verdict", "period", "period_std", "amplitude_ratio"]
         assert [float(r[0]) for r in rows] == [0.0, 0.1, 0.2]
         assert all(r[1] for r in rows)
+
+    def test_one_step_per_delay(self, tmp_path):
+        # the default max_step 0.05 gives one mesh step per delay up to tau 0.05
+        out = tmp_path / "out"
+        code = main(["sweep", "--out-dir", str(out), "--tau-max", "0.05",
+                     "--tau-step", "0.01"])
+        assert code == 0
+        _, rows = read_csv(out / "sweep.csv")
+        assert [float(r[0]) for r in rows] == [0.0, 0.01, 0.02, 0.03, 0.04, 0.05]
 
     def test_requires_tau_max(self, tmp_path):
         assert main(["sweep", "--out-dir", str(tmp_path)]) == 2

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -83,6 +84,31 @@ class BigSource(RateFunctions):
         return 0.0
 
 
+class DampedRates(RateFunctions):
+    """Re-entry damped by the quiescent pool, Hill feedback with r = 4."""
+
+    def beta(self, Q, E):
+        return 0.5 * E / (1.0 + E) / (1.0 + 0.01 * Q)
+
+    def beta_dQ(self, Q, E):
+        return -0.005 * E / (1.0 + E) / (1.0 + 0.01 * Q) ** 2
+
+    def beta_dE(self, Q, E):
+        return 0.5 / (1.0 + E) ** 2 / (1.0 + 0.01 * Q)
+
+    def g(self, Q):
+        return 0.04 * Q
+
+    def g_prime(self, Q):
+        return 0.04
+
+    def f(self, M):
+        return 6570.0 / (1.0 + 0.0382 * M**4)
+
+    def f_prime(self, M):
+        return -6570.0 * 0.0382 * 4.0 * M**3 / (1.0 + 0.0382 * M**4) ** 2
+
+
 def custom_params(rates: RateFunctions, tau: float = 1.0) -> ModelParams:
     return ModelParams(delta=0.01, gamma=0.2, tau=tau, mu=0.02, k=2.8, rates=rates)
 
@@ -163,6 +189,18 @@ class TestIntegrateMesh:
         assert traj.dt == 0.05
         assert traj.t_end == pytest.approx(10.0, rel=1e-12)
 
+    @pytest.mark.parametrize("tau", [0.03, 1.4])
+    def test_one_step_per_delay(self, tau):
+        # the read at t_next - tau lands on the right end of the segment
+        # being built, whose end derivative is not stored yet
+        p, _, traj = perturbed_run(tau, 30 * tau, max_step=tau)
+        assert traj.dt == tau
+        assert len(traj.times) == 31
+        for j in range(1, len(traj.times)):
+            expect = rhs(traj.states[j], traj.states[j - 1], p)
+            for x, y in zip(traj.derivs[j], expect):
+                assert abs(x - y) <= 1e-12 * (1.0 + abs(y))
+
     def test_mesh_arrays_are_consistent(self):
         _, _, traj = perturbed_run(0.5, 20.0)
         assert len(traj.times) == len(traj.states) == len(traj.derivs)
@@ -236,6 +274,13 @@ class TestIntegrateErrors:
         with pytest.raises(InvalidStateError):
             integrate(params, h, 1.0)
 
+    def test_bad_history_inside_the_delay_interval(self):
+        # valid at 0 and -tau, negative in between: an input error, not a divergence
+        p = default_params(tau=1.0)
+        h = History(lambda t: SystemState(1.0, 1.0 if t < -0.9 or t > -0.1 else -1.0, 1.0))
+        with pytest.raises(InvalidStateError, match="history"):
+            integrate(p, h, 5.0)
+
     def test_negative_overshoot_raises_invariant_violation(self):
         p = custom_params(QuadSink())
         h = History.constant(SystemState(1.0, 1.0, 1.0))
@@ -251,6 +296,44 @@ class TestIntegrateErrors:
             integrate(p, h, 10.0)
         assert exc.value.last_time == 0.0
         assert "non-finite" in str(exc.value)
+
+
+def trajectory_digest(traj: Trajectory) -> str:
+    return hashlib.sha256(repr((traj.times, traj.states, traj.derivs)).encode()).hexdigest()
+
+
+class TestTrajectoryBits:
+    """Every mesh time, state and derivative, pinned by a sha256 of their repr.
+
+    A change to the stepper that moves any float by one rounding step fails
+    here; a deliberate change of the arithmetic must re-record the digests.
+    """
+
+    def test_tau_zero(self):
+        _, _, traj = perturbed_run(0.0, 50.0, max_step=0.05)
+        assert trajectory_digest(traj) == (
+            "e80a7adb884a1c3c366e2002e8a9e9dd046c7cda0b581564b9d698a27b51ad55"
+        )
+
+    def test_delayed(self):
+        _, _, traj = perturbed_run(0.5, 50.0)
+        assert trajectory_digest(traj) == (
+            "765a7f62c2801f4a2de5a880134a8e0c2f390444a023e2f4523f99003575b74a"
+        )
+
+    def test_nonconstant_history(self):
+        h = History(lambda t: SystemState(1.0 + t * t, 2.0, 3.0))
+        traj = integrate(default_params(tau=1.4), h, 30.0)
+        assert trajectory_digest(traj) == (
+            "101569d614a6614862bce06e97c70c494669610ff654d6a6eea5837863820aa6"
+        )
+
+    def test_generic_rate_functions(self):
+        h = History.constant(SystemState(1.0, 2.0, 3.0))
+        traj = integrate(custom_params(DampedRates(), tau=1.4), h, 30.0)
+        assert trajectory_digest(traj) == (
+            "e6ddd6128c1d78a6a7821996647d91bbe5875e08fa652a929b28b65a51d84dff"
+        )
 
 
 class TestInterpolate:
@@ -374,6 +457,15 @@ class TestClassify:
         run = standard_runs[0.5]
         with pytest.raises(ValueError):
             classify_asymptotics(run.traj, run.eq, run.traj.t_end)
+
+    def test_window_without_mesh_point(self):
+        # dt = 0.7 leaves no mesh point in [19.5, 19.58], and from t = 16.8
+        # on an eighth of the span (0.44) can fall between two mesh points
+        p, eq, traj = perturbed_run(1.4, 20.0, max_step=0.7)
+        with pytest.raises(ValueError, match="^the first 10% window after the transient holds no mesh"):
+            classify_asymptotics(traj, eq, 19.5)
+        with pytest.raises(ValueError, match="^segment 3 of 8 after the transient holds no mesh"):
+            classify_asymptotics(traj, eq, traj.times[24])
 
     def test_tau_zero_run_matches_tau0_stability(self):
         p = default_params(tau=0.0)
