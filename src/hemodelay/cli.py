@@ -20,7 +20,9 @@ import math
 import sys
 import time
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
+from typing import Iterable
 
 from .config import ConfigError, RunOptions, default_config_path, parse_config
 from .dde import (
@@ -40,6 +42,7 @@ from .switch import scan as run_scan
 
 _NO_EQ_SPAN = 10.0  # tau span for outputs when no positive equilibrium exists
 _DEFAULT_GRID_STEP = 0.005
+_MAX_GRID_POINTS = 1_000_000  # the reference grid has 598
 # reproduction runs: (tau, t_end, transient), windows sized to hold several
 # oscillation periods past the transient
 _REPRO_RUNS = ((0.5, 1000.0, 100.0), (1.4, 1200.0, 400.0), (2.8, 2500.0, 800.0), (2.9, 2500.0, 800.0))
@@ -53,10 +56,10 @@ def _fmt(v: object) -> str:
     return str(v)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> Path:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> Path:
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
     return path
 
 
@@ -92,8 +95,13 @@ def _load(args: argparse.Namespace) -> tuple[ModelParams, RunOptions, Path]:
 def _tau_grid(span: float, step: float) -> list[float]:
     if not (math.isfinite(step) and step > 0.0):
         raise ConfigError(f"grid step must be positive and finite, got {step!r}")
-    count = math.ceil(span / step)
-    grid = [i * step for i in range(count)]
+    points = span / step
+    if points > _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"grid step {step!r} gives {points:.3g} points over span {span!r}; "
+            f"at most {_MAX_GRID_POINTS} are allowed"
+        )
+    grid = [i * step for i in range(math.ceil(points))]
     while grid and grid[-1] >= span:
         grid.pop()
     if len(grid) < 2:
@@ -331,11 +339,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
     stride = args.stride
     if stride < 1:
         raise ConfigError(f"--stride must be at least 1, got {stride}")
-    rows = [
-        (t, s.Q, s.M, s.E)
-        for i, (t, s) in enumerate(zip(traj.times, traj.states))
-        if i % stride == 0
-    ]
+    rows = islice(zip(traj.times, traj.Q, traj.M, traj.E), 0, None, stride)
     _write_csv(Path(out), ["t", "Q", "M", "E"], rows)
     print(f"verdict: {verdict}")
     if period is not None:
@@ -486,7 +490,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> tuple[dict, int]:
             _write_csv(
                 args.out_dir / f"sim_tau{tau:g}.csv",
                 ["t", "Q", "M", "E"],
-                [(t, s.Q, s.M, s.E) for t, s in zip(traj.times, traj.states)],
+                zip(traj.times, traj.Q, traj.M, traj.E),
             )
         )
     regimes_ok = (
@@ -522,9 +526,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="recorded in the manifest; all pipelines are deterministic")
 
+    window_flags = argparse.ArgumentParser(add_help=False)
+    window_flags.add_argument("--t-end", dest="t_end", type=float, default=None)
+    window_flags.add_argument("--transient", type=float, default=None)
+
+    # reproduce takes these but not the window flags: its windows are fixed
     run_flags = argparse.ArgumentParser(add_help=False)
-    run_flags.add_argument("--t-end", dest="t_end", type=float, default=None)
-    run_flags.add_argument("--transient", type=float, default=None)
     run_flags.add_argument("--max-step", dest="max_step", type=float, default=None)
     run_flags.add_argument("--history", type=str, default=None,
                            help="'equilibrium*FACTOR' (default equilibrium*1.1) or a 'Q,M,E' triple")
@@ -548,14 +555,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
     p.set_defaults(handler=_cmd_scan)
 
-    p = sub.add_parser("simulate", parents=[common, run_flags],
+    p = sub.add_parser("simulate", parents=[common, window_flags, run_flags],
                        help="integrate the system at one delay")
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--out", type=Path, default=None, help="CSV path (default out-dir/sim_tau*.csv)")
     p.add_argument("--stride", type=int, default=1, help="write every Nth mesh point")
     p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("sweep", parents=[common, run_flags],
+    p = sub.add_parser("sweep", parents=[common, window_flags, run_flags],
                        help="simulate over a tau grid and classify each run")
     p.add_argument("--tau-min", dest="tau_min", type=float, default=0.0)
     p.add_argument("--tau-max", dest="tau_max_flag", type=float, default=None)

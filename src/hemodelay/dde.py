@@ -15,8 +15,14 @@ the right end of the last completed segment.
 The vector field is built once per run (model.vector_field) and the
 stepper keeps Q, M, E and their derivatives in flat float lists, checking
 finiteness and the nonnegativity floor once per step on the new state;
-model.rhs is the checked wrapper around the same field.  The Trajectory
-tuples are built once at the end.
+model.rhs is the checked wrapper around the same field.  The two stage
+reads are inlined, and the read at t + dt - tau doubles as the new mesh
+point's delayed read whenever t + dt rounds to the same float as the next
+mesh time (j + 1) * dt; otherwise that point is read afresh.
+
+A Trajectory stores these lists as float columns (times, Q, M, E, dQ, dM,
+dE) and everything here reads the columns; `states` and `derivs` are
+SystemState views built on first use, for callers that want tuples.
 
 With tau = 0 the same stepper runs as a plain ODE integrator, the delayed
 state being the current stage state, so the no-delay limit stays
@@ -33,7 +39,9 @@ from __future__ import annotations
 
 import math
 import statistics
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .equilibria import Equilibrium
@@ -104,18 +112,35 @@ def _hermite_weights(s: float, dt: float) -> tuple[float, float, float, float]:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Mesh states and derivatives of one integration, with dense evaluation."""
+    """Mesh times, states and derivatives of one integration, as float columns.
+
+    Q, M, E hold the state and dQ, dM, dE its derivative at each mesh time;
+    `states` and `derivs` are the same values as SystemState tuples, built
+    on first use.  `state(t)` is the dense output.
+    """
 
     params: ModelParams
     history: History
     dt: float
     times: tuple[float, ...]
-    states: tuple[SystemState, ...]
-    derivs: tuple[SystemState, ...]
+    Q: tuple[float, ...]
+    M: tuple[float, ...]
+    E: tuple[float, ...]
+    dQ: tuple[float, ...]
+    dM: tuple[float, ...]
+    dE: tuple[float, ...]
 
     @property
     def t_end(self) -> float:
         return self.times[-1]
+
+    @cached_property
+    def states(self) -> tuple[SystemState, ...]:
+        return tuple(map(SystemState, self.Q, self.M, self.E))
+
+    @cached_property
+    def derivs(self) -> tuple[SystemState, ...]:
+        return tuple(map(SystemState, self.dQ, self.dM, self.dE))
 
     def state(self, t: float) -> SystemState:
         return interpolate(self, t)
@@ -130,14 +155,15 @@ def interpolate(traj: Trajectory, t: float) -> SystemState:
         )
     if t <= 0.0:
         return traj.history.eval(max(t, -traj.params.tau))
-    dt = traj.dt
-    i = min(int(t / dt), len(traj.states) - 2)
-    w0, v0, w1, v1 = _hermite_weights((t - traj.times[i]) / dt, dt)
-    y0, f0, y1, f1 = traj.states[i], traj.derivs[i], traj.states[i + 1], traj.derivs[i + 1]
+    dt, times = traj.dt, traj.times
+    i = min(int(t / dt), len(times) - 2)
+    k = i + 1
+    w0, v0, w1, v1 = _hermite_weights((t - times[i]) / dt, dt)
+    Q, M, E, dQ, dM, dE = traj.Q, traj.M, traj.E, traj.dQ, traj.dM, traj.dE
     return SystemState(
-        w0 * y0[0] + v0 * f0[0] + w1 * y1[0] + v1 * f1[0],
-        w0 * y0[1] + v0 * f0[1] + w1 * y1[1] + v1 * f1[1],
-        w0 * y0[2] + v0 * f0[2] + w1 * y1[2] + v1 * f1[2],
+        w0 * Q[i] + v0 * dQ[i] + w1 * Q[k] + v1 * dQ[k],
+        w0 * M[i] + v0 * dM[i] + w1 * M[k] + v1 * dM[k],
+        w0 * E[i] + v0 * dE[i] + w1 * E[k] + v1 * dE[k],
     )
 
 
@@ -152,8 +178,8 @@ def integrate(
     bad = validate(p)
     if bad:
         raise ValueError("; ".join(bad))
-    if not t_end > 0.0:
-        raise ValueError("t_end must be positive")
+    if not (t_end > 0.0 and math.isfinite(t_end)):
+        raise ValueError("t_end must be positive and finite")
     if max_step is not None and not max_step > 0.0:
         raise ValueError("max_step must be positive")
     tau = p.tau
@@ -168,10 +194,10 @@ def integrate(
     field = vector_field(p)
     y0 = history.eval(0.0)
     d0 = history.eval(-tau) if tau > 0.0 else y0
-    times = [0.0]
-    Qs, Ms, Es = [y0.Q], [y0.M], [y0.E]
-    dQ0, dM0, dE0 = field(y0.Q, y0.M, y0.E, d0.Q, d0.E)
-    dQs, dMs, dEs = [dQ0], [dM0], [dE0]
+    Q, M, E = y0
+    kQ1, kM1, kE1 = field(Q, M, E, d0.Q, d0.E)
+    times, Qs, Ms, Es = [0.0], [Q], [M], [E]
+    dQs, dMs, dEs = [kQ1], [kM1], [kE1]
 
     def delayed(tq: float) -> tuple[float, float]:
         """(Q, E) at time tq; the field never reads the delayed M."""
@@ -190,13 +216,39 @@ def integrate(
     isfinite = math.isfinite
     half = 0.5 * dt
     sixth = dt / 6.0
+    t = 0.0
     for j in range(n_steps):
-        t = times[j]
-        Q, M, E = Qs[j], Ms[j], Es[j]
-        kQ1, kM1, kE1 = dQs[j], dMs[j], dEs[j]
         if tau > 0.0:
-            Qh, Eh = delayed(t + half - tau)
-            Qf, Ef = delayed(t + dt - tau)
+            # the two stage reads are delayed() inlined, with the same
+            # arithmetic as _hermite_weights.  At step j the segments
+            # 0 .. j-1 have both end derivatives stored; the read at
+            # t + dt/2 - tau always lies in them, the one at t + dt - tau
+            # only after the clamp when the step is the whole delay
+            tq = t + half - tau
+            if tq > 0.0:
+                i = int(tq / dt)
+                s = (tq - times[i]) / dt
+                s2, u2 = s * s, (1.0 - s) ** 2
+                w0, v0 = (1.0 + 2.0 * s) * u2, dt * (s * u2)
+                w1, v1 = s2 * (3.0 - 2.0 * s), dt * (s2 * (s - 1.0))
+                Qh = w0 * Qs[i] + v0 * dQs[i] + w1 * Qs[i + 1] + v1 * dQs[i + 1]
+                Eh = w0 * Es[i] + v0 * dEs[i] + w1 * Es[i + 1] + v1 * dEs[i + 1]
+            else:
+                Qh, Eh = delayed(tq)
+            tf = t + dt
+            tq = tf - tau
+            if tq > 0.0:
+                i = int(tq / dt)
+                if i >= j:
+                    i = j - 1
+                s = (tq - times[i]) / dt
+                s2, u2 = s * s, (1.0 - s) ** 2
+                w0, v0 = (1.0 + 2.0 * s) * u2, dt * (s * u2)
+                w1, v1 = s2 * (3.0 - 2.0 * s), dt * (s2 * (s - 1.0))
+                Qf = w0 * Qs[i] + v0 * dQs[i] + w1 * Qs[i + 1] + v1 * dQs[i + 1]
+                Ef = w0 * Es[i] + v0 * dEs[i] + w1 * Es[i + 1] + v1 * dEs[i + 1]
+            else:
+                Qf, Ef = delayed(tq)
             Q2, M2, E2 = Q + half * kQ1, M + half * kM1, E + half * kE1
             kQ2, kM2, kE2 = field(Q2, M2, E2, Qh, Eh)
             Q3, M3, E3 = Q + half * kQ2, M + half * kM2, E + half * kE2
@@ -224,19 +276,26 @@ def integrate(
             raise InvariantViolationError(
                 f"component reached {low!r} at t={t_next!r}", t
             )
-        Qd, Ed = delayed(t_next - tau) if tau > 0.0 else (Qn, En)
-        kQ, kM, kE = field(Qn, Mn, En, Qd, Ed)
-        times.append(t_next)
-        Qs.append(Qn)
-        Ms.append(Mn)
-        Es.append(En)
-        dQs.append(kQ)
-        dMs.append(kM)
-        dEs.append(kE)
+        if tau <= 0.0:
+            Qd, Ed = Qn, En
+        elif t_next == tf:
+            # the stage read at t + dt - tau was taken at this very time
+            Qd, Ed = Qf, Ef
+        else:
+            Qd, Ed = delayed(t_next - tau)
+        kQ1, kM1, kE1 = field(Qn, Mn, En, Qd, Ed)
+        t, Q, M, E = t_next, Qn, Mn, En
+        times.append(t)
+        Qs.append(Q)
+        Ms.append(M)
+        Es.append(E)
+        dQs.append(kQ1)
+        dMs.append(kM1)
+        dEs.append(kE1)
 
     return Trajectory(
         p, history, dt, tuple(times),
-        tuple(map(SystemState, Qs, Ms, Es)), tuple(map(SystemState, dQs, dMs, dEs)),
+        tuple(Qs), tuple(Ms), tuple(Es), tuple(dQs), tuple(dMs), tuple(dEs),
     )
 
 
@@ -274,11 +333,11 @@ def detect_period(
     the mean level).
     """
     ci = _component_index(component)
-    j0 = next((j for j, t in enumerate(traj.times) if t >= t_transient), None)
-    if j0 is None or traj.times[j0] >= traj.t_end:
+    j0 = bisect_left(traj.times, t_transient)
+    if j0 >= len(traj.times) - 1 or math.isnan(t_transient):
         raise ValueError("transient leaves no samples to analyze")
     ts = traj.times[j0:]
-    vs = [s[ci] for s in traj.states[j0:]]
+    vs = (traj.Q, traj.M, traj.E)[ci][j0:]
 
     peak_times: list[float] = []
     peak_values: list[float] = []
@@ -316,14 +375,6 @@ def detect_period(
     )
 
 
-def _deviation(state: SystemState, eq: Equilibrium) -> float:
-    return max(
-        abs(state[0] - eq.Q) / (1.0 + abs(eq.Q)),
-        abs(state[1] - eq.M) / (1.0 + abs(eq.M)),
-        abs(state[2] - eq.E) / (1.0 + abs(eq.E)),
-    )
-
-
 def classify_asymptotics(
     traj: Trajectory, eq: Equilibrium, t_transient: float
 ) -> str:
@@ -338,22 +389,26 @@ def classify_asymptotics(
     """
     T = traj.t_end
     span = T - t_transient
-    if span <= 0.0:
+    if not span > 0.0:
         raise ValueError("transient must end before the run does")
-    post = [
-        (t, _deviation(s, eq))
-        for t, s in zip(traj.times, traj.states)
-        if t >= t_transient
-    ]
+    times, Q, M, E = traj.times, traj.Q, traj.M, traj.E
+    eQ, eM, eE = eq.Q, eq.M, eq.E
+    sQ, sM, sE = 1.0 + abs(eQ), 1.0 + abs(eM), 1.0 + abs(eE)
+    j0 = bisect_left(times, t_transient)
 
     def window_max(lo: float, hi: float, name: str) -> float:
-        ds = [d for t, d in post if lo <= t <= hi]
-        if not ds:
+        """Largest relative deviation from eq at the mesh points in [lo, hi]."""
+        a = bisect_left(times, lo, j0)
+        b = bisect_right(times, hi, a)
+        if a == b:
             raise ValueError(
                 f"{name} after the transient holds no mesh point; "
                 f"shorten the step or the transient"
             )
-        return max(ds)
+        return max(
+            max(abs(q - eQ) / sQ, abs(m - eM) / sM, abs(e - eE) / sE)
+            for q, m, e in zip(Q[a:b], M[a:b], E[a:b])
+        )
 
     d_first = window_max(t_transient, t_transient + 0.1 * span, "the first 10% window")
     d_last = window_max(T - 0.1 * span, T, "the last 10% window")

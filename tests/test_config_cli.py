@@ -174,6 +174,14 @@ class TestEquilibriaCommand:
     def test_grid_step_too_coarse_for_span(self, tmp_path):
         assert main(["equilibria", "--out-dir", str(tmp_path), "--grid-step", "5.0"]) == 2
 
+    def test_grid_step_too_fine_is_refused_before_allocating(self, tmp_path, capsys):
+        # about 3e300 points: refused from the count, not by running out of memory
+        assert main(["equilibria", "--out-dir", str(tmp_path), "--grid-step", "1e-300"]) == 2
+        assert "at most 1000000" in capsys.readouterr().err
+        cfg = write_cfg(tmp_path, BASE_CFG + "\n[run]\ngrid_step = 1e-300\n")
+        assert main(["equilibria", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert "at most 1000000" in capsys.readouterr().err
+
     def test_out_dir_blocked_by_file(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("x")
@@ -310,6 +318,26 @@ class TestSimulateCommand:
                      "--t-end", "50", "--transient", "10", "--history=-1,2,3"])
         assert code == 2
 
+    def test_csv_bytes(self, tmp_path):
+        # sha256 of the written CSV: a change to any simulated float, to the
+        # row stride or to the float formatting moves it
+        digests = {
+            "1": "66822fe016c1bb73cebc441210bef6de5edb7524d51d0beb2b4a373eb9ba9b0f",
+            "7": "7acb4862a5c804e90a3751c837b11cb95436ad8adc0facf40fa255a06e3df0f6",
+        }
+        for stride, digest in digests.items():
+            target = tmp_path / f"stride{stride}.csv"
+            assert main(["simulate", "--out-dir", str(tmp_path), "--tau", "1.4",
+                         "--t-end", "30", "--transient", "5", "--stride", stride,
+                         "--out", str(target)]) == 0
+            assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+    def test_nonfinite_t_end(self, tmp_path, capsys):
+        code = main(["simulate", "--out-dir", str(tmp_path), "--tau", "1.4",
+                     "--t-end", "inf", "--transient", "10"])
+        assert code == 2
+        assert "t_end must be positive and finite" in capsys.readouterr().err
+
     def test_transient_must_precede_t_end(self, tmp_path):
         code = main(["simulate", "--out-dir", str(tmp_path), "--tau", "0.5",
                      "--t-end", "10", "--transient", "10"])
@@ -357,6 +385,12 @@ class TestSweepCommand:
 
     def test_requires_tau_max(self, tmp_path):
         assert main(["sweep", "--out-dir", str(tmp_path)]) == 2
+
+    def test_nonfinite_t_end(self, tmp_path, capsys):
+        code = main(["sweep", "--out-dir", str(tmp_path), "--tau-max", "0.2",
+                     "--t-end", "inf"])
+        assert code == 2
+        assert "t_end must be positive and finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags",
@@ -435,6 +469,13 @@ class TestReproduceCommand:
         assert abs(float(rows[1][0]) - 2.82) <= 0.02
         assert float(rows[0][6]) < 1e-8
         assert float(rows[1][6]) < 1e-8
+
+    @pytest.mark.parametrize("flag", ["--t-end", "--transient"])
+    def test_window_flags_are_refused(self, tmp_path, flag):
+        # the reproduction windows are fixed, so these flags would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", flag, "5", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
 
     def test_no_equilibrium_note(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE_CFG.replace("beta0 = 0.5", "beta0 = 0.01"))

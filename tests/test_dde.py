@@ -127,8 +127,8 @@ def sine_trajectory(dt: float = 0.1, t_end: float = 600.0) -> Trajectory:
         History.constant(SystemState(2.0, 2.0, 2.0)),
         dt,
         times,
-        states,
-        derivs,
+        *zip(*states),
+        *zip(*derivs),
     )
 
 
@@ -207,6 +207,14 @@ class TestIntegrateMesh:
         gaps = [b - a for a, b in zip(traj.times, traj.times[1:])]
         assert max(gaps) - min(gaps) < 1e-12
 
+    @pytest.mark.parametrize("tau", [0.0, 1.4])
+    def test_state_views_match_columns(self, tau):
+        _, _, traj = perturbed_run(tau, 20.0)
+        assert traj.states == tuple(map(SystemState, traj.Q, traj.M, traj.E))
+        assert traj.derivs == tuple(map(SystemState, traj.dQ, traj.dM, traj.dE))
+        assert type(traj.states[-1]) is type(traj.derivs[-1]) is SystemState
+        assert traj.states is traj.states
+
 
 class TestIntegrateAccuracy:
     def test_equilibrium_is_a_fixed_point(self):
@@ -255,6 +263,12 @@ class TestIntegrateErrors:
             integrate(params, h, 0.0)
         with pytest.raises(ValueError, match="t_end"):
             integrate(params, h, -5.0)
+
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
+    def test_rejects_nonfinite_t_end(self, params, t_end):
+        h = History.constant(SystemState(1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            integrate(params, h, t_end)
 
     def test_rejects_nonpositive_max_step(self, params):
         h = History.constant(SystemState(1.0, 1.0, 1.0))
@@ -373,8 +387,8 @@ class TestInterpolate:
             History.constant(SystemState(3.0, 3.0, 3.0)),
             dt,
             times,
-            states,
-            derivs,
+            *zip(*states),
+            *zip(*derivs),
         )
         for t in (0.1, 0.77, 2.34, 4.9, 4.999):
             got = interpolate(traj, t)
@@ -413,6 +427,8 @@ class TestDetectPeriod:
             detect_period(traj, "Q", traj.t_end)
         with pytest.raises(ValueError, match="transient"):
             detect_period(traj, "Q", 1e6)
+        with pytest.raises(ValueError, match="transient"):
+            detect_period(traj, "Q", math.nan)
 
     def test_too_few_peaks_gives_none(self):
         # only two maxima remain after t = 480
@@ -450,13 +466,17 @@ class TestClassify:
         derivs = tuple(
             SystemState(1e-5 * math.exp(0.01 * t), 0.0, 0.0) for t in times
         )
-        traj = Trajectory(p, History.constant(eq.state), 1.0, times, states, derivs)
+        traj = Trajectory(
+            p, History.constant(eq.state), 1.0, times, *zip(*states), *zip(*derivs)
+        )
         assert classify_asymptotics(traj, eq, 100.0) == "diverging"
 
     def test_transient_must_precede_end(self, standard_runs):
         run = standard_runs[0.5]
         with pytest.raises(ValueError):
             classify_asymptotics(run.traj, run.eq, run.traj.t_end)
+        with pytest.raises(ValueError):
+            classify_asymptotics(run.traj, run.eq, math.nan)
 
     def test_window_without_mesh_point(self):
         # dt = 0.7 leaves no mesh point in [19.5, 19.58], and from t = 16.8
