@@ -92,15 +92,21 @@ def _load(args: argparse.Namespace) -> tuple[ModelParams, RunOptions, Path]:
     return params, _merge(opts, args), Path(cfg)
 
 
-def _tau_grid(span: float, step: float) -> list[float]:
-    if not (math.isfinite(step) and step > 0.0):
-        raise ConfigError(f"grid step must be positive and finite, got {step!r}")
+def _grid_points(span: float, step: float) -> float:
+    """span/step, refused before any list is built when it exceeds _MAX_GRID_POINTS."""
     points = span / step
-    if points > _MAX_GRID_POINTS:
+    if not points <= _MAX_GRID_POINTS:
         raise ConfigError(
             f"grid step {step!r} gives {points:.3g} points over span {span!r}; "
             f"at most {_MAX_GRID_POINTS} are allowed"
         )
+    return points
+
+
+def _tau_grid(span: float, step: float) -> list[float]:
+    if not (math.isfinite(step) and step > 0.0):
+        raise ConfigError(f"grid step must be positive and finite, got {step!r}")
+    points = _grid_points(span, step)
     grid = [i * step for i in range(math.ceil(points))]
     while grid and grid[-1] >= span:
         grid.pop()
@@ -359,6 +365,7 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[dict, int]:
         raise ConfigError(
             f"need tau-max >= tau-min >= 0 and tau-step > 0, got {lo!r}, {hi!r}, {step!r}"
         )
+    _grid_points(hi - lo, step)
     t_end = opts.t_end if opts.t_end is not None else 1200.0
     transient = opts.transient if opts.transient is not None else 400.0
     max_step = opts.max_step if opts.max_step is not None else 0.05

@@ -48,6 +48,9 @@ from .equilibria import Equilibrium
 from .model import InvalidStateError, ModelParams, NumericalError, SystemState, validate, vector_field
 
 _DEFAULT_SUBSTEPS = 64
+# a mesh point keeps 7 floats, about 224 bytes: 10M steps hold about 2.2 GB,
+# 78 times the 128k steps of the tau = 0.5 reproduction run
+_MAX_STEPS = 10_000_000
 _NEG_FLOOR = -1e-6
 _COMPONENTS = {"Q": 0, "M": 1, "E": 2}
 
@@ -185,11 +188,23 @@ def integrate(
     tau = p.tau
     if tau > 0.0:
         cap = max_step if max_step is not None else tau / _DEFAULT_SUBSTEPS
-        m = max(1, math.ceil(tau / cap - 1e-12))
+        per_delay = tau / cap  # compared as a float: ceil(inf) would overflow
+        if not per_delay <= _MAX_STEPS:
+            raise ValueError(
+                f"max_step {cap!r} gives {per_delay:.3g} steps per delay; "
+                f"at most {_MAX_STEPS} are allowed"
+            )
+        m = max(1, math.ceil(per_delay - 1e-12))
         dt = tau / m
     else:
         dt = max_step if max_step is not None else 1.0 / _DEFAULT_SUBSTEPS
-    n_steps = max(1, math.ceil(t_end / dt - 1e-12))
+    steps = t_end / dt
+    if not steps <= _MAX_STEPS:
+        raise ValueError(
+            f"t_end {t_end!r} needs {steps:.3g} steps of {dt!r}; "
+            f"at most {_MAX_STEPS} are allowed"
+        )
+    n_steps = max(1, math.ceil(steps - 1e-12))
 
     field = vector_field(p)
     y0 = history.eval(0.0)

@@ -16,17 +16,32 @@ with b00 = beta(0, f(0)/k).  The positive steady state solves
 
 where E(Q) = f(g(Q)/mu)/k chains the two fast compartments; the left side is
 decreasing in Q, the right side nondecreasing, so the root is unique.
+
+positive_equilibrium solves each (params, tau) pair once: the analytic chain
+asks for the same delays several times (the CLI rows, positive_root_intervals
+and scan each walk the whole grid).  The memo is one table for the most
+recent parameter set, keyed by repr(tau) so that 0, 0.0 and -0.0 stay apart;
+a call with a parameter set that is neither that object nor == to it starts
+a new table, and so does a solve that finds the table full (_MEMO_POINTS).
+A NumericalError is not cached: it is raised again on every call.  The memo
+is module state meant for one thread of calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .model import HillRates, ModelParams, NumericalError, SystemState
 
-# residual tolerance is scaled by this reference rate, see positive_equilibrium
-_BRACKET_LO = 1e-12
+_BRACKET_LO = 1e-12  # lower end of the pool-size bracket
+_MEMO_POINTS = 4096  # solves kept for one parameter set; the reference grid has 598
+
+# the positive_equilibrium memo: the most recent parameter set and its
+# solves, keyed by repr(tau); replaced as a pair, so a table only ever holds
+# the solves of the parameter set it is stored with
+_memo: tuple[ModelParams | None, dict[str, Equilibrium | None]] = (None, {})
 
 
 @dataclass(frozen=True)
@@ -63,18 +78,21 @@ def trivial_equilibrium(p: ModelParams) -> Equilibrium:
     return Equilibrium("trivial", 0.0, 0.0, p.rates.f(0.0) / p.k, p.tau)
 
 
-def _chained_E(p: ModelParams, Q: float) -> float:
-    return p.rates.f(p.rates.g(Q) / p.mu) / p.k
+def _residual_fn(p: ModelParams, alpha: float) -> Callable[[float], float]:
+    """The balance residual Q -> alpha*beta(Q, E(Q)) - delta - g(Q)/Q of one solve."""
+    beta, g, f = p.rates.beta, p.rates.g, p.rates.f
+    delta, mu, k = p.delta, p.mu, p.k
 
+    def residual(Q: float) -> float:
+        gQ = g(Q)
+        return alpha * beta(Q, f(gQ / mu) / k) - delta - gQ / Q
 
-def _residual(p: ModelParams, alpha: float, Q: float) -> float:
-    r = p.rates
-    return alpha * r.beta(Q, _chained_E(p, Q)) - p.delta - r.g(Q) / Q
+    return residual
 
 
 def _residual_prime(p: ModelParams, alpha: float, Q: float) -> float:
     r = p.rates
-    E = _chained_E(p, Q)
+    E = r.f(r.g(Q) / p.mu) / p.k
     dE = r.f_prime(r.g(Q) / p.mu) * r.g_prime(Q) / (p.mu * p.k)
     dbeta = r.beta_dQ(Q, E) + r.beta_dE(Q, E) * dE
     return alpha * dbeta - (r.g_prime(Q) * Q - r.g(Q)) / (Q * Q)
@@ -86,46 +104,67 @@ def positive_equilibrium(p: ModelParams, tau: float) -> Equilibrium | None:
     The pool size is bracketed ([1e-12, doubling upward from 1]) and the
     bracket is shrunk by bisection, then polished with bracket-guarded Newton
     steps until the balance residual is below 1e-12*(delta + g'(0) + 1) and
-    no longer improves.
+    no longer improves.  Results are memoized for the most recent parameter
+    set (see the module docstring).
     """
+    global _memo
     if tau < 0.0:
         raise ValueError("tau must be nonnegative")
+    memo_p, table = _memo
+    if p is not memo_p and not p == memo_p:
+        table = {}
+        _memo = (p, table)
+    key = repr(tau)
+    if key in table:
+        return table[key]
+    eq = _solve_positive(p, tau)
+    if len(table) >= _MEMO_POINTS:
+        table = {}
+        _memo = (p, table)
+    table[key] = eq
+    return eq
+
+
+def _solve_positive(p: ModelParams, tau: float) -> Equilibrium | None:
+    """positive_equilibrium without the memo."""
     tm = tau_max(p)
     if tm is None or not tau < tm:
         return None
     alpha = 2.0 * math.exp(-p.gamma * tau) - 1.0
+    residual = _residual_fn(p, alpha)
 
     lo = _BRACKET_LO
-    r_lo = _residual(p, alpha, lo)
+    r_lo = residual(lo)
     if not r_lo > 0.0:
         raise NumericalError(
             "existence threshold holds but the balance residual is not positive at 0+"
         )
     hi = 1.0
-    r_hi = _residual(p, alpha, hi)
+    r_hi = residual(hi)
     doublings = 0
     while r_hi > 0.0:
         hi *= 2.0
         doublings += 1
         if doublings > 200:
             raise NumericalError("no sign change found while expanding the bracket")
-        r_hi = _residual(p, alpha, hi)
+        r_hi = residual(hi)
 
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _residual(p, alpha, mid) > 0.0:
+        if residual(mid) > 0.0:
             lo = mid
         else:
             hi = mid
 
-    # bracket-guarded Newton polish, run to the floating-point floor
+    # bracket-guarded Newton polish, run to the floating-point floor; rQ is
+    # always the residual at the current Q
     tol = 1e-12 * (p.delta + p.rates.g_prime(0.0) + 1.0)
     Q = 0.5 * (lo + hi)
-    best, best_r = Q, abs(_residual(p, alpha, Q))
+    rQ = residual(Q)
+    best, best_r = Q, abs(rQ)
     for _ in range(60):
-        rQ = _residual(p, alpha, Q)
         if abs(rQ) < best_r:
             best, best_r = Q, abs(rQ)
         if rQ > 0.0:
@@ -144,12 +183,12 @@ def positive_equilibrium(p: ModelParams, tau: float) -> Equilibrium | None:
         if Qn == Q:
             break
         Q = Qn
-    if best_r < abs(_residual(p, alpha, Q)):
-        Q = best
-    if not abs(_residual(p, alpha, Q)) < tol:
-        raise NumericalError(
-            f"equilibrium residual {abs(_residual(p, alpha, Q)):.3e} above tolerance {tol:.3e}"
-        )
+        rQ = residual(Q)
+    r_end = abs(rQ)
+    if best_r < r_end:
+        Q, r_end = best, best_r
+    if not r_end < tol:
+        raise NumericalError(f"equilibrium residual {r_end:.3e} above tolerance {tol:.3e}")
     M = p.rates.g(Q) / p.mu
     E = p.rates.f(M) / p.k
     return Equilibrium("positive", Q, M, E, tau)

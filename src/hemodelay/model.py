@@ -47,6 +47,10 @@ class RateFunctions(ABC):
     nonnegative, increasing in E, nonincreasing in Q, with beta(Q, 0) = 0;
     and beta(Q, f(g(Q)/mu)/k) -> 0 as Q -> infinity so that large pools
     shut re-entry down.
+
+    The rates must not change their outputs once a ModelParams holding them
+    is in use: equilibria.positive_equilibrium memoizes its solves per
+    parameter set.
     """
 
     @abstractmethod

@@ -64,6 +64,32 @@ class ConstantRates(RateFunctions):
     def f_prime(self, M: float) -> float:
         return 0.0
 
+
+class DampedRates(RateFunctions):
+    """Re-entry damped by the quiescent pool, Hill feedback with r = 4."""
+
+    def beta(self, Q, E):
+        return 0.5 * E / (1.0 + E) / (1.0 + 0.01 * Q)
+
+    def beta_dQ(self, Q, E):
+        return -0.005 * E / (1.0 + E) / (1.0 + 0.01 * Q) ** 2
+
+    def beta_dE(self, Q, E):
+        return 0.5 / (1.0 + E) ** 2 / (1.0 + 0.01 * Q)
+
+    def g(self, Q):
+        return 0.04 * Q
+
+    def g_prime(self, Q):
+        return 0.04
+
+    def f(self, M):
+        return 6570.0 / (1.0 + 0.0382 * M**4)
+
+    def f_prime(self, M):
+        return -6570.0 * 0.0382 * 4.0 * M**3 / (1.0 + 0.0382 * M**4) ** 2
+
+
 # existence threshold and trivial state
 TAU_MAX_DEFAULT = 2.9889912895287347
 TAU_MAX_BETA0_1 = 3.221683611647848

@@ -338,6 +338,19 @@ class TestSimulateCommand:
         assert code == 2
         assert "t_end must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--tau", "1.4", "--t-end", "1e12", "--transient", "10"],
+            ["--tau", "1e-9", "--t-end", "30", "--transient", "5"],
+            ["--tau", "1.4", "--t-end", "30", "--transient", "5", "--max-step", "1e-320"],
+            ["--tau", "0", "--t-end", "30", "--transient", "5", "--max-step", "5e-324"],
+        ],
+    )
+    def test_too_many_steps_are_refused(self, tmp_path, capsys, flags):
+        assert main(["simulate", "--out-dir", str(tmp_path), *flags]) == 2
+        assert "at most 10000000 are allowed" in capsys.readouterr().err
+
     def test_transient_must_precede_t_end(self, tmp_path):
         code = main(["simulate", "--out-dir", str(tmp_path), "--tau", "0.5",
                      "--t-end", "10", "--transient", "10"])
@@ -391,6 +404,15 @@ class TestSweepCommand:
                      "--t-end", "inf"])
         assert code == 2
         assert "t_end must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--tau-max", "1", "--tau-step", "1e-300"], ["--tau-max", "inf", "--tau-step", "0.5"]],
+    )
+    def test_too_many_delays_are_refused(self, tmp_path, capsys, flags):
+        # refused from the count, before the delay list is built
+        assert main(["sweep", "--out-dir", str(tmp_path), *flags]) == 2
+        assert "at most 1000000 are allowed" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags",
@@ -448,6 +470,23 @@ class TestReproduceCommand:
         assert first.keys() == second.keys()
         for name, blob in first.items():
             assert blob == second[name], f"{name} differs between runs"
+
+    def test_analytic_bytes(self, repro):
+        # sha256 of the analytic CSVs, recorded before positive_equilibrium
+        # memoized its solves: the second run above reads memo hits, so these
+        # literals, not the run-to-run comparison, pin the solver's bits
+        digests = {
+            "equilibria.csv": "93f1915a4794a2186aaf02ac9dfd2fe2ea0d078267af81c398d4ecea19502856",
+            "coeffs.csv": "58975c25de40d473a5ffba4d133019a00de60190170170fb3dd6d81ce61134c1",
+            "s0_curve.csv": "6505308d786460ead67ff7ff55d70e6d0052c1dd3e824acd5844cbc49547946c",
+            "s1_curve.csv": "657eb5260edbeff31bd8e4b0f76eece7f0f4d7a8f557542197b7326035359f76",
+            "switches.csv": "0dcba0be06d8b907acc704f94cf2bebd5094428ea293c0be9238db7596811052",
+            "partition.csv": "5eac4fd7b41fa69f490f380dd8e58433a57d09223d7a218f414dbe61eba4b5d9",
+        }
+        _, dirs = repro
+        for d in dirs:
+            for name, digest in digests.items():
+                assert hashlib.sha256((d / name).read_bytes()).hexdigest() == digest, name
 
     def test_manifest_lists_real_csvs(self, repro):
         _, dirs = repro

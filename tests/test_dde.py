@@ -84,31 +84,6 @@ class BigSource(RateFunctions):
         return 0.0
 
 
-class DampedRates(RateFunctions):
-    """Re-entry damped by the quiescent pool, Hill feedback with r = 4."""
-
-    def beta(self, Q, E):
-        return 0.5 * E / (1.0 + E) / (1.0 + 0.01 * Q)
-
-    def beta_dQ(self, Q, E):
-        return -0.005 * E / (1.0 + E) / (1.0 + 0.01 * Q) ** 2
-
-    def beta_dE(self, Q, E):
-        return 0.5 / (1.0 + E) ** 2 / (1.0 + 0.01 * Q)
-
-    def g(self, Q):
-        return 0.04 * Q
-
-    def g_prime(self, Q):
-        return 0.04
-
-    def f(self, M):
-        return 6570.0 / (1.0 + 0.0382 * M**4)
-
-    def f_prime(self, M):
-        return -6570.0 * 0.0382 * 4.0 * M**3 / (1.0 + 0.0382 * M**4) ** 2
-
-
 def custom_params(rates: RateFunctions, tau: float = 1.0) -> ModelParams:
     return ModelParams(delta=0.01, gamma=0.2, tau=tau, mu=0.02, k=2.8, rates=rates)
 
@@ -275,6 +250,21 @@ class TestIntegrateErrors:
         with pytest.raises(ValueError, match="max_step"):
             integrate(params, h, 1.0, max_step=0.0)
 
+    @pytest.mark.parametrize(
+        "tau, t_end, max_step, match",
+        [
+            (1.4, 1e12, None, "t_end 1000000000000.0 needs"),  # would fill memory
+            (1e-9, 30.0, None, "t_end 30.0 needs"),  # 2e12 steps of tau/64
+            (1.4, 30.0, 1e-320, "steps per delay"),  # tau/max_step overflows to inf
+            (0.0, 30.0, 5e-324, "t_end 30.0 needs inf steps"),
+        ],
+    )
+    def test_refuses_too_many_steps_before_allocating(self, tau, t_end, max_step, match):
+        h = History.constant(SystemState(1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match=match) as exc:
+            integrate(default_params(tau=tau), h, t_end, max_step=max_step)
+        assert "at most 10000000 are allowed" in str(exc.value)
+
     def test_rejects_invalid_params(self):
         import dataclasses
 
@@ -344,7 +334,7 @@ class TestTrajectoryBits:
 
     def test_generic_rate_functions(self):
         h = History.constant(SystemState(1.0, 2.0, 3.0))
-        traj = integrate(custom_params(DampedRates(), tau=1.4), h, 30.0)
+        traj = integrate(custom_params(checks.DampedRates(), tau=1.4), h, 30.0)
         assert trajectory_digest(traj) == (
             "e6ddd6128c1d78a6a7821996647d91bbe5875e08fa652a929b28b65a51d84dff"
         )

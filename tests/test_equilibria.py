@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -6,12 +7,14 @@ import pytest
 
 from hemodelay import (
     HillRates,
+    NumericalError,
     default_params,
     hill_equilibrium_closed_form,
     positive_equilibrium,
     tau_max,
     trivial_equilibrium,
 )
+from hemodelay import equilibria
 
 import checks
 
@@ -65,17 +68,54 @@ class TestPositiveEquilibrium:
         "tau, expected", [(0.0, checks.EQ_TAU0), (1.4, checks.EQ_TAU14)]
     )
     def test_reference_values(self, tau, expected):
-        eq = positive_equilibrium(default_params(tau), tau)
+        p = default_params(tau)
+        eq = positive_equilibrium(p, tau)
         assert eq.kind == "positive"
         assert eq.tau == tau
         for got, want in zip(eq.state, expected):
             assert math.isclose(got, want, rel_tol=1e-12)
+        # solved once: the same parameter object, or an equal one, hits the memo
+        assert positive_equilibrium(p, tau) is eq
+        assert positive_equilibrium(default_params(tau), tau) is eq
 
     def test_none_at_and_past_threshold(self, params):
         tm = tau_max(params)
         assert positive_equilibrium(params, tm) is None
         assert positive_equilibrium(params, tm + 0.5) is None
         assert positive_equilibrium(params, tm - 1e-9) is not None
+
+    def test_exact_bits(self, params):
+        # sha256 of repr of every solve on the reference 0.005 grid, on a 0.01
+        # grid with a non-Hill rate family and at 50 delays of 20 sets drawn
+        # from a +-20% box, recorded before the memo and the one-closure
+        # residual were added: any change to a solved bit moves them
+        damped = with_rates(checks.DampedRates())
+        rng = random.Random(20261018)
+        box = []
+        for _ in range(20):
+            delta, gamma, mu, k, beta0, G, a, K = (
+                v * rng.uniform(0.8, 1.2) for v in (0.01, 0.2, 0.02, 2.8, 0.5, 0.04, 6570.0, 0.0382)
+            )
+            rates = hill(beta0=beta0, G=G, a=a, K=K, r=rng.uniform(5.0, 9.0))
+            box.append(with_rates(rates, delta=delta, gamma=gamma, mu=mu, k=k))
+        cases = {
+            "hill": ([(params, checks.make_grid(params))],
+                     "b3fbab79ba53dec0f0c7d407c5b678b6d3f823631ea05fa800c750e707b6bbc7"),
+            "damped": ([(damped, checks.make_grid(damped, 0.01))],
+                       "f216b6fc1c0028ba9dff82396642444f7906b88a003e823e77fc1e6e3b5bdb07"),
+            "box": ([(p, [tau_max(p) * i / 50 for i in range(50)]) for p in box],
+                    "89354c1a13d477a9a6dad41444c0520bfa9f65308d1728b8a2b867ba8e0a09be"),
+        }
+        for name, (runs, digest) in cases.items():
+            eqs = [positive_equilibrium(p, t) for p, taus in runs for t in taus]
+            assert hashlib.sha256(repr(eqs).encode()).hexdigest() == digest, name
+
+    def test_numerical_error_is_raised_on_every_call(self):
+        # constant re-entry keeps the balance residual positive for every Q
+        p = with_rates(checks.ConstantRates(0.5, 0.04, 1.0))
+        for _ in range(2):
+            with pytest.raises(NumericalError, match="no sign change"):
+                positive_equilibrium(p, 1.0)
 
     def test_none_when_no_threshold(self):
         p = with_rates(hill(beta0=0.01))
@@ -85,6 +125,9 @@ class TestPositiveEquilibrium:
     def test_negative_tau_rejected(self, params):
         with pytest.raises(ValueError):
             positive_equilibrium(params, -0.1)
+        # the memo keys on repr(tau): each spelling of zero keeps its own tau
+        for tau in (0.0, 0, -0.0):
+            assert repr(positive_equilibrium(params, tau).tau) == repr(tau)
 
     def test_balance_and_consistency(self, params):
         tm = tau_max(params)
@@ -98,11 +141,16 @@ class TestPositiveEquilibrium:
             residual = alpha * r.beta(eq.Q, eq.E) - params.delta - r.g(eq.Q) / eq.Q
             assert abs(residual) < 1e-10
 
-    def test_monotone_in_tau(self, params):
-        tm = tau_max(params)
+    def test_monotone_in_tau(self, params, monkeypatch):
+        # a memo bound below the grid length: the table restarts, never grows
+        # past it; p is unequal to params (p.tau), so its table starts empty
+        monkeypatch.setattr(equilibria, "_MEMO_POINTS", 16)
+        p = dataclasses.replace(params, tau=1.0)
+        tm = tau_max(p)
         prev = None
         for i in range(50):
-            eq = positive_equilibrium(params, tm * i / 50.0)
+            eq = positive_equilibrium(p, tm * i / 50.0)
+            assert len(equilibria._memo[1]) <= 16
             if prev is not None:
                 assert eq.Q < prev.Q
                 assert eq.M < prev.M
@@ -149,6 +197,15 @@ class TestPositiveEquilibrium:
 class TestClosedForm:
     def test_matches_root_finder(self, params):
         assert checks.closed_form_max_err(params) < 1e-9
+        # switching the parameter set and back gives fresh solves, not the
+        # other set's memo entries
+        for tau in (0.0, 1.4, 2.2):
+            for gamma in (0.2, 0.25, 0.2):
+                p = dataclasses.replace(params, gamma=gamma)
+                got = positive_equilibrium(p, tau).state
+                want = hill_equilibrium_closed_form(p, tau).state
+                for x, y in zip(got, want):
+                    assert abs(x - y) <= 1e-9 * max(1.0, abs(y))
 
     def test_reference_at_zero(self):
         eq = hill_equilibrium_closed_form(default_params(), 0.0)

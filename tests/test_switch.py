@@ -16,6 +16,7 @@ from hemodelay import (
     default_params,
     linearize,
     omega_branch,
+    positive_equilibrium,
     positive_root_intervals,
     positive_roots_h,
     scan,
@@ -277,6 +278,16 @@ class TestScan:
         assert len(res.reports) == 2
         s2 = [c for c in res.curves if c.n == 2]
         assert s2 and all(c.roots == () for c in s2)
+
+    def test_same_result_from_cold_and_warm_memo(self, params, default_grid):
+        # cold: the last solve was for another parameter set; warm: every
+        # grid delay already solved for these parameters
+        positive_equilibrium(default_params(tau=1.0), 0.0)
+        cold = repr((positive_root_intervals(params, default_grid), scan(params, default_grid, 1)))
+        for tau in default_grid:
+            positive_equilibrium(params, tau)
+        warm = repr((positive_root_intervals(params, default_grid), scan(params, default_grid, 1)))
+        assert cold == warm
 
     def test_grid_validation(self, params, default_grid):
         with pytest.raises(ValueError):
