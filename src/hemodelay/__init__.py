@@ -68,56 +68,3 @@ from .switch import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CharCoeffs",
-    "ConfigError",
-    "DegenerateDenominatorError",
-    "DivergenceError",
-    "Equilibrium",
-    "HillRates",
-    "History",
-    "InvalidStateError",
-    "InvariantViolationError",
-    "LinCoeffs",
-    "ModelParams",
-    "NumericalError",
-    "OmegaBranch",
-    "OmegaRoot",
-    "PeriodEstimate",
-    "RateFunctions",
-    "RunOptions",
-    "ScanResult",
-    "SnCurve",
-    "SwitchReport",
-    "SystemState",
-    "Trajectory",
-    "char_coeffs",
-    "char_residual",
-    "classify_asymptotics",
-    "default_config_path",
-    "default_params",
-    "detect_period",
-    "h_prime",
-    "h_value",
-    "hayes_check",
-    "hill_equilibrium_closed_form",
-    "integrate",
-    "interpolate",
-    "linearize",
-    "omega_branch",
-    "parse_config",
-    "positive_equilibrium",
-    "positive_root_intervals",
-    "positive_roots_h",
-    "real_cubic_roots",
-    "rhs",
-    "routh_hurwitz_tau0",
-    "scaled_equilibrium_history",
-    "scan",
-    "sn_value",
-    "tau_max",
-    "theta",
-    "trivial_equilibrium",
-    "trivial_stability",
-    "validate",
-]

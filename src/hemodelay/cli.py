@@ -6,9 +6,10 @@ overlays command-line flags, writes CSV artifacts plus a JSON manifest into
 --out-dir, and exits 0 on success, 2 on configuration errors, 3 on numerical
 failures, 4 when a reproduction check fails.
 
-All CSV floats are written with repr, so two runs on the same config produce
-byte-identical files; the manifest's duration field is the only
-run-dependent value.
+All CSV floats are written with str, which for a float equals its repr (the
+shortest string that reads back to the same value), so two runs on the same
+config produce byte-identical files; the manifest's duration field is the
+only run-dependent value.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from itertools import islice
 from pathlib import Path
 from typing import Iterable
@@ -49,11 +50,7 @@ _REPRO_RUNS = ((0.5, 1000.0, 100.0), (1.4, 1200.0, 400.0), (2.8, 2500.0, 800.0),
 
 
 def _fmt(v: object) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return "" if v is None else str(v)
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> Path:
@@ -63,33 +60,14 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> Path:
     return path
 
 
-def _jsonable(v: object) -> object:
-    if isinstance(v, float) and not math.isfinite(v):
-        return repr(v)
-    return v
-
-
-def _merge(opts: RunOptions, args: argparse.Namespace) -> RunOptions:
-    def pick(name: str, current):
-        flag = getattr(args, name, None)
-        return flag if flag is not None else current
-
-    return RunOptions(
-        tau=pick("tau", opts.tau),
-        t_end=pick("t_end", opts.t_end),
-        transient=pick("transient", opts.transient),
-        max_step=pick("max_step", opts.max_step),
-        history=pick("history", opts.history),
-        grid_step=pick("grid_step", opts.grid_step),
-        n_max=pick("n_max", opts.n_max),
-        seed=pick("seed", opts.seed),
-    )
-
-
 def _load(args: argparse.Namespace) -> tuple[ModelParams, RunOptions, Path]:
+    """Config plus flags (a flag left unset keeps the config value); creates --out-dir."""
     cfg = args.config if args.config is not None else default_config_path()
     params, opts = parse_config(cfg)
-    return params, _merge(opts, args), Path(cfg)
+    flags = {f.name: getattr(args, f.name, None) for f in fields(RunOptions)}
+    opts = replace(opts, **{k: v for k, v in flags.items() if v is not None})
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    return params, opts, cfg
 
 
 def _grid_points(span: float, step: float) -> float:
@@ -103,16 +81,20 @@ def _grid_points(span: float, step: float) -> float:
     return points
 
 
-def _tau_grid(span: float, step: float) -> list[float]:
+def _tau_grid(params: ModelParams, opts: RunOptions) -> tuple[float | None, list[float]]:
+    """tau_max and the delay grid over [0, tau_max), or over [0, _NO_EQ_SPAN)
+    when tau_max is None or infinite."""
+    tm = tau_max(params)
+    span = tm if tm is not None and math.isfinite(tm) else _NO_EQ_SPAN
+    step = opts.grid_step if opts.grid_step is not None else _DEFAULT_GRID_STEP
     if not (math.isfinite(step) and step > 0.0):
         raise ConfigError(f"grid step must be positive and finite, got {step!r}")
-    points = _grid_points(span, step)
-    grid = [i * step for i in range(math.ceil(points))]
+    grid = [i * step for i in range(math.ceil(_grid_points(span, step)))]
     while grid and grid[-1] >= span:
         grid.pop()
     if len(grid) < 2:
         raise ConfigError(f"grid step {step!r} too large for span {span!r}")
-    return grid
+    return tm, grid
 
 
 def _manifest(
@@ -123,34 +105,16 @@ def _manifest(
     outputs: list[Path],
     checks: list[dict],
 ) -> dict:
-    r = params.rates
+    tm = tau_max(params)
+    resolved = {f.name: getattr(params, f.name) for f in fields(params) if f.name != "rates"}
+    resolved.update(asdict(params.rates))
+    resolved["tau_max"] = tm if tm is None or math.isfinite(tm) else repr(tm)
     return {
         "subcommand": subcommand,
         "config_path": str(cfg),
         "config_sha256": hashlib.sha256(cfg.read_bytes()).hexdigest(),
-        "resolved": {
-            "delta": params.delta,
-            "gamma": params.gamma,
-            "mu": params.mu,
-            "k": params.k,
-            "tau": params.tau,
-            "beta0": r.beta0,
-            "G": r.G,
-            "a": r.a,
-            "K": r.K,
-            "r": r.r,
-            "tau_max": _jsonable(tau_max(params)),
-        },
-        "options": {
-            "tau": opts.tau,
-            "t_end": opts.t_end,
-            "transient": opts.transient,
-            "max_step": opts.max_step,
-            "history": opts.history,
-            "grid_step": opts.grid_step,
-            "n_max": opts.n_max,
-            "seed": opts.seed,
-        },
+        "resolved": resolved,
+        "options": asdict(opts),
         "outputs": [str(p) for p in outputs],
         "checks": checks,
         "duration_seconds": None,
@@ -189,7 +153,7 @@ def _make_history(params: ModelParams, tau: float, spec: str | None) -> History:
     return History.constant(SystemState(q, m, e))
 
 
-def _equilibria_rows(params: ModelParams, grid: list[float]) -> list[tuple]:
+def _write_equilibria(out_dir: Path, params: ModelParams, grid: list[float]) -> Path:
     e0 = trivial_equilibrium(params).E
     rows = []
     for t in grid:
@@ -198,22 +162,14 @@ def _equilibria_rows(params: ModelParams, grid: list[float]) -> list[tuple]:
             (t, 0.0, 0.0, e0)
             + ((eq.Q, eq.M, eq.E) if eq is not None else (None, None, None))
         )
-    return rows
-
-
-_EQ_HEADER = ["tau", "Q_trivial", "M_trivial", "E_trivial", "Q_positive", "M_positive", "E_positive"]
+    header = ["tau", "Q_trivial", "M_trivial", "E_trivial", "Q_positive", "M_positive", "E_positive"]
+    return _write_csv(out_dir / "equilibria.csv", header, rows)
 
 
 def _cmd_equilibria(args: argparse.Namespace) -> tuple[dict, int]:
     params, opts, cfg = _load(args)
-    step = opts.grid_step if opts.grid_step is not None else _DEFAULT_GRID_STEP
-    tm = tau_max(params)
-    span = tm if tm is not None and math.isfinite(tm) else _NO_EQ_SPAN
-    grid = _tau_grid(span, step)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    out = _write_csv(
-        args.out_dir / "equilibria.csv", _EQ_HEADER, _equilibria_rows(params, grid)
-    )
+    tm, grid = _tau_grid(params, opts)
+    out = _write_equilibria(args.out_dir, params, grid)
     print(f"tau_max = {tm}")
     if tm is None:
         print("no positive equilibrium at any delay")
@@ -227,6 +183,7 @@ _COEFF_HEADER = [
 
 
 def _coeff_rows(params: ModelParams, grid: list[float]) -> list[tuple]:
+    """One row per grid delay with a positive equilibrium."""
     rows = []
     for t in grid:
         eq = positive_equilibrium(params, t)
@@ -243,33 +200,35 @@ def _coeff_rows(params: ModelParams, grid: list[float]) -> list[tuple]:
 
 def _cmd_coeffs(args: argparse.Namespace) -> tuple[dict, int]:
     params, opts, cfg = _load(args)
-    step = opts.grid_step if opts.grid_step is not None else _DEFAULT_GRID_STEP
-    tm = tau_max(params)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    rows: list[tuple] = []
-    if tm is not None:
-        rows = _coeff_rows(params, _tau_grid(tm if math.isfinite(tm) else _NO_EQ_SPAN, step))
-    else:
+    tm, grid = _tau_grid(params, opts)
+    if tm is None:
         print("no positive equilibrium at any delay; nothing to linearize")
-    out = _write_csv(args.out_dir / "coeffs.csv", _COEFF_HEADER, rows)
+    out = _write_csv(args.out_dir / "coeffs.csv", _COEFF_HEADER, _coeff_rows(params, grid))
     return _manifest("coeffs", cfg, params, opts, [out], []), 0
 
 
-def _scan_outputs(args_out_dir: Path, result: ScanResult, n_max: int) -> list[Path]:
-    outputs = []
-    for n in range(n_max + 1):
-        rows = [
-            (t, c.branch, s)
-            for c in result.curves
-            if c.n == n
-            for t, s in c.samples
-        ]
-        outputs.append(
-            _write_csv(args_out_dir / f"s{n}_curve.csv", ["tau", "branch", "S"], rows)
+def _scan(
+    out_dir: Path, params: ModelParams, grid: list[float], n_max: int
+) -> tuple[ScanResult, list[Path]]:
+    """switch.scan and its CSVs; refused first when (n_max + 1) S_n samples
+    per grid point would exceed _MAX_GRID_POINTS."""
+    if (n_max + 1) * len(grid) > _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"n_max {n_max} gives {(n_max + 1) * len(grid)} S_n points over "
+            f"{len(grid)} delays; at most {_MAX_GRID_POINTS} are allowed"
         )
+    result = run_scan(params, grid, n_max)
+    outputs = [
+        _write_csv(
+            out_dir / f"s{n}_curve.csv",
+            ["tau", "branch", "S"],
+            [(t, c.branch, s) for c in result.curves if c.n == n for t, s in c.samples],
+        )
+        for n in range(n_max + 1)
+    ]
     outputs.append(
         _write_csv(
-            args_out_dir / "switches.csv",
+            out_dir / "switches.csv",
             ["tau_star", "omega_star", "n", "branch", "transversality", "direction", "residual", "refined"],
             [
                 (r.tau_star, r.omega_star, r.n, r.branch, r.transversality,
@@ -279,26 +238,18 @@ def _scan_outputs(args_out_dir: Path, result: ScanResult, n_max: int) -> list[Pa
         )
     )
     outputs.append(
-        _write_csv(
-            args_out_dir / "partition.csv",
-            ["tau_lo", "tau_hi", "verdict"],
-            list(result.partition),
-        )
+        _write_csv(out_dir / "partition.csv", ["tau_lo", "tau_hi", "verdict"], result.partition)
     )
-    return outputs
+    return result, outputs
 
 
 def _cmd_scan(args: argparse.Namespace) -> tuple[dict, int]:
     params, opts, cfg = _load(args)
-    step = opts.grid_step if opts.grid_step is not None else _DEFAULT_GRID_STEP
-    tm = tau_max(params)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
+    tm, grid = _tau_grid(params, opts)
     if tm is None:
         print("no positive equilibrium at any delay; scan skipped")
         return _manifest("scan", cfg, params, opts, [], []), 0
-    grid = _tau_grid(tm if math.isfinite(tm) else _NO_EQ_SPAN, step)
-    result = run_scan(params, grid, opts.n_max)
-    outputs = _scan_outputs(args.out_dir, result, opts.n_max)
+    result, outputs = _scan(args.out_dir, params, grid, opts.n_max)
     for r in result.reports:
         print(
             f"crossing: tau*={r.tau_star:.6f} omega*={r.omega_star:.6f} "
@@ -316,41 +267,40 @@ def _simulate_once(
     transient: float,
     max_step: float | None,
     history_spec: str | None,
-) -> tuple[Trajectory, str, PeriodEstimate | None, Equilibrium]:
+) -> tuple[Trajectory, str, PeriodEstimate | None]:
     if not t_end > transient >= 0.0:
         raise ConfigError(
             f"need t_end > transient >= 0, got t_end={t_end!r}, transient={transient!r}"
         )
     p = replace(params, tau=tau)
-    hist = _make_history(p, tau, history_spec)
-    traj = integrate(p, hist, t_end, max_step=max_step)
-    eq = _reference_equilibrium(p, tau)
-    verdict = classify_asymptotics(traj, eq, transient)
-    period = detect_period(traj, "Q", transient)
-    return traj, verdict, period, eq
+    traj = integrate(p, _make_history(p, tau, history_spec), t_end, max_step=max_step)
+    verdict = classify_asymptotics(traj, _reference_equilibrium(p, tau), transient)
+    return traj, verdict, detect_period(traj, "Q", transient)
+
+
+def _write_trajectory(path: Path, traj: Trajectory, stride: int = 1) -> Path:
+    rows = islice(zip(traj.times, traj.Q, traj.M, traj.E), 0, None, stride)
+    return _write_csv(path, ["t", "Q", "M", "E"], rows)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
     params, opts, cfg = _load(args)
     if opts.tau is None:
         raise ConfigError("tau is required: pass --tau or set run.tau in the config")
+    if args.stride < 1:
+        raise ConfigError(f"--stride must be at least 1, got {args.stride}")
     tau = opts.tau
     t_end = opts.t_end if opts.t_end is not None else 1000.0
     transient = opts.transient if opts.transient is not None else 100.0
-    traj, verdict, period, _eq = _simulate_once(
+    traj, verdict, period = _simulate_once(
         params, tau, t_end, transient, opts.max_step, opts.history
     )
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out if args.out is not None else args.out_dir / f"sim_tau{tau:g}.csv"
-    stride = args.stride
-    if stride < 1:
-        raise ConfigError(f"--stride must be at least 1, got {stride}")
-    rows = islice(zip(traj.times, traj.Q, traj.M, traj.E), 0, None, stride)
-    _write_csv(Path(out), ["t", "Q", "M", "E"], rows)
+    _write_trajectory(out, traj, args.stride)
     print(f"verdict: {verdict}")
     if period is not None:
         print(f"period: {period.period:.3f} +- {period.std:.3f} over {period.n_peaks} peaks")
-    manifest = _manifest("simulate", cfg, replace(params, tau=tau), opts, [Path(out)], [])
+    manifest = _manifest("simulate", cfg, replace(params, tau=tau), opts, [out], [])
     manifest["resolved"]["verdict"] = verdict
     manifest["resolved"]["period"] = None if period is None else period.period
     return manifest, 0
@@ -376,7 +326,7 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[dict, int]:
         taus.append(round(t, 12))
         t = lo + len(taus) * step
     for tau in taus:
-        _traj, verdict, period, _eq = _simulate_once(
+        _traj, verdict, period = _simulate_once(
             params, tau, t_end, transient, max_step, opts.history
         )
         rows.append(
@@ -386,7 +336,6 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[dict, int]:
              None if period is None else period.amplitude_ratio)
         )
         print(f"tau={tau:g}: {verdict}" + (f", period {period.period:.2f}" if period else ""))
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     out = _write_csv(
         args.out_dir / "sweep.csv",
         ["tau", "verdict", "period", "period_std", "amplitude_ratio"],
@@ -402,32 +351,15 @@ def _check(name: str, passed: bool, detail: str) -> dict:
 
 def _cmd_reproduce(args: argparse.Namespace) -> tuple[dict, int]:
     params, opts, cfg = _load(args)
-    step = opts.grid_step if opts.grid_step is not None else _DEFAULT_GRID_STEP
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    tm = tau_max(params)
-    outputs: list[Path] = []
-    checks: list[dict] = []
-
+    tm, grid = _tau_grid(params, opts)
+    outputs = [_write_equilibria(args.out_dir, params, grid)]
     if tm is None:
-        grid = _tau_grid(_NO_EQ_SPAN, step)
-        outputs.append(
-            _write_csv(args.out_dir / "equilibria.csv", _EQ_HEADER, _equilibria_rows(params, grid))
-        )
         print("no positive equilibrium at any delay; scan and simulations skipped")
-        manifest = _manifest("reproduce", cfg, params, opts, outputs, checks)
+        manifest = _manifest("reproduce", cfg, params, opts, outputs, [])
         manifest["note"] = "no positive equilibrium"
         return manifest, 0
 
-    span = tm if math.isfinite(tm) else _NO_EQ_SPAN
-    grid = _tau_grid(span, step)
-
-    outputs.append(
-        _write_csv(args.out_dir / "equilibria.csv", _EQ_HEADER, _equilibria_rows(params, grid))
-    )
-    checks.append(
-        _check("existence_threshold", abs(tm - 2.99) <= 0.01, f"tau_max = {tm!r}")
-    )
-
+    checks = [_check("existence_threshold", abs(tm - 2.99) <= 0.01, f"tau_max = {tm!r}")]
     f0k = trivial_equilibrium(params).E
     eq_near = positive_equilibrium(params, tm - 1e-6)
     if eq_near is None:
@@ -461,8 +393,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> tuple[dict, int]:
         )
     )
 
-    result = run_scan(params, grid, opts.n_max)
-    outputs.extend(_scan_outputs(args.out_dir, result, opts.n_max))
+    result, scan_outputs = _scan(args.out_dir, params, grid, opts.n_max)
+    outputs += scan_outputs
     refined = [r for r in result.reports if r.refined]
     s1_rootless = not any(r.n >= 1 for r in result.reports)
     switches_ok = (
@@ -488,18 +420,12 @@ def _cmd_reproduce(args: argparse.Namespace) -> tuple[dict, int]:
     verdicts: dict[float, str] = {}
     periods: dict[float, float | None] = {}
     for tau, t_end, transient in _REPRO_RUNS:
-        traj, verdict, period, _eq = _simulate_once(
+        traj, verdict, period = _simulate_once(
             params, tau, t_end, transient, opts.max_step, opts.history
         )
         verdicts[tau] = verdict
         periods[tau] = None if period is None else period.period
-        outputs.append(
-            _write_csv(
-                args.out_dir / f"sim_tau{tau:g}.csv",
-                ["t", "Q", "M", "E"],
-                zip(traj.times, traj.Q, traj.M, traj.E),
-            )
-        )
+        outputs.append(_write_trajectory(args.out_dir / f"sim_tau{tau:g}.csv", traj))
     regimes_ok = (
         verdicts[0.5] == "converging"
         and verdicts[2.9] == "converging"
@@ -514,9 +440,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> tuple[dict, int]:
         and p28 is not None
         and abs(p28 - 220.0) <= 25.0
     )
-    checks.append(
-        _check("oscillation_periods", periods_ok, f"periods = {periods!r}")
-    )
+    checks.append(_check("oscillation_periods", periods_ok, f"periods = {periods!r}"))
 
     manifest = _manifest("reproduce", cfg, params, opts, outputs, checks)
     return manifest, 0 if all(c["passed"] for c in checks) else 4
@@ -589,13 +513,13 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         manifest, code = args.handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        manifest["duration_seconds"] = time.perf_counter() - start
+        manifest_path = args.out_dir / "manifest.json"
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     except InvalidStateError as exc:
         print(f"invalid state: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
@@ -604,10 +528,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    manifest["duration_seconds"] = time.perf_counter() - start
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    manifest_path = args.out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"manifest: {manifest_path}")
     return code
 

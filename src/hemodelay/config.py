@@ -134,16 +134,7 @@ def parse_config(path: str | Path) -> tuple[ModelParams, RunOptions]:
         except ValueError as exc:
             raise ConfigError(f"line {line_no}: {full} {exc}, got {raw_value!r}") from None
 
-    opts = RunOptions(
-        tau=typed.get("run.tau"),
-        t_end=typed.get("run.t_end"),
-        transient=typed.get("run.transient"),
-        max_step=typed.get("run.max_step"),
-        history=typed.get("run.history"),
-        grid_step=typed.get("run.grid_step"),
-        n_max=typed.get("run.n_max", 1),
-        seed=typed.get("run.seed"),
-    )
+    opts = RunOptions(**{k[len("run."):]: v for k, v in typed.items() if k in _RUN_KEYS})
     params = ModelParams(
         delta=typed["model.delta"],
         gamma=typed["model.gamma"],

@@ -152,7 +152,7 @@ class Trajectory:
 def interpolate(traj: Trajectory, t: float) -> SystemState:
     """Dense output: history for t <= 0, cubic Hermite segments after."""
     tol = 1e-9 * max(1.0, traj.t_end)
-    if t < -traj.params.tau - tol or t > traj.t_end + tol:
+    if not (-traj.params.tau - tol <= t <= traj.t_end + tol):  # NaN fails too
         raise ValueError(
             f"t={t!r} outside [{-traj.params.tau!r}, {traj.t_end!r}]"
         )

@@ -36,9 +36,7 @@ from .model import ModelParams, NumericalError
 
 _S_TOL = 1e-10
 _RESIDUAL_TOL = 1e-8
-# recommended spacing for production scans; the runtime check only rejects
-# grids too coarse to bracket crossings at all
-_GRID_SPACING = 0.005
+# the runtime check only rejects grids too coarse to bracket crossings at all
 _GRID_SPACING_CAP = 0.05
 
 

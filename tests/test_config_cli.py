@@ -24,11 +24,22 @@ from hemodelay.config import (
 import checks
 
 BASE_CFG = default_config_path().read_text()
+NO_EQ_CFG = BASE_CFG.replace("beta0 = 0.5", "beta0 = 0.01")  # no positive equilibrium
 
 EQ_HEADER = ["tau", "Q_trivial", "M_trivial", "E_trivial",
              "Q_positive", "M_positive", "E_positive"]
 COEFF_HEADER = ["tau", "A", "B", "C", "D", "G", "H",
                 "a1", "a2", "a3", "a4", "a5", "a6", "b1", "b2", "b3"]
+RUN_SECTION = """
+[run]
+grid_step = 0.3
+n_max = 2
+seed = 7
+history = equilibrium*1.2
+max_step = 0.1
+t_end = 40
+transient = 5
+"""
 REQUIRED_KEYS = [
     "model.delta", "model.gamma", "model.mu", "model.k",
     "rates.hill.beta0", "rates.hill.G", "rates.hill.a",
@@ -171,8 +182,30 @@ class TestEquilibriaCommand:
             p = Path(name)
             assert p.is_file() and p.stat().st_size > 0
 
+    def test_manifest_resolved_and_options(self, tmp_path):
+        cfg = write_cfg(tmp_path, BASE_CFG + RUN_SECTION)
+        out = tmp_path / "out"
+        assert main(["equilibria", "--config", str(cfg), "--out-dir", str(out),
+                     "--seed", "3"]) == 0
+        manifest = load_manifest(out)
+        assert manifest["resolved"] == {
+            "delta": 0.01, "gamma": 0.2, "mu": 0.02, "k": 2.8, "tau": 0.0,
+            "beta0": 0.5, "G": 0.04, "a": 6570.0, "K": 0.0382, "r": 7.0,
+            "tau_max": 2.9889912895287343,
+        }
+        assert manifest["options"] == {
+            "tau": None, "t_end": 40.0, "transient": 5.0, "max_step": 0.1,
+            "history": "equilibrium*1.2", "grid_step": 0.3, "n_max": 2, "seed": 3,
+        }
+
     def test_grid_step_too_coarse_for_span(self, tmp_path):
         assert main(["equilibria", "--out-dir", str(tmp_path), "--grid-step", "5.0"]) == 2
+        # without a positive equilibrium the span is 10, and every command
+        # that builds the tau grid checks the step all the same
+        cfg = write_cfg(tmp_path, NO_EQ_CFG)
+        for command in ("equilibria", "coeffs", "scan", "reproduce"):
+            assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path),
+                         "--grid-step", "20.0"]) == 2, command
 
     def test_grid_step_too_fine_is_refused_before_allocating(self, tmp_path, capsys):
         # about 3e300 points: refused from the count, not by running out of memory
@@ -181,6 +214,11 @@ class TestEquilibriaCommand:
         cfg = write_cfg(tmp_path, BASE_CFG + "\n[run]\ngrid_step = 1e-300\n")
         assert main(["equilibria", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
         assert "at most 1000000" in capsys.readouterr().err
+
+    def test_unwritable_manifest_is_an_io_error(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").mkdir()
+        assert main(["equilibria", "--out-dir", str(tmp_path), "--grid-step", "0.3"]) == 2
+        assert "io error" in capsys.readouterr().err
 
     def test_out_dir_blocked_by_file(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -242,6 +280,23 @@ class TestScanCommand:
                      "--n-max", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["scan", "reproduce"])
+    def test_too_many_sn_points_are_refused(self, tmp_path, capsys, monkeypatch, command):
+        # (n_max + 1) S_n samples per grid point are refused from the count,
+        # before switch.scan builds them; the default grid has 598 points
+        def no_scan(*args, **kwargs):
+            raise NumericalError("scan ran")
+
+        monkeypatch.setattr("hemodelay.cli.run_scan", no_scan)
+        for n_max in ("1672", "1000000"):
+            assert main([command, "--out-dir", str(tmp_path), "--n-max", n_max]) == 2
+            assert "at most 1000000 are allowed" in capsys.readouterr().err
+        cfg = write_cfg(tmp_path, BASE_CFG + "\n[run]\nn_max = 1000000\n")
+        assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert "at most 1000000 are allowed" in capsys.readouterr().err
+        # 1672 * 598 points are within the bound and reach the scan
+        assert main([command, "--out-dir", str(tmp_path), "--n-max", "1671"]) == 3
+
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise NumericalError("forced failure")
@@ -280,12 +335,29 @@ class TestSimulateCommand:
         )
         assert "period" in manifest["resolved"]
 
+    def test_manifest_resolved_and_options(self, tmp_path):
+        out = self.run(tmp_path, "--tau", "1.4")
+        manifest = load_manifest(out)
+        assert manifest["resolved"] == {
+            "delta": 0.01, "gamma": 0.2, "mu": 0.02, "k": 2.8, "tau": 1.4,
+            "beta0": 0.5, "G": 0.04, "a": 6570.0, "K": 0.0382, "r": 7.0,
+            "tau_max": 2.9889912895287343, "verdict": "unclassified", "period": None,
+        }
+        assert manifest["options"] == {
+            "tau": 1.4, "t_end": 50.0, "transient": 10.0, "max_step": None,
+            "history": None, "grid_step": None, "n_max": 1, "seed": None,
+        }
+
     def test_stride(self, tmp_path):
         out = self.run(tmp_path, "--tau", "0.5", "--stride", "100")
         _, rows = read_csv(out / "sim_tau0.5.csv")
         assert len(rows) == 65
 
-    def test_stride_must_be_positive(self, tmp_path):
+    def test_stride_must_be_positive(self, tmp_path, monkeypatch):
+        def no_integration(*args, **kwargs):
+            pytest.fail("integrate ran before --stride was checked")
+
+        monkeypatch.setattr("hemodelay.cli.integrate", no_integration)
         code = main(["simulate", "--out-dir", str(tmp_path), "--tau", "0.5",
                      "--t-end", "50", "--transient", "10", "--stride", "0"])
         assert code == 2
@@ -488,6 +560,19 @@ class TestReproduceCommand:
             for name, digest in digests.items():
                 assert hashlib.sha256((d / name).read_bytes()).hexdigest() == digest, name
 
+    def test_simulation_bytes(self, repro):
+        # sha256 of the four simulation CSVs: any change to a simulated float,
+        # to the mesh or to the float formatting moves them
+        digests = {
+            "sim_tau0.5.csv": "c52bd6df056b15d30314936db60f38b148947010971dbe84293226bb72a6bd6c",
+            "sim_tau1.4.csv": "806372c7b638cb6d93937871ba9e3bc160eea48308de58712064b393f56de7e5",
+            "sim_tau2.8.csv": "3e61c272098fb1b382fb8049b7dff853777bdd3caa91137331870f472157dac4",
+            "sim_tau2.9.csv": "cdc9c1653156d78ddae8e41dbc1ea520951d9c23b6daea2ec9b9ec43e41a6ef9",
+        }
+        _, dirs = repro
+        for name, digest in digests.items():
+            assert hashlib.sha256((dirs[0] / name).read_bytes()).hexdigest() == digest, name
+
     def test_manifest_lists_real_csvs(self, repro):
         _, dirs = repro
         manifest = load_manifest(dirs[0])
@@ -517,7 +602,7 @@ class TestReproduceCommand:
         assert exc.value.code == 2
 
     def test_no_equilibrium_note(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, BASE_CFG.replace("beta0 = 0.5", "beta0 = 0.01"))
+        cfg = write_cfg(tmp_path, NO_EQ_CFG)
         out = tmp_path / "out"
         assert main(["reproduce", "--config", str(cfg), "--out-dir", str(out)]) == 0
         assert "no positive equilibrium" in capsys.readouterr().out

@@ -359,6 +359,8 @@ class TestInterpolate:
             interpolate(traj, -1.1)
         with pytest.raises(ValueError, match="outside"):
             interpolate(traj, traj.t_end + 1.0)
+        with pytest.raises(ValueError, match="outside"):
+            traj.state(math.nan)
 
     def test_reproduces_cubics_between_mesh_points(self):
         # Hermite segments are exact on polynomials up to degree three
