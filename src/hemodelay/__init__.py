@@ -7,7 +7,7 @@ integrates the nonlinear system directly.  The `hemodelay` command exposes
 the same pipeline and writes CSV artifacts.
 """
 
-from .config import ConfigError, RunOptions, default_config_path, parse_config
+from .config import ConfigError, RunOptions, default_config_path, default_params, parse_config
 from .cubic import real_cubic_roots
 from .dde import (
     DivergenceError,
@@ -46,19 +46,16 @@ from .model import (
     NumericalError,
     RateFunctions,
     SystemState,
-    default_params,
     rhs,
     validate,
 )
 from .switch import (
     DegenerateDenominatorError,
-    OmegaBranch,
     OmegaRoot,
     ScanResult,
     SnCurve,
     SwitchReport,
     char_residual,
-    omega_branch,
     positive_root_intervals,
     positive_roots_h,
     scan,

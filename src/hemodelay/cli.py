@@ -33,17 +33,21 @@ from .dde import (
     classify_asymptotics,
     detect_period,
     integrate,
+    mesh_step,
     scaled_equilibrium_history,
 )
 from .equilibria import Equilibrium, positive_equilibrium, tau_max, trivial_equilibrium
 from .linearization import char_coeffs, linearize
-from .model import InvalidStateError, ModelParams, NumericalError, SystemState
+from .model import InvalidStateError, ModelParams, NumericalError, SystemState, validate
 from .switch import ScanResult, positive_root_intervals
 from .switch import scan as run_scan
 
 _NO_EQ_SPAN = 10.0  # tau span for outputs when no positive equilibrium exists
 _DEFAULT_GRID_STEP = 0.005
 _MAX_GRID_POINTS = 1_000_000  # the reference grid has 598
+# RK4's stability interval on the negative real axis ends near -2.785: past
+# dt*max(k, mu) = 2.785 the decay of M or E turns into growth
+_RK4_STABILITY_LIMIT = 2.785
 # reproduction runs: (tau, t_end, transient), windows sized to hold several
 # oscillation periods past the transient
 _REPRO_RUNS = ((0.5, 1000.0, 100.0), (1.4, 1200.0, 400.0), (2.8, 2500.0, 800.0), (2.9, 2500.0, 800.0))
@@ -273,7 +277,17 @@ def _simulate_once(
             f"need t_end > transient >= 0, got t_end={t_end!r}, transient={transient!r}"
         )
     p = replace(params, tau=tau)
-    traj = integrate(p, _make_history(p, tau, history_spec), t_end, max_step=max_step)
+    bad = validate(p)  # a bad --tau is named before any step is worked out
+    if bad:
+        raise ConfigError("; ".join(bad))
+    history = _make_history(p, tau, history_spec)
+    dt = mesh_step(tau, max_step)
+    if dt * max(p.k, p.mu) > _RK4_STABILITY_LIMIT:
+        raise ConfigError(
+            f"step {dt!r} gives dt*max(k, mu) = {dt * max(p.k, p.mu):.4g}, past RK4's "
+            f"stability limit {_RK4_STABILITY_LIMIT}; lower --max-step"
+        )
+    traj = integrate(p, history, t_end, max_step=max_step)
     verdict = classify_asymptotics(traj, _reference_equilibrium(p, tau), transient)
     return traj, verdict, detect_period(traj, "Q", transient)
 

@@ -9,7 +9,7 @@ name the offending key and line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -51,31 +51,12 @@ def _int(raw: str) -> int:
         raise ValueError("expects an integer") from None
 
 
-def _str(raw: str) -> str:
-    return raw
-
-
-_MODEL_KEYS = {
-    "model.delta": _float,
-    "model.gamma": _float,
-    "model.mu": _float,
-    "model.k": _float,
-    "rates.hill.beta0": _float,
-    "rates.hill.G": _float,
-    "rates.hill.a": _float,
-    "rates.hill.K": _float,
-    "rates.hill.r": _float,
-}
-_RUN_KEYS = {
-    "run.tau": _float,
-    "run.t_end": _float,
-    "run.transient": _float,
-    "run.max_step": _float,
-    "run.history": _str,
-    "run.grid_step": _float,
-    "run.n_max": _int,
-    "run.seed": _int,
-}
+# the config schema is the dataclass fields; under postponed annotations a
+# field's type is its annotation string
+_MODEL_KEYS = {f"model.{f.name}": _float for f in fields(ModelParams) if f.name not in ("tau", "rates")}
+_MODEL_KEYS.update({f"rates.hill.{f.name}": _float for f in fields(HillRates)})
+_CASTERS = {"float | None": _float, "int": _int, "int | None": _int, "str | None": str}
+_RUN_KEYS = {f"run.{f.name}": _CASTERS[f.type] for f in fields(RunOptions)}
 _SECTIONS = ("model", "rates.hill", "run")
 
 
@@ -126,30 +107,27 @@ def parse_config(path: str | Path) -> tuple[ModelParams, RunOptions]:
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
 
-    typed: dict[str, float | int | str] = {}
+    typed: dict[str, dict[str, float | int | str]] = {s: {} for s in _SECTIONS}
     for full, (raw_value, line_no) in seen.items():
         caster = _MODEL_KEYS.get(full) or _RUN_KEYS[full]
+        section, _, key = full.rpartition(".")
         try:
-            typed[full] = caster(raw_value)
+            typed[section][key] = caster(raw_value)
         except ValueError as exc:
             raise ConfigError(f"line {line_no}: {full} {exc}, got {raw_value!r}") from None
 
-    opts = RunOptions(**{k[len("run."):]: v for k, v in typed.items() if k in _RUN_KEYS})
+    opts = RunOptions(**typed["run"])
     params = ModelParams(
-        delta=typed["model.delta"],
-        gamma=typed["model.gamma"],
+        **typed["model"],
         tau=opts.tau if opts.tau is not None else 0.0,
-        mu=typed["model.mu"],
-        k=typed["model.k"],
-        rates=HillRates(
-            beta0=typed["rates.hill.beta0"],
-            G=typed["rates.hill.G"],
-            a=typed["rates.hill.a"],
-            K=typed["rates.hill.K"],
-            r=typed["rates.hill.r"],
-        ),
+        rates=HillRates(**typed["rates.hill"]),
     )
     bad = validate(params)
     if bad:
         raise ConfigError("; ".join(bad))
     return params, opts
+
+
+def default_params(tau: float = 0.0) -> ModelParams:
+    """The reference parameter set of the packaged default.cfg, at delay tau."""
+    return replace(parse_config(default_config_path())[0], tau=tau)

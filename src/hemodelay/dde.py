@@ -170,6 +170,25 @@ def interpolate(traj: Trajectory, t: float) -> SystemState:
     )
 
 
+def mesh_step(tau: float, max_step: float | None) -> float:
+    """The step integrate takes: tau/m for the least m that keeps it at or below max_step.
+
+    The default max_step is tau/64; at tau = 0 the step is max_step itself, or 1/64.
+    """
+    if max_step is not None and not 0.0 < max_step < math.inf:
+        raise ValueError("max_step must be positive and finite")
+    if tau > 0.0:
+        cap = max_step if max_step is not None else tau / _DEFAULT_SUBSTEPS
+        per_delay = tau / cap  # compared as a float: ceil(inf) would overflow
+        if not per_delay <= _MAX_STEPS:
+            raise ValueError(
+                f"max_step {cap!r} gives {per_delay:.3g} steps per delay; "
+                f"at most {_MAX_STEPS} are allowed"
+            )
+        return tau / max(1, math.ceil(per_delay - 1e-12))
+    return max_step if max_step is not None else 1.0 / _DEFAULT_SUBSTEPS
+
+
 def integrate(
     p: ModelParams,
     history: History,
@@ -183,21 +202,8 @@ def integrate(
         raise ValueError("; ".join(bad))
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise ValueError("t_end must be positive and finite")
-    if max_step is not None and not max_step > 0.0:
-        raise ValueError("max_step must be positive")
     tau = p.tau
-    if tau > 0.0:
-        cap = max_step if max_step is not None else tau / _DEFAULT_SUBSTEPS
-        per_delay = tau / cap  # compared as a float: ceil(inf) would overflow
-        if not per_delay <= _MAX_STEPS:
-            raise ValueError(
-                f"max_step {cap!r} gives {per_delay:.3g} steps per delay; "
-                f"at most {_MAX_STEPS} are allowed"
-            )
-        m = max(1, math.ceil(per_delay - 1e-12))
-        dt = tau / m
-    else:
-        dt = max_step if max_step is not None else 1.0 / _DEFAULT_SUBSTEPS
+    dt = mesh_step(tau, max_step)
     steps = t_end / dt
     if not steps <= _MAX_STEPS:
         raise ValueError(

@@ -212,15 +212,3 @@ def rhs(now, delayed, p: ModelParams) -> SystemState:
     if not all(map(math.isfinite, (Qn, Mn, En, Qd, Md, Ed))):
         raise InvalidStateError(f"non-finite state: now={tuple(now)} delayed={tuple(delayed)}")
     return SystemState(*vector_field(p)(Qn, Mn, En, Qd, Ed))
-
-
-def default_params(tau: float = 0.0) -> ModelParams:
-    """The reference parameter set used across the package and the CLI."""
-    return ModelParams(
-        delta=0.01,
-        gamma=0.2,
-        tau=tau,
-        mu=0.02,
-        k=2.8,
-        rates=HillRates(beta0=0.5, G=0.04, a=6570.0, K=0.0382, r=7.0),
-    )

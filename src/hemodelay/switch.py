@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cubic import real_cubic_roots
 from .equilibria import positive_equilibrium, tau_max
@@ -51,12 +51,6 @@ class OmegaRoot:
     z: float
     omega: float
     dh_sign: int
-
-
-@dataclass(frozen=True)
-class OmegaBranch:
-    tau: float
-    roots: tuple[OmegaRoot, ...]  # descending in z, at most 3
 
 
 @dataclass(frozen=True)
@@ -159,12 +153,6 @@ def _coeffs_at(p: ModelParams, tau: float) -> CharCoeffs | None:
     return cc
 
 
-def omega_branch(p: ModelParams, tau: float) -> OmegaBranch:
-    cc = _coeffs_at(p, tau)
-    roots = () if cc is None else tuple(positive_roots_h(cc))
-    return OmegaBranch(tau, roots)
-
-
 def sn_value(p: ModelParams, tau: float, n: int, branch: int) -> float | None:
     """S_n(tau) on the requested root branch, or None where undefined.
 
@@ -176,21 +164,21 @@ def sn_value(p: ModelParams, tau: float, n: int, branch: int) -> float | None:
     state = _sn_state(p, tau, branch)
     if state is None:
         return None
-    omega, phase, _ = state
-    return tau - (phase + 2.0 * math.pi * n) / omega
+    root, phase, _ = state
+    return tau - (phase + 2.0 * math.pi * n) / root.omega
 
 
 def _sn_state(
     p: ModelParams, tau: float, branch: int
-) -> tuple[float, float, CharCoeffs] | None:
+) -> tuple[OmegaRoot, float, CharCoeffs] | None:
     cc = _coeffs_at(p, tau)
     if cc is None:
         return None
     roots = positive_roots_h(cc)
     if branch >= len(roots):
         return None
-    omega = roots[branch].omega
-    return omega, theta(cc, omega), cc
+    root = roots[branch]
+    return root, theta(cc, root.omega), cc
 
 
 def positive_root_intervals(
@@ -378,19 +366,18 @@ def _build_report(
     state = _sn_state(p, tau_star, branch)
     if state is None:
         raise NumericalError(f"branch {branch} vanished at refined root tau={tau_star!r}")
-    omega, _, cc = state
-    residual = abs(char_residual(cc, 1j * omega, tau_star))
+    root, _, cc = state
+    residual = abs(char_residual(cc, 1j * root.omega, tau_star))
     if refined and not residual < _RESIDUAL_TOL:
         raise NumericalError(
             f"crossing at tau={tau_star!r} has residual {residual:.3e}"
         )
-    dh = positive_roots_h(cc)[branch].dh_sign
     ds = _ds_dtau(p, tau_star, n, branch)
-    if ds is None or ds == 0.0 or dh == 0:
+    if ds is None or ds == 0.0 or root.dh_sign == 0:
         raise NumericalError(f"transversality undetermined at tau={tau_star!r}")
-    sign = dh * ((ds > 0.0) - (ds < 0.0))
+    sign = root.dh_sign * ((ds > 0.0) - (ds < 0.0))
     direction = "destabilizing" if sign > 0 else "stabilizing"
-    return SwitchReport(tau_star, omega, n, branch, sign, direction, residual, refined)
+    return SwitchReport(tau_star, root.omega, n, branch, sign, direction, residual, refined)
 
 
 def _mark_simultaneous(reports: list[SwitchReport]) -> list[SwitchReport]:
@@ -401,12 +388,7 @@ def _mark_simultaneous(reports: list[SwitchReport]) -> list[SwitchReport]:
         while j + 1 < len(out) and out[j + 1].tau_star - out[i].tau_star < 1e-8:
             j += 1
         if j > i:
-            for idx in range(i, j + 1):
-                r = out[idx]
-                out[idx] = SwitchReport(
-                    r.tau_star, r.omega_star, r.n, r.branch, r.transversality,
-                    "unclassified", r.residual, r.refined,
-                )
+            out[i : j + 1] = [replace(r, direction="unclassified") for r in out[i : j + 1]]
         i = j + 1
     return out
 

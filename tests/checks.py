@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 import time
 from typing import NamedTuple
 
 from hemodelay import (
     CharCoeffs,
     Equilibrium,
+    HillRates,
     LinCoeffs,
+    ModelParams,
     RateFunctions,
     ScanResult,
     Trajectory,
@@ -159,6 +162,16 @@ def make_grid(p, step: float = 0.005) -> list[float]:
     while grid[-1] + step < tm:
         grid.append(grid[-1] + step)
     return grid
+
+
+def perturbed_params(seed: int) -> ModelParams:
+    """The reference set with every scalar scaled by U(0.8, 1.2) and r ~ U(5, 9)."""
+    rng = random.Random(seed)
+    p = default_params()
+    r = p.rates
+    u = lambda: rng.uniform(0.8, 1.2)  # noqa: E731
+    rates = HillRates(r.beta0 * u(), r.G * u(), r.a * u(), r.K * u(), rng.uniform(5.0, 9.0))
+    return ModelParams(p.delta * u(), p.gamma * u(), 0.0, p.mu * u(), p.k * u(), rates)
 
 
 def coeffs_at(p, tau: float) -> CharCoeffs:

@@ -423,6 +423,25 @@ class TestSimulateCommand:
         assert main(["simulate", "--out-dir", str(tmp_path), *flags]) == 2
         assert "at most 10000000 are allowed" in capsys.readouterr().err
 
+    def test_nonfinite_max_step(self, tmp_path, capsys):
+        code = main(["simulate", "--out-dir", str(tmp_path), "--tau", "1.4",
+                     "--t-end", "30", "--transient", "5", "--max-step", "inf"])
+        assert code == 2
+        assert "max_step must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            (["--tau", "1.4", "--max-step", "1.4"], 2),  # k*dt = 3.92
+            (["--tau", "200"], 2),  # the default step tau/64 gives k*dt = 8.75
+            (["--tau", "1.4", "--max-step", "0.99"], 0),  # k*dt = 1.96
+        ],
+    )
+    def test_step_past_rk4_stability_is_refused(self, tmp_path, capsys, flags, code):
+        assert main(["simulate", "--out-dir", str(tmp_path), "--t-end", "30",
+                     "--transient", "5", *flags]) == code
+        assert ("RK4" in capsys.readouterr().err) == (code == 2)
+
     def test_transient_must_precede_t_end(self, tmp_path):
         code = main(["simulate", "--out-dir", str(tmp_path), "--tau", "0.5",
                      "--t-end", "10", "--transient", "10"])

@@ -247,8 +247,9 @@ class TestIntegrateErrors:
 
     def test_rejects_nonpositive_max_step(self, params):
         h = History.constant(SystemState(1.0, 1.0, 1.0))
-        with pytest.raises(ValueError, match="max_step"):
-            integrate(params, h, 1.0, max_step=0.0)
+        for max_step in (0.0, math.inf):
+            with pytest.raises(ValueError, match="max_step"):
+                integrate(params, h, 1.0, max_step=max_step)
 
     @pytest.mark.parametrize(
         "tau, t_end, max_step, match",

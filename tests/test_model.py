@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hemodelay import (
     HillRates,
     InvalidStateError,
+    ModelParams,
     SystemState,
     default_params,
     positive_equilibrium,
@@ -22,6 +23,12 @@ import checks
 def test_default_params_valid():
     assert validate(default_params()) == []
     assert validate(default_params(1.4)) == []
+
+
+def test_default_params_are_the_reference_set():
+    assert default_params(1.4) == ModelParams(
+        0.01, 0.2, 1.4, 0.02, 2.8, HillRates(0.5, 0.04, 6570.0, 0.0382, 7.0)
+    )
 
 
 @pytest.mark.parametrize(

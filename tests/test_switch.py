@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import random
 
@@ -15,7 +16,6 @@ from hemodelay import (
     char_residual,
     default_params,
     linearize,
-    omega_branch,
     positive_equilibrium,
     positive_root_intervals,
     positive_roots_h,
@@ -133,7 +133,7 @@ class TestSnValue:
 
     def test_adjacent_curves_differ_by_full_turn(self, params):
         tau = 1.0
-        omega = omega_branch(params, tau).roots[0].omega
+        omega = positive_roots_h(checks.coeffs_at(params, tau))[0].omega
         s0 = sn_value(params, tau, 0, 0)
         s1 = sn_value(params, tau, 1, 0)
         assert math.isclose(s0 - s1, 2.0 * math.pi / omega, rel_tol=1e-12)
@@ -156,19 +156,19 @@ class TestSnValue:
 
 class TestOmegaBranch:
     def test_window_interior_and_exterior(self, params):
-        inside = omega_branch(params, 1.5)
-        assert len(inside.roots) == 1
-        outside = omega_branch(params, 2.95)
-        assert outside.roots == ()
+        inside = positive_roots_h(checks.coeffs_at(params, 1.5))
+        assert len(inside) == 1
+        outside = positive_roots_h(checks.coeffs_at(params, 2.95))
+        assert outside == []
 
     def test_root_residuals_and_order(self, params):
         for tau in (0.5, 1.5, 2.5):
             cc = checks.coeffs_at(params, tau)
-            branch = omega_branch(params, tau)
-            assert len(branch.roots) <= 3
-            zs = [r.z for r in branch.roots]
+            roots = positive_roots_h(cc)
+            assert len(roots) <= 3
+            zs = [r.z for r in roots]
             assert zs == sorted(zs, reverse=True)
-            for r in branch.roots:
+            for r in roots:
                 assert abs(_h(cc.b1, cc.b2, cc.b3, r.z)) < 1e-9 * (1.0 + abs(cc.b3))
 
 
@@ -245,7 +245,7 @@ class TestScan:
 
     def test_branch_identity(self, params, scan_result):
         for r in scan_result.reports:
-            roots = omega_branch(params, r.tau_star).roots
+            roots = positive_roots_h(checks.coeffs_at(params, r.tau_star))
             assert min(abs(r.omega_star - root.omega) for root in roots) < 1e-8
 
     def test_partition_tiles_the_existence_range(self, params, scan_result):
@@ -289,6 +289,19 @@ class TestScan:
         warm = repr((positive_root_intervals(params, default_grid), scan(params, default_grid, 1)))
         assert cold == warm
 
+    def test_reports_pinned_on_perturbed_sets(self):
+        # sha256 of every report field on 20 seeded sets; switches.csv pins
+        # the reference set only
+        rows = []
+        for seed in range(20):
+            p = checks.perturbed_params(seed)
+            rows.append([
+                (r.tau_star, r.omega_star, r.transversality, r.direction, r.residual, r.refined)
+                for r in scan(p, checks.make_grid(p), 2).reports
+            ])
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "ac1defa47ae59e0eebd83be5b980a8b204a6c3c3050205f0083fb82a18d95795"
+
     def test_grid_validation(self, params, default_grid):
         with pytest.raises(ValueError):
             scan(params, default_grid, 0)
@@ -318,6 +331,52 @@ class TestRootWindow:
             cc = checks.coeffs_at(params, tau)
             assert cc.b2 > 0.0
             assert cc.b3 < 0.0
+
+    def test_edge_is_the_sign_change_of_b3(self, params):
+        inside = checks.coeffs_at(params, checks.ROOT_WINDOW_EDGE - 1e-6)
+        outside = checks.coeffs_at(params, checks.ROOT_WINDOW_EDGE + 1e-6)
+        for cc in (inside, outside):
+            assert cc.b1 > 0.0 and cc.b2 > 0.0
+        assert -2e-9 < inside.b3 < 0.0 < outside.b3 < 2e-9
+        assert len(positive_roots_h(inside)) == 1
+        assert positive_roots_h(outside) == []
+
+
+def _newton_root(cc, tau, lam):
+    """Root of P(lam) + Q(lam)*exp(-lam*tau) near lam, by Newton's method."""
+    for _ in range(50):
+        e = cmath.exp(-lam * tau)
+        p = ((lam + cc.a1) * lam + cc.a2) * lam + cc.a3
+        dp = (3.0 * lam + 2.0 * cc.a1) * lam + cc.a2
+        q = (cc.a4 * lam + cc.a5) * lam + cc.a6
+        dq = 2.0 * cc.a4 * lam + cc.a5
+        step = (p + q * e) / (dp + (dq - tau * q) * e)
+        lam -= step
+        if abs(step) < 1e-14 * abs(lam):
+            return lam
+    pytest.fail(f"Newton did not converge at tau={tau!r}")
+
+
+def test_transversality_matches_newton_roots(params):
+    """Re(lambda) changes sign across each crossing as its direction says.
+
+    The root is followed by Newton's method on the full characteristic
+    equation, independently of S_n, theta and the dS_n/dtau estimate.
+    """
+    checked = 0
+    for p in [params] + [checks.perturbed_params(seed) for seed in range(7)]:
+        for r in scan(p, checks.make_grid(p), 1).reports:
+            start = 1j * r.omega_star
+            at = _newton_root(checks.coeffs_at(p, r.tau_star), r.tau_star, start)
+            assert abs(at - start) < 1e-6
+            below, above = (
+                _newton_root(checks.coeffs_at(p, t), t, start).real
+                for t in (r.tau_star - 1e-3, r.tau_star + 1e-3)
+            )
+            sign = {"destabilizing": 1.0, "stabilizing": -1.0}[r.direction]
+            assert sign * below < 0.0 < sign * above
+            checked += 1
+    assert checked >= 10
 
 
 def test_crossing_directions_match_simulations(scan_result, probe_runs):
