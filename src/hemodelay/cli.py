@@ -211,16 +211,22 @@ def _cmd_coeffs(args: argparse.Namespace) -> tuple[dict, int]:
     return _manifest("coeffs", cfg, params, opts, [out], []), 0
 
 
-def _scan(
-    out_dir: Path, params: ModelParams, grid: list[float], n_max: int
-) -> tuple[ScanResult, list[Path]]:
-    """switch.scan and its CSVs; refused first when (n_max + 1) S_n samples
-    per grid point would exceed _MAX_GRID_POINTS."""
+def _check_n_max(n_max: int, grid: list[float]) -> None:
+    """Refuse n_max < 1, and (n_max + 1) S_n samples per grid point past
+    _MAX_GRID_POINTS; run before any CSV is written."""
+    if n_max < 1:
+        raise ConfigError(f"n_max must be at least 1, got {n_max}")
     if (n_max + 1) * len(grid) > _MAX_GRID_POINTS:
         raise ConfigError(
             f"n_max {n_max} gives {(n_max + 1) * len(grid)} S_n points over "
             f"{len(grid)} delays; at most {_MAX_GRID_POINTS} are allowed"
         )
+
+
+def _scan(
+    out_dir: Path, params: ModelParams, grid: list[float], n_max: int
+) -> tuple[ScanResult, list[Path]]:
+    """switch.scan and its CSVs."""
     result = run_scan(params, grid, n_max)
     outputs = [
         _write_csv(
@@ -250,6 +256,7 @@ def _scan(
 def _cmd_scan(args: argparse.Namespace) -> tuple[dict, int]:
     params, opts, cfg = _load(args)
     tm, grid = _tau_grid(params, opts)
+    _check_n_max(opts.n_max, grid)
     if tm is None:
         print("no positive equilibrium at any delay; scan skipped")
         return _manifest("scan", cfg, params, opts, [], []), 0
@@ -366,6 +373,7 @@ def _check(name: str, passed: bool, detail: str) -> dict:
 def _cmd_reproduce(args: argparse.Namespace) -> tuple[dict, int]:
     params, opts, cfg = _load(args)
     tm, grid = _tau_grid(params, opts)
+    _check_n_max(opts.n_max, grid)
     outputs = [_write_equilibria(args.out_dir, params, grid)]
     if tm is None:
         print("no positive equilibrium at any delay; scan and simulations skipped")

@@ -364,16 +364,11 @@ def detect_period(
     peak_values: list[float] = []
     for i in range(1, len(vs) - 1):
         if vs[i - 1] < vs[i] > vs[i + 1]:
+            # at a strict maximum a < b > c, fl(a - 2b) <= -b, so denom <= fl(c - b) < 0
             denom = vs[i - 1] - 2.0 * vs[i] + vs[i + 1]
-            if denom < 0.0:
-                shift = 0.5 * traj.dt * (vs[i - 1] - vs[i + 1]) / denom
-                peak_times.append(ts[i] + shift)
-                peak_values.append(
-                    vs[i] - (vs[i - 1] - vs[i + 1]) ** 2 / (8.0 * denom)
-                )
-            else:
-                peak_times.append(ts[i])
-                peak_values.append(vs[i])
+            shift = 0.5 * traj.dt * (vs[i - 1] - vs[i + 1]) / denom
+            peak_times.append(ts[i] + shift)
+            peak_values.append(vs[i] - (vs[i - 1] - vs[i + 1]) ** 2 / (8.0 * denom))
     if len(peak_times) < 3:
         return None
     mean_level = statistics.fmean(vs)

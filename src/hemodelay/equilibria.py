@@ -15,7 +15,8 @@ with b00 = beta(0, f(0)/k).  The positive steady state solves
     (2*exp(-gamma*tau) - 1) * beta(Q, E(Q)) = delta + g(Q)/Q,
 
 where E(Q) = f(g(Q)/mu)/k chains the two fast compartments; the left side is
-decreasing in Q, the right side nondecreasing, so the root is unique.
+decreasing in Q, the right side nondecreasing, so the root is unique, and
+bisection on the sign of the residual pins it down to adjacent floats.
 
 positive_equilibrium solves each (params, tau) pair once: the analytic chain
 asks for the same delays several times (the CLI rows, positive_root_intervals
@@ -33,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .model import HillRates, ModelParams, NumericalError, SystemState
+from .model import HillRates, ModelParams, NumericalError, SystemState, bisect_flip
 
 _BRACKET_LO = 1e-12  # lower end of the pool-size bracket
 _MEMO_POINTS = 4096  # solves kept for one parameter set; the reference grid has 598
@@ -90,22 +91,14 @@ def _residual_fn(p: ModelParams, alpha: float) -> Callable[[float], float]:
     return residual
 
 
-def _residual_prime(p: ModelParams, alpha: float, Q: float) -> float:
-    r = p.rates
-    E = r.f(r.g(Q) / p.mu) / p.k
-    dE = r.f_prime(r.g(Q) / p.mu) * r.g_prime(Q) / (p.mu * p.k)
-    dbeta = r.beta_dQ(Q, E) + r.beta_dE(Q, E) * dE
-    return alpha * dbeta - (r.g_prime(Q) * Q - r.g(Q)) / (Q * Q)
-
-
 def positive_equilibrium(p: ModelParams, tau: float) -> Equilibrium | None:
     """Unique positive steady state at delay `tau`, or None past the threshold.
 
     The pool size is bracketed ([1e-12, doubling upward from 1]) and the
-    bracket is shrunk by bisection, then polished with bracket-guarded Newton
-    steps until the balance residual is below 1e-12*(delta + g'(0) + 1) and
-    no longer improves.  Results are memoized for the most recent parameter
-    set (see the module docstring).
+    bracket is bisected down to adjacent floats; the midpoint is the root,
+    and a balance residual there of 1e-12*(delta + g'(0) + 1) or more raises
+    NumericalError.  Results are memoized for the most recent parameter set
+    (see the module docstring).
     """
     global _memo
     if tau < 0.0:
@@ -133,60 +126,19 @@ def _solve_positive(p: ModelParams, tau: float) -> Equilibrium | None:
     alpha = 2.0 * math.exp(-p.gamma * tau) - 1.0
     residual = _residual_fn(p, alpha)
 
-    lo = _BRACKET_LO
-    r_lo = residual(lo)
-    if not r_lo > 0.0:
+    if not residual(_BRACKET_LO) > 0.0:
         raise NumericalError(
             "existence threshold holds but the balance residual is not positive at 0+"
         )
     hi = 1.0
-    r_hi = residual(hi)
-    doublings = 0
-    while r_hi > 0.0:
+    while residual(hi) > 0.0:
         hi *= 2.0
-        doublings += 1
-        if doublings > 200:
+        if hi > 2.0**200:
             raise NumericalError("no sign change found while expanding the bracket")
-        r_hi = residual(hi)
-
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if residual(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-    # bracket-guarded Newton polish, run to the floating-point floor; rQ is
-    # always the residual at the current Q
-    tol = 1e-12 * (p.delta + p.rates.g_prime(0.0) + 1.0)
+    lo, hi = bisect_flip(lambda Q: residual(Q) > 0.0, _BRACKET_LO, hi)
     Q = 0.5 * (lo + hi)
-    rQ = residual(Q)
-    best, best_r = Q, abs(rQ)
-    for _ in range(60):
-        if abs(rQ) < best_r:
-            best, best_r = Q, abs(rQ)
-        if rQ > 0.0:
-            lo = max(lo, Q)
-        elif rQ < 0.0:
-            hi = min(hi, Q)
-        else:
-            break
-        d = _residual_prime(p, alpha, Q)
-        step_ok = d != 0.0 and math.isfinite(d)
-        if step_ok:
-            Qn = Q - rQ / d
-            step_ok = lo < Qn < hi
-        if not step_ok:
-            Qn = 0.5 * (lo + hi)
-        if Qn == Q:
-            break
-        Q = Qn
-        rQ = residual(Q)
-    r_end = abs(rQ)
-    if best_r < r_end:
-        Q, r_end = best, best_r
+    r_end = abs(residual(Q))
+    tol = 1e-12 * (p.delta + p.rates.g_prime(0.0) + 1.0)
     if not r_end < tol:
         raise NumericalError(f"equilibrium residual {r_end:.3e} above tolerance {tol:.3e}")
     M = p.rates.g(Q) / p.mu

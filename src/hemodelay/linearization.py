@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .equilibria import Equilibrium
-from .model import ModelParams, validate
+from .model import ModelParams, bisect_flip, validate
 
 
 @dataclass(frozen=True)
@@ -187,8 +187,8 @@ def _zeta(x: float) -> float:
     """Unique solution of zeta = -x*tan(zeta) on (0, pi), for x != 0.
 
     For x > 0 the root lies in (pi/2, pi), for -1 < x < 0 in (0, pi/2); both
-    brackets give a sign change of zeta + x*tan(zeta) and bisection runs to
-    1e-12.
+    brackets give a sign change of zeta + x*tan(zeta), which model.bisect_flip
+    narrows to a width of 1e-12; the root is the bracket's midpoint.
     """
     if x > 0.0:
         lo, hi = 0.5 * math.pi + 1e-12, math.pi - 1e-12
@@ -196,14 +196,8 @@ def _zeta(x: float) -> float:
         lo, hi = 1e-12, 0.5 * math.pi - 1e-12
     else:
         raise ValueError(f"no root of zeta = -x*tan(zeta) on (0, pi) for x={x}")
-    f_lo = lo + x * math.tan(lo)
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        f_mid = mid + x * math.tan(mid)
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
+    positive_lo = lo + x * math.tan(lo) > 0.0
+    lo, hi = bisect_flip(lambda z: (z + x * math.tan(z) > 0.0) == positive_lo, lo, hi, 1e-12)
     return 0.5 * (lo + hi)
 
 

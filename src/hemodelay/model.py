@@ -212,3 +212,23 @@ def rhs(now, delayed, p: ModelParams) -> SystemState:
     if not all(map(math.isfinite, (Qn, Mn, En, Qd, Md, Ed))):
         raise InvalidStateError(f"non-finite state: now={tuple(now)} delayed={tuple(delayed)}")
     return SystemState(*vector_field(p)(Qn, Mn, En, Qd, Ed))
+
+
+def bisect_flip(
+    inside: Callable[[float], bool], lo: float, hi: float, width: float = 0.0
+) -> tuple[float, float]:
+    """Shrink [lo, hi] around the point where `inside` turns from True to False.
+
+    `inside` is taken to hold at lo and fail at hi; neither end is evaluated.
+    Each step keeps the half whose ends disagree, while hi - lo > width and
+    until the midpoint rounds to an end, i.e. lo and hi are adjacent floats.
+    """
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi

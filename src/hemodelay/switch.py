@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 from .cubic import real_cubic_roots
 from .equilibria import positive_equilibrium, tau_max
 from .linearization import CharCoeffs, char_coeffs, h_prime, h_value, linearize, routh_hurwitz_tau0
-from .model import ModelParams, NumericalError
+from .model import ModelParams, NumericalError, bisect_flip
 
 _S_TOL = 1e-10
 _RESIDUAL_TOL = 1e-8
@@ -187,7 +187,8 @@ def positive_root_intervals(
     """Maximal intervals of the grid's span where h has a positive root.
 
     Aliveness is sampled at the grid points and each flip is refined by
-    bisection on the existence criterion to a width of 1e-10.
+    model.bisect_flip on the existence criterion to a width of 1e-10; the
+    edge is the midpoint of the final bracket.
     """
     _check_grid(p, tau_grid)
 
@@ -199,14 +200,7 @@ def positive_root_intervals(
     edges: list[float] = []
     for i in range(len(tau_grid) - 1):
         if flags[i] != flags[i + 1]:
-            lo, hi = tau_grid[i], tau_grid[i + 1]
-            state_lo = flags[i]
-            while hi - lo > 1e-10:
-                mid = 0.5 * (lo + hi)
-                if alive(mid) == state_lo:
-                    lo = mid
-                else:
-                    hi = mid
+            lo, hi = bisect_flip(lambda t: alive(t) == flags[i], tau_grid[i], tau_grid[i + 1], 1e-10)
             edges.append(0.5 * (lo + hi))
     intervals = []
     start = tau_grid[0] if flags[0] else None
@@ -263,13 +257,7 @@ def _refine_crossing(
         if s_mid is None:
             # narrow the branch boundary, then retry on the side where the
             # curve is still defined
-            blo, bhi = lo, hi
-            while bhi - blo > 1e-12:
-                bmid = 0.5 * (blo + bhi)
-                if sn_value(p, bmid, n, branch) is None:
-                    bhi = bmid
-                else:
-                    blo = bmid
+            blo, _ = bisect_flip(lambda t: sn_value(p, t, n, branch) is not None, lo, hi, 1e-12)
             s_edge = sn_value(p, blo, n, branch)
             if s_edge is None or (s_edge > 0.0) == (s_lo > 0.0):
                 return best_tau, False

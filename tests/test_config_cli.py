@@ -2,10 +2,14 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hemodelay
 from hemodelay import (
     NumericalError,
     char_coeffs,
@@ -207,6 +211,23 @@ class TestEquilibriaCommand:
             assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path),
                          "--grid-step", "20.0"]) == 2, command
 
+    @pytest.mark.parametrize("step", ["0", "-0.005", "nan", "inf"])
+    def test_grid_step_must_be_positive_and_finite(self, tmp_path, capsys, step):
+        assert main(["equilibria", "--out-dir", str(tmp_path), f"--grid-step={step}"]) == 2
+        assert "grid step must be positive and finite" in capsys.readouterr().err
+
+    def test_module_entry_point(self, tmp_path):
+        # `python -m hemodelay` runs the same main as the console script
+        env = dict(os.environ, PYTHONPATH=str(Path(hemodelay.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "hemodelay", "equilibria", "--grid-step", "0.3",
+             "--out-dir", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "equilibria.csv").is_file()
+        assert load_manifest(tmp_path)["subcommand"] == "equilibria"
+
     def test_grid_step_too_fine_is_refused_before_allocating(self, tmp_path, capsys):
         # about 3e300 points: refused from the count, not by running out of memory
         assert main(["equilibria", "--out-dir", str(tmp_path), "--grid-step", "1e-300"]) == 2
@@ -275,10 +296,14 @@ class TestScanCommand:
     def test_spacing_beyond_runtime_cap(self, tmp_path):
         assert main(["scan", "--out-dir", str(tmp_path), "--grid-step", "0.2"]) == 2
 
-    def test_bad_n_max(self, tmp_path):
-        code = main(["scan", "--out-dir", str(tmp_path), "--grid-step", "0.01",
-                     "--n-max", "0"])
-        assert code == 2
+    def test_bad_n_max(self, tmp_path, capsys):
+        # refused before any CSV is written
+        for command in ("scan", "reproduce"):
+            code = main([command, "--out-dir", str(tmp_path), "--grid-step", "0.01",
+                         "--n-max", "0"])
+            assert code == 2, command
+            assert "n_max must be at least 1" in capsys.readouterr().err
+            assert not list(tmp_path.glob("*.csv")), command
 
     @pytest.mark.parametrize("command", ["scan", "reproduce"])
     def test_too_many_sn_points_are_refused(self, tmp_path, capsys, monkeypatch, command):
@@ -294,6 +319,7 @@ class TestScanCommand:
         cfg = write_cfg(tmp_path, BASE_CFG + "\n[run]\nn_max = 1000000\n")
         assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
         assert "at most 1000000 are allowed" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
         # 1672 * 598 points are within the bound and reach the scan
         assert main([command, "--out-dir", str(tmp_path), "--n-max", "1671"]) == 3
 
@@ -316,6 +342,10 @@ class TestSimulateCommand:
 
     def test_requires_tau(self, tmp_path):
         assert main(["simulate", "--out-dir", str(tmp_path)]) == 2
+
+    def test_negative_tau_is_named(self, tmp_path, capsys):
+        assert main(["simulate", "--out-dir", str(tmp_path), "--tau", "-1"]) == 2
+        assert "tau must be nonnegative" in capsys.readouterr().err
 
     def test_trajectory_csv(self, tmp_path):
         out = self.run(tmp_path, "--tau", "0.5")
@@ -379,7 +409,7 @@ class TestSimulateCommand:
         eq = positive_equilibrium(default_params(tau=0.5), 0.5)
         assert [float(v) for v in rows[0][1:]] == [eq.Q, eq.M, eq.E]
 
-    @pytest.mark.parametrize("spec", ["equilibrium*x", "garbage", "1,2", "1,2,x"])
+    @pytest.mark.parametrize("spec", ["equilibrium*x", "equilibriumX", "garbage", "1,2", "1,2,x"])
     def test_bad_history_spec(self, tmp_path, spec):
         code = main(["simulate", "--out-dir", str(tmp_path), "--tau", "0.5",
                      "--t-end", "50", "--transient", "10", "--history", spec])

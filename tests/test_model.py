@@ -16,6 +16,7 @@ from hemodelay import (
     trivial_equilibrium,
     validate,
 )
+from hemodelay.model import bisect_flip
 
 import checks
 
@@ -146,3 +147,34 @@ def test_beta_increasing_in_E(Q, E1, E2):
     lo, hi = sorted((E1, E2))
     if hi > lo:
         assert r.beta(Q, lo) < r.beta(Q, hi)
+
+
+class TestBisectFlip:
+    def test_stops_at_adjacent_floats_when_the_ulp_exceeds_the_width(self):
+        # the ulp at 16384 is 2**-38 (3.6e-12), above the 1e-12 width
+        lo, hi = bisect_flip(lambda t: t < 16384.2, 16384.0, 16384.5, 1e-12)
+        assert hi == math.nextafter(lo, math.inf)
+        assert hi - lo > 1e-12
+        assert lo < 16384.2 <= hi
+
+    def test_default_width_runs_to_adjacent_floats(self):
+        lo, hi = bisect_flip(lambda t: t < 0.3, 0.0, 1.0)
+        assert hi == math.nextafter(lo, math.inf)
+        assert lo < 0.3 <= hi
+
+    def test_stops_at_the_width(self):
+        lo, hi = bisect_flip(lambda t: t < 0.3, 0.0, 1.0, 1e-10)
+        assert hi - lo <= 1e-10 < 2.0 * (hi - lo)
+        assert lo < 0.3 <= hi
+
+    @pytest.mark.parametrize("flip", [0.3, -1.0, 2.0])
+    def test_never_evaluates_the_ends(self, flip):
+        # flip outside [0, 1] drives the bracket onto one end
+        seen = []
+
+        def inside(t):
+            seen.append(t)
+            return t < flip
+
+        bisect_flip(inside, 0.0, 1.0)
+        assert seen and all(0.0 < t < 1.0 for t in seen)

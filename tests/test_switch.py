@@ -25,6 +25,7 @@ from hemodelay import (
     theta,
     trivial_equilibrium,
 )
+from hemodelay.switch import SwitchReport, _assemble_partition, _mark_simultaneous
 
 import checks
 
@@ -315,6 +316,36 @@ class TestScan:
             scan(params, [0.005 * i for i in range(300)], 1)  # stops at 1.5
         with pytest.raises(ValueError):
             scan(params, [0.01 * i for i in range(302)], 1)  # passes tau_max
+
+
+def _report(tau_star: float, transversality: int) -> SwitchReport:
+    direction = "destabilizing" if transversality > 0 else "stabilizing"
+    return SwitchReport(tau_star, 0.1, 0, 0, transversality, direction, 0.0, True)
+
+
+class TestPartitionAssembly:
+    """The partition paths that the reference and perturbed scans never reach."""
+
+    def test_crossings_within_1e8_are_unclassified(self):
+        reports = [_report(1.0, 1), _report(1.0 + 5e-9, -1), _report(2.0, 1)]
+        marked = _mark_simultaneous(reports)
+        assert [r.direction for r in marked] == ["unclassified", "unclassified", "destabilizing"]
+        assert [r.transversality for r in marked] == [1, -1, 1]
+        assert [r.tau_star for r in marked] == [r.tau_star for r in reports]
+
+    def test_every_piece_after_an_unclassified_crossing_is_unclassified(self, params, default_grid):
+        reports = _mark_simultaneous([_report(1.0, 1), _report(1.0 + 5e-9, -1), _report(2.0, 1)])
+        part = _assemble_partition(params, default_grid, reports)
+        assert part == (
+            (0.0, 1.0, "stable"),
+            (1.0, 1.0 + 5e-9, "unclassified"),
+            (1.0 + 5e-9, 2.0, "unclassified"),
+            (2.0, tau_max(params), "unclassified"),
+        )
+
+    def test_stabilizing_crossing_first_is_a_numerical_error(self, params, default_grid):
+        with pytest.raises(NumericalError, match="more stabilizing than destabilizing"):
+            _assemble_partition(params, default_grid, [_report(1.0, -1), _report(2.0, 1)])
 
 
 class TestRootWindow:
