@@ -126,10 +126,10 @@ def _solve_positive(p: ModelParams, tau: float) -> Equilibrium | None:
     alpha = 2.0 * math.exp(-p.gamma * tau) - 1.0
     residual = _residual_fn(p, alpha)
 
+    # a few ulps below tau_max the threshold test can pass while the residual
+    # at 0+ rounds to <= 0: no positive root to bracket, as past the threshold
     if not residual(_BRACKET_LO) > 0.0:
-        raise NumericalError(
-            "existence threshold holds but the balance residual is not positive at 0+"
-        )
+        return None
     hi = 1.0
     while residual(hi) > 0.0:
         hi *= 2.0
@@ -158,8 +158,9 @@ def hill_equilibrium_closed_form(p: ModelParams, tau: float) -> Equilibrium:
         M* = (G/mu) * Q*
 
     Used as the independent cross-check of the generic root-finder.
-    Raises ValueError outside [0, tau_max) or when no positive steady state
-    exists, TypeError for non-Hill rates.
+    Raises ValueError outside [0, tau_max), when no positive steady state
+    exists, or when the numerator above rounds to <= 0 (a few ulps below
+    tau_max); TypeError for non-Hill rates.
     """
     hr = p.rates
     if not isinstance(hr, HillRates):
@@ -172,6 +173,8 @@ def hill_equilibrium_closed_form(p: ModelParams, tau: float) -> Equilibrium:
     alpha = 2.0 * math.exp(-p.gamma * tau) - 1.0
     dg = p.delta + hr.G
     num = hr.a * hr.beta0 * alpha - dg * (hr.a + p.k)
+    if not num > 0.0:
+        raise ValueError(f"no positive steady state at tau={tau}: numerator {num!r} <= 0")
     Q = (p.mu / hr.G) * hr.K ** (-1.0 / hr.r) * (num / (p.k * dg)) ** (1.0 / hr.r)
     M = (hr.G / p.mu) * Q
     E = dg / (hr.beta0 * alpha - dg)

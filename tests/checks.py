@@ -9,6 +9,7 @@ to generate its own expectations.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 import random
@@ -25,6 +26,7 @@ from hemodelay import (
     ScanResult,
     Trajectory,
     char_coeffs,
+    char_residual,
     default_params,
     h_value,
     hill_equilibrium_closed_form,
@@ -200,9 +202,8 @@ def growth_ratio(run: SimRun) -> float:
 
 def synthetic_b_coeffs(b1: float, b2: float, b3: float) -> CharCoeffs:
     """CharCoeffs carrying prescribed h-coefficients (the a's are unused by h)."""
-    lin = LinCoeffs(A=0.0, B=0.0, C=0.0, D=0.0, G=0.0, H=0.0, tau=0.0)
     return CharCoeffs(a1=0.0, a2=0.0, a3=0.0, a4=0.0, a5=0.0, a6=0.0,
-                      b1=b1, b2=b2, b3=b3, mu=0.0, k=0.0, tau=0.0, lin=lin)
+                      b1=b1, b2=b2, b3=b3, tau=0.0)
 
 
 # --- property checks shared between module tests and the acceptance suite ---
@@ -213,8 +214,9 @@ def coefficient_sign_violations(p, n_points: int = 200) -> list[str]:
     out: list[str] = []
     for i in range(n_points):
         t = tm * i / n_points
-        cc = coeffs_at(p, t)
-        lin = cc.lin
+        q = dataclasses.replace(p, tau=t)
+        lin = linearize(q, positive_equilibrium(q, t), t)
+        cc = char_coeffs(lin, q.mu, q.k)
         # A-B is identically zero for saturating Q-independent re-entry, so
         # the >= comparison gets an epsilon floor against rounding noise
         ab_floor = -1e-12 * max(1.0, abs(lin.A))
@@ -247,6 +249,52 @@ def h_identity_max_err(p, rng, n_samples: int = 100) -> float:
         err = abs(h_value(cc, z) - direct) / max(1.0, abs(direct))
         worst = max(worst, err)
     return worst
+
+
+def random_lin_set(rng) -> tuple[LinCoeffs, float, float]:
+    """(LinCoeffs, mu, k) from the box rh_oracle_mismatches draws from."""
+    lin = LinCoeffs(
+        A=rng.uniform(-1.0, 3.0), B=rng.uniform(-1.0, 3.0),
+        C=rng.uniform(-1.0, 1.0), D=rng.uniform(-1.0, 1.0),
+        G=rng.uniform(0.01, 1.0), H=rng.uniform(-1.0, 1.0), tau=0.0,
+    )
+    return lin, rng.uniform(0.01, 2.0), rng.uniform(0.01, 3.0)
+
+
+def transcription_max_errs(rng, n_sets: int = 2000) -> tuple[float, float]:
+    """char_coeffs against the characteristic equation written out in cmath.
+
+    Returns the worst errors, each relative to the sum of the magnitudes of
+    the terms of the expanded product, of
+      * char_residual(cc, lam, tau) against
+        (lam+mu)(lam+k)(lam+A-B*e) - G*H*(C-D*e), e = exp(-lam*tau),
+        at random complex lam and tau in [0, 3];
+      * h(omega^2) against |P(i*omega)|^2 - |Q(i*omega)|^2, with
+        P = (lam+mu)(lam+k)(lam+A) - G*H*C and Q = G*H*D - B*(lam+mu)(lam+k).
+    """
+    worst_char = worst_h = 0.0
+    for _ in range(n_sets):
+        lin, mu, k = random_lin_set(rng)
+        A, B, C, D, GH = lin.A, lin.B, lin.C, lin.D, lin.G * lin.H
+        cc = char_coeffs(lin, mu, k)
+
+        lam = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+        tau = rng.uniform(0.0, 3.0)
+        e = cmath.exp(-lam * tau)
+        want = (lam + mu) * (lam + k) * (lam + A - B * e) - GH * (C - D * e)
+        r = abs(lam)
+        scale = (r + mu) * (r + k) * (r + abs(A) + abs(B * e)) + abs(GH) * (abs(C) + abs(D * e))
+        worst_char = max(worst_char, abs(char_residual(cc, lam, tau) - want) / scale)
+
+        w = rng.uniform(0.0, 3.0)
+        lam = 1j * w
+        pval = (lam + mu) * (lam + k) * (lam + A) - GH * C
+        qval = GH * D - B * (lam + mu) * (lam + k)
+        want = abs(pval) ** 2 - abs(qval) ** 2
+        p_mag = (w + mu) * (w + k) * (w + abs(A)) + abs(GH * C)
+        q_mag = abs(GH * D) + abs(B) * (w + mu) * (w + k)
+        worst_h = max(worst_h, abs(h_value(cc, w * w) - want) / (p_mag**2 + q_mag**2))
+    return worst_char, worst_h
 
 
 def cubic_oracle_max_err(rng, n_triples: int = 300) -> float:
@@ -282,12 +330,7 @@ def rh_oracle_mismatches(rng, n_sets: int = 500) -> int:
     scored = 0
     mismatches = 0
     while scored < n_sets:
-        lin = LinCoeffs(
-            A=rng.uniform(-1.0, 3.0), B=rng.uniform(-1.0, 3.0),
-            C=rng.uniform(-1.0, 1.0), D=rng.uniform(-1.0, 1.0),
-            G=rng.uniform(0.01, 1.0), H=rng.uniform(-1.0, 1.0), tau=0.0,
-        )
-        cc = char_coeffs(lin, rng.uniform(0.01, 2.0), rng.uniform(0.01, 3.0))
+        cc = char_coeffs(*random_lin_set(rng))
         c1, c2, c3 = cc.a1 + cc.a4, cc.a2 + cc.a5, cc.a3 + cc.a6
         if not (c1 > 0.0 and c3 > 0.0):
             continue

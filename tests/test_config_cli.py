@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from hemodelay import (
     default_params,
     linearize,
     positive_equilibrium,
+    tau_max,
 )
 from hemodelay.cli import main
 from hemodelay.config import (
@@ -29,6 +31,8 @@ import checks
 
 BASE_CFG = default_config_path().read_text()
 NO_EQ_CFG = BASE_CFG.replace("beta0 = 0.5", "beta0 = 0.01")  # no positive equilibrium
+# A and B near 1.4e4: A^2 - B^2 cancels, so b1..b3 carry rounding error above 1e-9 relative
+CANCELLING_CFG = BASE_CFG.replace("beta0 = 0.5", "beta0 = 2000000").replace("G = 0.04", "G = 7000")
 
 EQ_HEADER = ["tau", "Q_trivial", "M_trivial", "E_trivial",
              "Q_positive", "M_positive", "E_positive"]
@@ -661,3 +665,44 @@ class TestReproduceCommand:
         assert [Path(p).name for p in manifest["outputs"]] == ["equilibria.csv"]
         _, rows = read_csv(out / "equilibria.csv")
         assert all(r[4] == "" and r[5] == "" and r[6] == "" for r in rows)
+
+
+class TestExitCodes:
+    """Valid configs end in an exit code of {0, 2, 3, 4}, never in a traceback."""
+
+    def test_cancelling_coefficients(self, tmp_path):
+        cfg = str(write_cfg(tmp_path, CANCELLING_CFG))
+        out = str(tmp_path / "out")
+        assert main(["coeffs", "--config", cfg, "--out-dir", out]) == 0
+        assert main(["scan", "--config", cfg, "--out-dir", out]) in (0, 3)
+        assert main(["reproduce", "--config", cfg, "--out-dir", out]) in (0, 3)
+
+    def test_fuzzed_configs(self, tmp_path, capsys):
+        # the reference scalars scaled by 10^U(-8, 8), r in [1, 1e4], one set
+        # in five without apoptosis; about 100 grid points per run, and scan
+        # only where that spacing passes its 0.05 cap
+        rng = random.Random(20091)
+        ref = {"delta": 0.01, "gamma": 0.2, "mu": 0.02, "k": 2.8,
+               "beta0": 0.5, "G": 0.04, "a": 6570.0, "K": 0.0382}
+        out = str(tmp_path / "out")
+        for _ in range(150):
+            v = {name: x * 10.0 ** rng.uniform(-8.0, 8.0) for name, x in ref.items()}
+            if rng.random() < 0.2:
+                v["gamma"] = 0.0
+            v["r"] = 10.0 ** rng.uniform(0.0, 4.0)
+            path = write_cfg(tmp_path, "[model]\n" + "".join(
+                f"{name} = {v[name]!r}\n" for name in ("delta", "gamma", "mu", "k")
+            ) + "[rates.hill]\n" + "".join(
+                f"{name} = {v[name]!r}\n" for name in ("beta0", "G", "a", "K", "r")
+            ))
+            try:
+                tm = tau_max(parse_config(path)[0])
+            except ConfigError:
+                tm = None
+            step = (tm if tm is not None and math.isfinite(tm) else 10.0) / 100.0
+            commands = ["equilibria", "coeffs"] + (["scan"] if step <= 0.05 else [])
+            for command in commands:
+                code = main([command, "--config", str(path), "--out-dir", out,
+                             "--grid-step", repr(step)])
+                assert code in (0, 2, 3, 4), (command, v)
+            capsys.readouterr()

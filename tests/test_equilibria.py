@@ -27,6 +27,24 @@ def with_rates(rates, **scalars):
     return dataclasses.replace(default_params(), rates=rates, **scalars)
 
 
+def near_threshold_cases(n=800):
+    """(params, tau) with every reference scalar scaled by U(0.5, 1.5), r in
+    [2, 10], and tau = tau_max*(1 - u*1e-15): a few ulps below the threshold."""
+    rng = random.Random(1509)
+    ref = default_params()
+    r = ref.rates
+    cases = []
+    while len(cases) < n:
+        u = lambda: rng.uniform(0.5, 1.5)  # noqa: E731
+        rates = hill(r.beta0 * u(), r.G * u(), r.a * u(), r.K * u(), rng.uniform(2.0, 10.0))
+        p = with_rates(rates, delta=ref.delta * u(), gamma=ref.gamma * u(),
+                       mu=ref.mu * u(), k=ref.k * u())
+        tm = tau_max(p)
+        if tm is not None:
+            cases.append((p, tm * (1.0 - rng.random() * 1e-15)))
+    return cases
+
+
 class TestTauMax:
     def test_default_value(self, params):
         assert math.isclose(tau_max(params), checks.TAU_MAX_DEFAULT, rel_tol=1e-12)
@@ -116,6 +134,13 @@ class TestPositiveEquilibrium:
         for _ in range(2):
             with pytest.raises(NumericalError, match="no sign change"):
                 positive_equilibrium(p, 1.0)
+
+    def test_a_few_ulps_below_threshold(self):
+        # the existence test passes, but the residual at 0+ can round to <= 0;
+        # such a delay has no positive steady state to report, not a failure
+        for p, tau in near_threshold_cases():
+            eq = positive_equilibrium(p, tau)
+            assert eq is None or (eq.Q > 0.0 and eq.M > 0.0 and eq.E > 0.0)
 
     def test_none_when_no_threshold(self):
         p = with_rates(hill(beta0=0.01))
@@ -226,6 +251,15 @@ class TestClosedForm:
             )
         with pytest.raises(ValueError):
             hill_equilibrium_closed_form(with_rates(hill(beta0=0.01)), 0.0)
+
+
+    def test_real_and_positive_or_refused_below_threshold(self):
+        for p, tau in near_threshold_cases():
+            try:
+                eq = hill_equilibrium_closed_form(p, tau)
+            except ValueError:
+                continue
+            assert isinstance(eq.Q, float) and eq.Q > 0.0
 
 
 class TestCollapseTowardThreshold:

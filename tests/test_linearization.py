@@ -163,6 +163,15 @@ class TestRouthHurwitz:
         assert checks.rh_oracle_mismatches(rng) == 0
 
 
+class TestTranscriptionOracle:
+    """char_coeffs against the characteristic equation, written out anew."""
+
+    def test_char_residual_and_h_match_the_product_form(self):
+        worst_char, worst_h = checks.transcription_max_errs(random.Random(8191))
+        assert worst_char < 1e-12
+        assert worst_h < 1e-12
+
+
 class TestTrivialStability:
     def test_default_unstable_below_threshold(self, params):
         tm = tau_max(params)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hemodelay import (
     CharCoeffs,
     DegenerateDenominatorError,
-    LinCoeffs,
     NumericalError,
     char_coeffs,
     char_residual,
@@ -25,7 +24,7 @@ from hemodelay import (
     theta,
     trivial_equilibrium,
 )
-from hemodelay.switch import SwitchReport, _assemble_partition, _mark_simultaneous
+from hemodelay.switch import SwitchReport, _assemble_partition, _mark_simultaneous, _refine_crossing
 
 import checks
 
@@ -112,10 +111,9 @@ class TestTheta:
             assert abs(math.sin(th) - ratio.imag) < 1e-9
 
     def test_atan2_convention_on_negative_axis(self):
-        lin = LinCoeffs(A=0.0, B=0.0, C=0.0, D=0.0, G=0.0, H=0.0, tau=0.0)
         cc = CharCoeffs(
             a1=0.0, a2=0.0, a3=1.0, a4=0.0, a5=0.0, a6=1.0,
-            b1=0.0, b2=0.0, b3=0.0, mu=0.0, k=0.0, tau=0.0, lin=lin,
+            b1=0.0, b2=0.0, b3=0.0, tau=0.0,
         )
         assert theta(cc, 0.0) == math.pi
 
@@ -346,6 +344,35 @@ class TestPartitionAssembly:
     def test_stabilizing_crossing_first_is_a_numerical_error(self, params, default_grid):
         with pytest.raises(NumericalError, match="more stabilizing than destabilizing"):
             _assemble_partition(params, default_grid, [_report(1.0, -1), _report(2.0, 1)])
+
+
+class TestRefineCrossing:
+    """The branch-edge path, on a synthetic S_n that is undefined from `edge` on."""
+
+    @staticmethod
+    def fake_sn(monkeypatch, s, edge):
+        monkeypatch.setattr(
+            "hemodelay.switch.sn_value", lambda p, t, n, branch: s(t) if t < edge else None
+        )
+
+    def test_sign_change_before_the_edge_is_refined(self, params, monkeypatch):
+        # the first midpoint 0.5 lies past the edge: the bracket shrinks to
+        # the edge, where S > 0, and the bisection goes on to the root
+        self.fake_sn(monkeypatch, lambda t: t - 0.3, 0.4)
+        tau, refined = _refine_crossing(params, 0, 0, 0.0, 1.0, -0.3)
+        assert refined
+        assert abs(tau - 0.3) < 1e-10
+
+    def test_sign_change_beyond_the_edge_is_unrefined(self, params, monkeypatch):
+        # S(0.5) = -0.4 is the best sample; at the edge S is still negative
+        self.fake_sn(monkeypatch, lambda t: t - 0.9, 0.6)
+        assert _refine_crossing(params, 0, 0, 0.0, 1.0, -0.9) == (0.5, False)
+
+    def test_jump_before_the_edge_ends_at_adjacent_floats(self, params, monkeypatch):
+        # a sign change without a zero: the bisection stops when the midpoint
+        # rounds to an end, and no sample came within 1e-10 of zero
+        self.fake_sn(monkeypatch, lambda t: -1.0 if t < 0.3 else 1.0, 0.4)
+        assert _refine_crossing(params, 0, 0, 0.0, 1.0, -1.0) == (0.0, False)
 
 
 class TestRootWindow:
