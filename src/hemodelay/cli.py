@@ -57,10 +57,16 @@ def _fmt(v: object) -> str:
     return "" if v is None else str(v)
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> Path:
+def _write_csv(
+    path: Path, header: list[str], rows: Iterable[tuple], row_format: str | None = None
+) -> Path:
+    """One CSV; `row_format` (a %-format of the whole row) replaces _fmt for all-float rows."""
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        if row_format is None:
+            fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        else:
+            fh.writelines(row_format % row for row in rows)
     return path
 
 
@@ -301,7 +307,8 @@ def _simulate_once(
 
 def _write_trajectory(path: Path, traj: Trajectory, stride: int = 1) -> Path:
     rows = islice(zip(traj.times, traj.Q, traj.M, traj.E), 0, None, stride)
-    return _write_csv(path, ["t", "Q", "M", "E"], rows)
+    # every cell is a float, whose %r is its str
+    return _write_csv(path, ["t", "Q", "M", "E"], rows, "%r,%r,%r,%r\n")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:

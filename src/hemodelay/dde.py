@@ -12,13 +12,16 @@ the next step's first stage.  A step as long as the delay (max_step >=
 tau, one step per delay) is supported: its read at t + dt - tau falls on
 the right end of the last completed segment.
 
-The vector field is built once per run (model.vector_field) and the
-stepper keeps Q, M, E and their derivatives in flat float lists, checking
-finiteness and the nonnegativity floor once per step on the new state;
-model.rhs is the checked wrapper around the same field.  The two stage
-reads are inlined, and the read at t + dt - tau doubles as the new mesh
-point's delayed read whenever t + dt rounds to the same float as the next
-mesh time (j + 1) * dt; otherwise that point is read afresh.
+The stepper keeps Q, M, E and their derivatives in flat float lists,
+checking finiteness and the nonnegativity floor once per step on the new
+state.  Every stage goes through model.vector_field, built once per run;
+model.rhs is the checked wrapper around the same field.  The field takes
+the delayed re-entry flux, and the stepper computes it once per distinct
+delayed read: stages 2 and 3 share the read at t + dt/2 - tau, and the
+read at t + dt - tau (taken as the stored mesh state when it falls exactly
+on one) serves stage 4 and, whenever t + dt rounds to the same float as
+the next mesh time (j + 1) * dt, the new mesh point's derivative;
+otherwise that point is read afresh.  The two stage reads are inlined.
 
 A Trajectory stores these lists as float columns (times, Q, M, E, dQ, dM,
 dE) and everything here reads the columns; `states` and `derivs` are
@@ -212,11 +215,11 @@ def integrate(
         )
     n_steps = max(1, math.ceil(steps - 1e-12))
 
-    field = vector_field(p)
+    field, reentry = vector_field(p)
     y0 = history.eval(0.0)
     d0 = history.eval(-tau) if tau > 0.0 else y0
     Q, M, E = y0
-    kQ1, kM1, kE1 = field(Q, M, E, d0.Q, d0.E)
+    kQ1, kM1, kE1 = field(Q, M, E, reentry(d0.Q, d0.E))
     times, Qs, Ms, Es = [0.0], [Q], [M], [E]
     dQs, dMs, dEs = [kQ1], [kM1], [kE1]
 
@@ -239,6 +242,7 @@ def integrate(
     sixth = dt / 6.0
     t = 0.0
     for j in range(n_steps):
+        Q2, M2, E2 = Q + half * kQ1, M + half * kM1, E + half * kE1
         if tau > 0.0:
             # the two stage reads are delayed() inlined, with the same
             # arithmetic as _hermite_weights.  At step j the segments
@@ -263,26 +267,30 @@ def integrate(
                 if i >= j:
                     i = j - 1
                 s = (tq - times[i]) / dt
-                s2, u2 = s * s, (1.0 - s) ** 2
-                w0, v0 = (1.0 + 2.0 * s) * u2, dt * (s * u2)
-                w1, v1 = s2 * (3.0 - 2.0 * s), dt * (s2 * (s - 1.0))
-                Qf = w0 * Qs[i] + v0 * dQs[i] + w1 * Qs[i + 1] + v1 * dQs[i + 1]
-                Ef = w0 * Es[i] + v0 * dEs[i] + w1 * Es[i + 1] + v1 * dEs[i + 1]
+                if s == 0.0:
+                    # weights 1, 0, 0, -0: the sum is the stored float
+                    Qf, Ef = Qs[i], Es[i]
+                else:
+                    s2, u2 = s * s, (1.0 - s) ** 2
+                    w0, v0 = (1.0 + 2.0 * s) * u2, dt * (s * u2)
+                    w1, v1 = s2 * (3.0 - 2.0 * s), dt * (s2 * (s - 1.0))
+                    Qf = w0 * Qs[i] + v0 * dQs[i] + w1 * Qs[i + 1] + v1 * dQs[i + 1]
+                    Ef = w0 * Es[i] + v0 * dEs[i] + w1 * Es[i + 1] + v1 * dEs[i + 1]
             else:
                 Qf, Ef = delayed(tq)
-            Q2, M2, E2 = Q + half * kQ1, M + half * kM1, E + half * kE1
-            kQ2, kM2, kE2 = field(Q2, M2, E2, Qh, Eh)
+            rh = reentry(Qh, Eh)  # stages 2 and 3 share this read
+            kQ2, kM2, kE2 = field(Q2, M2, E2, rh)
             Q3, M3, E3 = Q + half * kQ2, M + half * kM2, E + half * kE2
-            kQ3, kM3, kE3 = field(Q3, M3, E3, Qh, Eh)
+            kQ3, kM3, kE3 = field(Q3, M3, E3, rh)
             Q4, M4, E4 = Q + dt * kQ3, M + dt * kM3, E + dt * kE3
-            kQ4, kM4, kE4 = field(Q4, M4, E4, Qf, Ef)
+            rf = reentry(Qf, Ef)
+            kQ4, kM4, kE4 = field(Q4, M4, E4, rf)
         else:
-            Q2, M2, E2 = Q + half * kQ1, M + half * kM1, E + half * kE1
-            kQ2, kM2, kE2 = field(Q2, M2, E2, Q2, E2)
+            kQ2, kM2, kE2 = field(Q2, M2, E2, reentry(Q2, E2))
             Q3, M3, E3 = Q + half * kQ2, M + half * kM2, E + half * kE2
-            kQ3, kM3, kE3 = field(Q3, M3, E3, Q3, E3)
+            kQ3, kM3, kE3 = field(Q3, M3, E3, reentry(Q3, E3))
             Q4, M4, E4 = Q + dt * kQ3, M + dt * kM3, E + dt * kE3
-            kQ4, kM4, kE4 = field(Q4, M4, E4, Q4, E4)
+            kQ4, kM4, kE4 = field(Q4, M4, E4, reentry(Q4, E4))
         Qn = Q + sixth * (kQ1 + 2.0 * (kQ2 + kQ3) + kQ4)
         Mn = M + sixth * (kM1 + 2.0 * (kM2 + kM3) + kM4)
         En = E + sixth * (kE1 + 2.0 * (kE2 + kE3) + kE4)
@@ -298,13 +306,12 @@ def integrate(
                 f"component reached {low!r} at t={t_next!r}", t
             )
         if tau <= 0.0:
-            Qd, Ed = Qn, En
-        elif t_next == tf:
-            # the stage read at t + dt - tau was taken at this very time
-            Qd, Ed = Qf, Ef
-        else:
-            Qd, Ed = delayed(t_next - tau)
-        kQ1, kM1, kE1 = field(Qn, Mn, En, Qd, Ed)
+            rf = reentry(Qn, En)
+        elif t_next != tf:
+            # rf is the flux of the stage read at t + dt - tau, this very
+            # time unless t + dt rounded away from t_next
+            rf = reentry(*delayed(t_next - tau))
+        kQ1, kM1, kE1 = field(Qn, Mn, En, rf)
         t, Q, M, E = t_next, Qn, Mn, En
         times.append(t)
         Qs.append(Q)

@@ -178,24 +178,31 @@ def validate(p: ModelParams) -> list[str]:
 
 def vector_field(
     p: ModelParams,
-) -> Callable[[float, float, float, float, float], tuple[float, float, float]]:
-    """The vector field of `p` as a closure over its constants, built once per run.
+) -> tuple[
+    Callable[[float, float, float, float], tuple[float, float, float]],
+    Callable[[float, float], float],
+]:
+    """The vector field of `p` as closures over its constants, built once per run.
 
-    The returned function maps (Qn, Mn, En, Qd, Ed) to (dQ, dM, dE); the
-    delayed M never enters the field.  It does no finiteness check: rhs is
-    the checked form.
+    Returns (field, reentry).  reentry maps a delayed (Qd, Ed) to the delayed
+    re-entry flux 2*exp(-gamma*tau)*beta(Qd, Ed)*Qd, and field maps (Qn, Mn,
+    En, returned) to (dQ, dM, dE) given that flux; the delayed M never enters
+    the field.  A caller that reads one delayed state for several stages
+    computes its flux once.  Neither does a finiteness check: rhs is the
+    checked form.
     """
     beta, g, f = p.rates.beta, p.rates.g, p.rates.f
     delta, mu, k = p.delta, p.mu, p.k
     reward = 2.0 * math.exp(-p.gamma * p.tau)
 
-    def field(Qn: float, Mn: float, En: float, Qd: float, Ed: float) -> tuple[float, float, float]:
-        reentry = beta(Qn, En) * Qn
-        returned = reward * beta(Qd, Ed) * Qd
+    def field(Qn: float, Mn: float, En: float, returned: float) -> tuple[float, float, float]:
         gQ = g(Qn)
-        return (-delta * Qn - gQ - reentry + returned, -mu * Mn + gQ, -k * En + f(Mn))
+        return (-delta * Qn - gQ - beta(Qn, En) * Qn + returned, -mu * Mn + gQ, -k * En + f(Mn))
 
-    return field
+    def reentry(Qd: float, Ed: float) -> float:
+        return reward * beta(Qd, Ed) * Qd
+
+    return field, reentry
 
 
 def rhs(now, delayed, p: ModelParams) -> SystemState:
@@ -211,7 +218,8 @@ def rhs(now, delayed, p: ModelParams) -> SystemState:
     Qd, Md, Ed = delayed
     if not all(map(math.isfinite, (Qn, Mn, En, Qd, Md, Ed))):
         raise InvalidStateError(f"non-finite state: now={tuple(now)} delayed={tuple(delayed)}")
-    return SystemState(*vector_field(p)(Qn, Mn, En, Qd, Ed))
+    field, reentry = vector_field(p)
+    return SystemState(*field(Qn, Mn, En, reentry(Qd, Ed)))
 
 
 def bisect_flip(

@@ -95,6 +95,27 @@ class DampedRates(RateFunctions):
         return -6570.0 * 0.0382 * 4.0 * M**3 / (1.0 + 0.0382 * M**4) ** 2
 
 
+@dataclasses.dataclass(frozen=True)
+class CountingRates(HillRates):
+    """HillRates that counts its beta, g and f calls in `calls`."""
+
+    calls: dict = dataclasses.field(
+        default_factory=lambda: {"beta": 0, "g": 0, "f": 0}, compare=False
+    )
+
+    def beta(self, Q, E):
+        self.calls["beta"] += 1
+        return super().beta(Q, E)
+
+    def g(self, Q):
+        self.calls["g"] += 1
+        return super().g(Q)
+
+    def f(self, M):
+        self.calls["f"] += 1
+        return super().f(M)
+
+
 # existence threshold and trivial state
 TAU_MAX_DEFAULT = 2.9889912895287347
 TAU_MAX_BETA0_1 = 3.221683611647848

@@ -153,6 +153,20 @@ def test_criterion_6_long_period_oscillations(standard_runs):
     )
 
 
+@pytest.mark.parametrize("tau", [1.4, 2.8])
+def test_simulated_period_matches_hopf_frequency(scan_result, standard_runs, tau):
+    # the integrator against the analysis: near a switch the oscillation is
+    # born at omega*, so the simulated period lies close to 2*pi/omega*
+    # (94.39 against 92.39 d at 1.4, 217.52 against 215.36 d at 2.8)
+    run = standard_runs[tau]
+    est = detect_period(run.traj, "Q", run.transient)
+    assert est is not None
+    report = min(scan_result.reports, key=lambda r: abs(r.tau_star - tau))
+    assert abs(report.tau_star - tau) < 0.05
+    ratio = est.period / (2.0 * math.pi / report.omega_star)
+    assert abs(ratio - 1.0) <= 0.04, f"period {est.period} at tau {tau}, ratio {ratio}"
+
+
 def test_criterion_7_property_suite(params, scan_result, standard_runs, probe_runs):
     t0 = time.perf_counter()
     failures = []

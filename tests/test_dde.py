@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -176,6 +177,20 @@ class TestIntegrateMesh:
             for x, y in zip(traj.derivs[j], expect):
                 assert abs(x - y) <= 1e-12 * (1.0 + abs(y))
 
+    def test_rate_calls_per_step(self):
+        # one re-entry flux per distinct delayed read: stages 2 and 3 share
+        # the read at t + dt/2 - tau, and the one at t + dt - tau serves
+        # stage 4 and the next step's first stage
+        rates = checks.CountingRates(**dataclasses.asdict(default_params().rates))
+        p = dataclasses.replace(default_params(tau=0.5), rates=rates)
+        history = scaled_equilibrium_history(positive_equilibrium(p, 0.5))
+        rates.calls.update(beta=0, g=0, f=0)
+        traj = integrate(p, history, 20.0)
+        n = len(traj.times) - 1
+        # the first stage of step 0 is one full field evaluation
+        assert rates.calls["beta"] <= 6 * n + 2
+        assert rates.calls["g"] == rates.calls["f"] == 4 * n + 1
+
     def test_mesh_arrays_are_consistent(self):
         _, _, traj = perturbed_run(0.5, 20.0)
         assert len(traj.times) == len(traj.states) == len(traj.derivs)
@@ -324,6 +339,21 @@ class TestTrajectoryBits:
         _, _, traj = perturbed_run(0.5, 50.0)
         assert trajectory_digest(traj) == (
             "765a7f62c2801f4a2de5a880134a8e0c2f390444a023e2f4523f99003575b74a"
+        )
+
+    def test_delayed_off_mesh_reads(self):
+        # tau = 2.9: t + dt misses the mesh time (j + 1) * dt on some steps,
+        # and the read at t + dt - tau lands on a mesh point on others
+        _, _, traj = perturbed_run(2.9, 40.0)
+        assert trajectory_digest(traj) == (
+            "e54766505a11e16201641d9fd47087e4ae319458cd370c50bb228f7cda9580b1"
+        )
+
+    def test_one_step_per_delay(self):
+        # the read at t + dt - tau is clamped onto the last completed segment
+        _, _, traj = perturbed_run(0.03, 0.9, max_step=0.03)
+        assert trajectory_digest(traj) == (
+            "7f6cc47e78678a56a3bcccbb72465abcc1ddabfd640497b7de0fcce5ff6dde58"
         )
 
     def test_nonconstant_history(self):
