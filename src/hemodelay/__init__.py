@@ -18,7 +18,6 @@ from .dde import (
     classify_asymptotics,
     detect_period,
     integrate,
-    interpolate,
     scaled_equilibrium_history,
 )
 from .equilibria import (
@@ -32,9 +31,6 @@ from .linearization import (
     CharCoeffs,
     LinCoeffs,
     char_coeffs,
-    h_prime,
-    h_value,
-    hayes_check,
     linearize,
     routh_hurwitz_tau0,
     trivial_stability,

@@ -483,8 +483,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="directory for CSV artifacts and the manifest")
     common.add_argument("--grid-step", dest="grid_step", type=float, default=None,
                         help="tau grid spacing (default 0.005)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="recorded in the manifest; all pipelines are deterministic")
 
     window_flags = argparse.ArgumentParser(add_help=False)
     window_flags.add_argument("--t-end", dest="t_end", type=float, default=None)

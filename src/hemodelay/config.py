@@ -31,7 +31,6 @@ class RunOptions:
     history: str | None = None  # "equilibrium*FACTOR" or "Q,M,E"
     grid_step: float | None = None
     n_max: int = 1
-    seed: int | None = None
 
 
 def _float(raw: str) -> float:
@@ -55,7 +54,7 @@ def _int(raw: str) -> int:
 # field's type is its annotation string
 _MODEL_KEYS = {f"model.{f.name}": _float for f in fields(ModelParams) if f.name not in ("tau", "rates")}
 _MODEL_KEYS.update({f"rates.hill.{f.name}": _float for f in fields(HillRates)})
-_CASTERS = {"float | None": _float, "int": _int, "int | None": _int, "str | None": str}
+_CASTERS = {"float | None": _float, "int": _int, "str | None": str}
 _RUN_KEYS = {f"run.{f.name}": _CASTERS[f.type] for f in fields(RunOptions)}
 _SECTIONS = ("model", "rates.hill", "run")
 

@@ -4,6 +4,8 @@ Three-real-root instances go through the trigonometric form, the
 single-real-root ones through Cardano with the sign-stable radical; the
 deflated quadratic recovers a double root when the discriminant sits on the
 boundary.  Each root gets one guarded Newton polish on the original cubic.
+cubic_value and cubic_prime are the one evaluator of the cubic and of its
+derivative; switch evaluates the imaginary-root cubic h with them.
 """
 
 from __future__ import annotations
@@ -11,21 +13,27 @@ from __future__ import annotations
 import math
 
 
-def _eval(b1: float, b2: float, b3: float, z: float) -> float:
+def cubic_value(b1: float, b2: float, b3: float, z: float) -> float:
+    """z^3 + b1*z^2 + b2*z + b3, in Horner form."""
     return ((z + b1) * z + b2) * z + b3
 
 
+def cubic_prime(b1: float, b2: float, z: float) -> float:
+    """3*z^2 + 2*b1*z + b2, the derivative of cubic_value in z."""
+    return (3.0 * z + 2.0 * b1) * z + b2
+
+
 def _polish(b1: float, b2: float, b3: float, z: float) -> float:
-    d = (3.0 * z + 2.0 * b1) * z + b2
+    d = cubic_prime(b1, b2, z)
     if d == 0.0 or not math.isfinite(d):
         return z
-    step = _eval(b1, b2, b3, z) / d
+    step = cubic_value(b1, b2, b3, z) / d
     if not math.isfinite(step):
         return z
     # a Newton step from a near-multiple root can blow up; keep it only if
     # it does not worsen the residual
     zn = z - step
-    return zn if abs(_eval(b1, b2, b3, zn)) <= abs(_eval(b1, b2, b3, z)) else z
+    return zn if abs(cubic_value(b1, b2, b3, zn)) <= abs(cubic_value(b1, b2, b3, z)) else z
 
 
 def real_cubic_roots(b1: float, b2: float, b3: float) -> list[float]:

@@ -24,8 +24,9 @@ the next mesh time (j + 1) * dt, the new mesh point's derivative;
 otherwise that point is read afresh.  The two stage reads are inlined.
 
 A Trajectory stores these lists as float columns (times, Q, M, E, dQ, dM,
-dE) and everything here reads the columns; `states` and `derivs` are
-SystemState views built on first use, for callers that want tuples.
+dE) and everything here reads the columns.  Its one dense-output entry is
+Trajectory.state(t); `states` is a SystemState view of the mesh states,
+built on first use, for callers that want tuples.
 
 With tau = 0 the same stepper runs as a plain ODE integrator, the delayed
 state being the current stage state, so the no-delay limit stays
@@ -55,7 +56,7 @@ _DEFAULT_SUBSTEPS = 64
 # 78 times the 128k steps of the tau = 0.5 reproduction run
 _MAX_STEPS = 10_000_000
 _NEG_FLOOR = -1e-6
-_COMPONENTS = {"Q": 0, "M": 1, "E": 2}
+_COMPONENTS = ("Q", "M", "E")
 
 
 class DivergenceError(NumericalError):
@@ -121,8 +122,8 @@ class Trajectory:
     """Mesh times, states and derivatives of one integration, as float columns.
 
     Q, M, E hold the state and dQ, dM, dE its derivative at each mesh time;
-    `states` and `derivs` are the same values as SystemState tuples, built
-    on first use.  `state(t)` is the dense output.
+    `states` holds the mesh states as SystemState tuples, built on first
+    use.  `state(t)` is the dense output.
     """
 
     params: ModelParams
@@ -144,33 +145,24 @@ class Trajectory:
     def states(self) -> tuple[SystemState, ...]:
         return tuple(map(SystemState, self.Q, self.M, self.E))
 
-    @cached_property
-    def derivs(self) -> tuple[SystemState, ...]:
-        return tuple(map(SystemState, self.dQ, self.dM, self.dE))
-
     def state(self, t: float) -> SystemState:
-        return interpolate(self, t)
-
-
-def interpolate(traj: Trajectory, t: float) -> SystemState:
-    """Dense output: history for t <= 0, cubic Hermite segments after."""
-    tol = 1e-9 * max(1.0, traj.t_end)
-    if not (-traj.params.tau - tol <= t <= traj.t_end + tol):  # NaN fails too
-        raise ValueError(
-            f"t={t!r} outside [{-traj.params.tau!r}, {traj.t_end!r}]"
+        """Dense output: the history for t <= 0, the cubic Hermite segments after."""
+        tol = 1e-9 * max(1.0, self.t_end)
+        tau = self.params.tau
+        if not (-tau - tol <= t <= self.t_end + tol):  # NaN fails too
+            raise ValueError(f"t={t!r} outside [{-tau!r}, {self.t_end!r}]")
+        if t <= 0.0:
+            return self.history.eval(max(t, -tau))
+        dt, times = self.dt, self.times
+        i = min(int(t / dt), len(times) - 2)
+        k = i + 1
+        w0, v0, w1, v1 = _hermite_weights((t - times[i]) / dt, dt)
+        Q, M, E, dQ, dM, dE = self.Q, self.M, self.E, self.dQ, self.dM, self.dE
+        return SystemState(
+            w0 * Q[i] + v0 * dQ[i] + w1 * Q[k] + v1 * dQ[k],
+            w0 * M[i] + v0 * dM[i] + w1 * M[k] + v1 * dM[k],
+            w0 * E[i] + v0 * dE[i] + w1 * E[k] + v1 * dE[k],
         )
-    if t <= 0.0:
-        return traj.history.eval(max(t, -traj.params.tau))
-    dt, times = traj.dt, traj.times
-    i = min(int(t / dt), len(times) - 2)
-    k = i + 1
-    w0, v0, w1, v1 = _hermite_weights((t - times[i]) / dt, dt)
-    Q, M, E, dQ, dM, dE = traj.Q, traj.M, traj.E, traj.dQ, traj.dM, traj.dE
-    return SystemState(
-        w0 * Q[i] + v0 * dQ[i] + w1 * Q[k] + v1 * dQ[k],
-        w0 * M[i] + v0 * dM[i] + w1 * M[k] + v1 * dM[k],
-        w0 * E[i] + v0 * dE[i] + w1 * E[k] + v1 * dE[k],
-    )
 
 
 def mesh_step(tau: float, max_step: float | None) -> float:
@@ -338,34 +330,24 @@ class PeriodEstimate:
     mean_level: float
 
 
-def _component_index(component: int | str) -> int:
-    if isinstance(component, str):
-        try:
-            return _COMPONENTS[component]
-        except KeyError:
-            raise ValueError(f"unknown component {component!r}") from None
-    if component not in (0, 1, 2):
-        raise ValueError(f"component index {component!r} out of range")
-    return component
-
-
 def detect_period(
-    traj: Trajectory, component: int | str, t_transient: float
+    traj: Trajectory, component: str, t_transient: float
 ) -> PeriodEstimate | None:
     """Mean spacing of oscillation peaks after the transient, or None.
 
-    Peaks are strict local maxima of the chosen component on the mesh,
-    refined by the vertex of the parabola through the three surrounding
-    samples.  Returns None when fewer than three peaks remain or when the
-    oscillation has decayed (last peak under 20% of the first, relative to
-    the mean level).
+    Peaks are strict local maxima on the mesh of the component named "Q",
+    "M" or "E" (any other value raises ValueError), refined by the vertex of
+    the parabola through the three surrounding samples.  Returns None when
+    fewer than three peaks remain or when the oscillation has decayed (last
+    peak under 20% of the first, relative to the mean level).
     """
-    ci = _component_index(component)
+    if component not in _COMPONENTS:
+        raise ValueError(f"unknown component {component!r}")
     j0 = bisect_left(traj.times, t_transient)
     if j0 >= len(traj.times) - 1 or math.isnan(t_transient):
         raise ValueError("transient leaves no samples to analyze")
     ts = traj.times[j0:]
-    vs = (traj.Q, traj.M, traj.E)[ci][j0:]
+    vs = getattr(traj, component)[j0:]
 
     peak_times: list[float] = []
     peak_values: list[float] = []
@@ -437,7 +419,7 @@ def classify_asymptotics(
     d_last = window_max(T - 0.1 * span, T, "the last 10% window")
     if d_last < 0.05 * d_first:
         return "converging"
-    est = detect_period(traj, 0, t_transient)
+    est = detect_period(traj, "Q", t_transient)
     if est is not None and 0.8 <= est.amplitude_ratio <= 1.25:
         return "sustained-oscillation"
     seg_max = [

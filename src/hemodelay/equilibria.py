@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .model import HillRates, ModelParams, NumericalError, SystemState, bisect_flip
+from .model import HillRates, ModelParams, NumericalError, SystemState, bisect_flip, reward
 
 _BRACKET_LO = 1e-12  # lower end of the pool-size bracket
 _MEMO_POINTS = 4096  # solves kept for one parameter set; the reference grid has 598
@@ -123,7 +123,7 @@ def _solve_positive(p: ModelParams, tau: float) -> Equilibrium | None:
     tm = tau_max(p)
     if tm is None or not tau < tm:
         return None
-    alpha = 2.0 * math.exp(-p.gamma * tau) - 1.0
+    alpha = reward(p, tau) - 1.0
     residual = _residual_fn(p, alpha)
 
     # a few ulps below tau_max the threshold test can pass while the residual
@@ -170,7 +170,7 @@ def hill_equilibrium_closed_form(p: ModelParams, tau: float) -> Equilibrium:
         raise ValueError("no positive steady state for any delay")
     if not 0.0 <= tau < tm:
         raise ValueError(f"tau={tau} outside [0, tau_max={tm})")
-    alpha = 2.0 * math.exp(-p.gamma * tau) - 1.0
+    alpha = reward(p, tau) - 1.0
     dg = p.delta + hr.G
     num = hr.a * hr.beta0 * alpha - dg * (hr.a + p.k)
     if not num > 0.0:

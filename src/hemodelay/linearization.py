@@ -17,17 +17,17 @@ polynomial coefficients a1..a6 and b1..b3, the tau = 0 Routh-Hurwitz
 verdict, and the stability verdict for the extinction steady state.  Each
 coefficient is computed once, in char_coeffs; the tests check the
 transcription against the characteristic equation above, written out
-independently.  The root geometry of h and the crossing machinery live in
-the switch module.
+independently, and trivial_stability against the Hayes conditions.  h and
+h' are evaluated in the cubic module only; the root geometry of h and the
+crossing machinery live in the switch module.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .equilibria import Equilibrium
-from .model import ModelParams, bisect_flip, validate
+from .model import ModelParams, reward, validate
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def linearize(p: ModelParams, eq: Equilibrium, tau: float) -> LinCoeffs:
         raise ValueError(f"equilibrium computed at tau={eq.tau}, requested tau={tau}")
     r = p.rates
     Q, M, E = eq.Q, eq.M, eq.E
-    surv = 2.0 * math.exp(-p.gamma * tau)
+    surv = reward(p, tau)
     b = r.beta(Q, E)
     bQ = r.beta_dQ(Q, E)
     bE = r.beta_dE(Q, E)
@@ -97,15 +97,6 @@ def char_coeffs(c: LinCoeffs, mu: float, k: float) -> CharCoeffs:
     return CharCoeffs(a1, a2, a3, a4, a5, a6, b1, b2, b3, c.tau)
 
 
-def h_value(cc: CharCoeffs, z: float) -> float:
-    """The imaginary-root cubic h(z) = z^3 + b1 z^2 + b2 z + b3."""
-    return ((z + cc.b1) * z + cc.b2) * z + cc.b3
-
-
-def h_prime(cc: CharCoeffs, z: float) -> float:
-    return (3.0 * z + 2.0 * cc.b1) * z + cc.b2
-
-
 def routh_hurwitz_tau0(cc: CharCoeffs) -> bool:
     """Stability of the no-delay cubic: (a1+a4)(a2+a5) > a3+a6."""
     if cc.tau != 0.0:
@@ -129,53 +120,9 @@ def trivial_stability(p: ModelParams, tau: float) -> str:
     if tau < 0.0:
         raise ValueError("tau must be nonnegative")
     thr = p.delta + p.rates.g_prime(0.0)
-    reward = (2.0 * math.exp(-p.gamma * tau) - 1.0) * p.rates.beta(
-        0.0, p.rates.f(0.0) / p.k
-    )
-    if thr > reward:
+    net = (reward(p, tau) - 1.0) * p.rates.beta(0.0, p.rates.f(0.0) / p.k)
+    if thr > net:
         return "stable"
-    if thr < reward:
+    if thr < net:
         return "unstable"
     return "boundary"
-
-
-def _zeta(x: float) -> float:
-    """Unique solution of zeta = -x*tan(zeta) on (0, pi), for x != 0.
-
-    For x > 0 the root lies in (pi/2, pi), for -1 < x < 0 in (0, pi/2); both
-    brackets give a sign change of zeta + x*tan(zeta), which model.bisect_flip
-    narrows to a width of 1e-12; the root is the bracket's midpoint.
-    """
-    if x > 0.0:
-        lo, hi = 0.5 * math.pi + 1e-12, math.pi - 1e-12
-    elif x > -1.0:
-        lo, hi = 1e-12, 0.5 * math.pi - 1e-12
-    else:
-        raise ValueError(f"no root of zeta = -x*tan(zeta) on (0, pi) for x={x}")
-    positive_lo = lo + x * math.tan(lo) > 0.0
-    lo, hi = bisect_flip(lambda z: (z + x * math.tan(z) > 0.0) == positive_lo, lo, hi, 1e-12)
-    return 0.5 * (lo + hi)
-
-
-def hayes_check(A: float, B: float, tau: float) -> bool:
-    """All roots of lambda + A - B*exp(-lambda*tau) = 0 lie strictly left.
-
-    For tau = 0 the single root is B - A.  For tau > 0 the three conditions
-    are A*tau > -1, (A - B)*tau > 0 and B*tau < zeta*sin(zeta) -
-    A*tau*cos(zeta) with zeta = -A*tau*tan(zeta) on (0, pi).  Shipped as an
-    independent oracle for trivial_stability; A*tau = 0 with tau > 0 is out
-    of scope and raises ValueError.
-    """
-    if tau < 0.0:
-        raise ValueError("tau must be nonnegative")
-    if tau == 0.0:
-        return B - A < 0.0
-    x = A * tau
-    if not x > -1.0:
-        return False
-    if not (A - B) * tau > 0.0:
-        return False
-    if x == 0.0:
-        raise ValueError("A*tau == 0 with tau > 0 is not supported")
-    z = _zeta(x)
-    return B * tau < z * math.sin(z) - x * math.cos(z)

@@ -92,7 +92,7 @@ class HillRates(RateFunctions):
 
     beta(Q, E) = beta0*E/(1+E)   (independent of Q)
     g(Q)       = G*Q
-    f(M)       = a/(1 + K*M**r)
+    f(M)       = a/(1 + K*M**r)   (a for M <= 0)
     """
 
     beta0: float
@@ -117,6 +117,10 @@ class HillRates(RateFunctions):
         return self.G
 
     def f(self, M: float) -> float:
+        # M <= 0 (an RK4 stage state may dip below 0) is no feedback: for a
+        # non-integer r, M**r would be complex
+        if M <= 0.0:
+            return self.a
         try:
             den = 1.0 + self.K * M**self.r
         except OverflowError:
@@ -124,6 +128,8 @@ class HillRates(RateFunctions):
         return self.a / den
 
     def f_prime(self, M: float) -> float:
+        if M < 0.0:
+            return 0.0  # no feedback, as in f
         if M == 0.0:
             return 0.0 if self.r > 1.0 else -self.a * self.K
         try:
@@ -176,6 +182,12 @@ def validate(p: ModelParams) -> list[str]:
     return out
 
 
+def reward(p: ModelParams, tau: float) -> float:
+    """The re-entry reward 2*exp(-gamma*tau): re-entering cells return doubled,
+    thinned by in-cycle apoptosis over the delay; alpha is this minus 1."""
+    return 2.0 * math.exp(-p.gamma * tau)
+
+
 def vector_field(
     p: ModelParams,
 ) -> tuple[
@@ -193,14 +205,14 @@ def vector_field(
     """
     beta, g, f = p.rates.beta, p.rates.g, p.rates.f
     delta, mu, k = p.delta, p.mu, p.k
-    reward = 2.0 * math.exp(-p.gamma * p.tau)
+    rw = reward(p, p.tau)
 
     def field(Qn: float, Mn: float, En: float, returned: float) -> tuple[float, float, float]:
         gQ = g(Qn)
         return (-delta * Qn - gQ - beta(Qn, En) * Qn + returned, -mu * Mn + gQ, -k * En + f(Mn))
 
     def reentry(Qd: float, Ed: float) -> float:
-        return reward * beta(Qd, Ed) * Qd
+        return rw * beta(Qd, Ed) * Qd
 
     return field, reentry
 

@@ -29,9 +29,9 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
-from .cubic import real_cubic_roots
+from .cubic import cubic_prime, cubic_value, real_cubic_roots
 from .equilibria import positive_equilibrium, tau_max
-from .linearization import CharCoeffs, char_coeffs, h_prime, h_value, linearize, routh_hurwitz_tau0
+from .linearization import CharCoeffs, char_coeffs, linearize, routh_hurwitz_tau0
 from .model import ModelParams, NumericalError, bisect_flip
 
 _S_TOL = 1e-10
@@ -100,19 +100,20 @@ def positive_roots_h(cc: CharCoeffs) -> list[OmegaRoot]:
     independently; disagreement raises NumericalError.
     """
     exist = _roots_criterion(cc)
-    tol = 1e-9 * (1.0 + abs(cc.b3))
-    found = [z for z in real_cubic_roots(cc.b1, cc.b2, cc.b3) if z > 0.0]
+    b1, b2, b3 = cc.b1, cc.b2, cc.b3
+    tol = 1e-9 * (1.0 + abs(b3))
+    found = [z for z in real_cubic_roots(b1, b2, b3) if z > 0.0]
     for z in found:
-        if not abs(h_value(cc, z)) < tol:
+        if not abs(cubic_value(b1, b2, b3, z)) < tol:
             raise NumericalError(f"extracted root z={z!r} has residual above {tol:.3e}")
     if exist != bool(found):
         raise NumericalError(
             f"root criterion says {exist} but extraction found {len(found)} roots "
-            f"(b1={cc.b1!r}, b2={cc.b2!r}, b3={cc.b3!r})"
+            f"(b1={b1!r}, b2={b2!r}, b3={b3!r})"
         )
     out = []
     for z in sorted(found, reverse=True):
-        d = h_prime(cc, z)
+        d = cubic_prime(b1, b2, z)
         out.append(OmegaRoot(z, math.sqrt(z), (d > 0.0) - (d < 0.0)))
     return out
 

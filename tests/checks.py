@@ -28,7 +28,6 @@ from hemodelay import (
     char_coeffs,
     char_residual,
     default_params,
-    h_value,
     hill_equilibrium_closed_form,
     integrate,
     linearize,
@@ -38,6 +37,7 @@ from hemodelay import (
     scaled_equilibrium_history,
     tau_max,
 )
+from hemodelay.cubic import cubic_value
 
 
 class ConstantRates(RateFunctions):
@@ -267,7 +267,7 @@ def h_identity_max_err(p, rng, n_samples: int = 100) -> float:
         pval = lam**3 + cc.a1 * lam**2 + cc.a2 * lam + cc.a3
         qval = cc.a4 * lam**2 + cc.a5 * lam + cc.a6
         direct = abs(pval) ** 2 - abs(qval) ** 2
-        err = abs(h_value(cc, z) - direct) / max(1.0, abs(direct))
+        err = abs(cubic_value(cc.b1, cc.b2, cc.b3, z) - direct) / max(1.0, abs(direct))
         worst = max(worst, err)
     return worst
 
@@ -314,7 +314,8 @@ def transcription_max_errs(rng, n_sets: int = 2000) -> tuple[float, float]:
         want = abs(pval) ** 2 - abs(qval) ** 2
         p_mag = (w + mu) * (w + k) * (w + abs(A)) + abs(GH * C)
         q_mag = abs(GH * D) + abs(B) * (w + mu) * (w + k)
-        worst_h = max(worst_h, abs(h_value(cc, w * w) - want) / (p_mag**2 + q_mag**2))
+        h = cubic_value(cc.b1, cc.b2, cc.b3, w * w)
+        worst_h = max(worst_h, abs(h - want) / (p_mag**2 + q_mag**2))
     return worst_char, worst_h
 
 
@@ -424,3 +425,109 @@ def bound_violations(run: SimRun) -> list[str]:
     if e_max > e_cap * (1.0 + 1e-9) + 1e-9:
         out.append(f"tau={run.tau}: E reached {e_max!r} above cap {e_cap!r}")
     return out
+
+
+# --- Hayes oracle for the scalar DDE of the extinction steady state ---
+
+def _zeta(x: float) -> float:
+    """Unique solution of zeta = -x*tan(zeta) on (0, pi), for x != 0.
+
+    For x > 0 the root lies in (pi/2, pi), for -1 < x < 0 in (0, pi/2); both
+    brackets give a sign change of zeta + x*tan(zeta), bisected here to a
+    width of 1e-12; the root is the bracket's midpoint.
+    """
+    if x > 0.0:
+        lo, hi = 0.5 * math.pi + 1e-12, math.pi - 1e-12
+    elif x > -1.0:
+        lo, hi = 1e-12, 0.5 * math.pi - 1e-12
+    else:
+        raise ValueError(f"no root of zeta = -x*tan(zeta) on (0, pi) for x={x}")
+    positive_lo = lo + x * math.tan(lo) > 0.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if (mid + x * math.tan(mid) > 0.0) == positive_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def hayes_check(A: float, B: float, tau: float) -> bool:
+    """All roots of lambda + A - B*exp(-lambda*tau) = 0 lie strictly left.
+
+    For tau = 0 the single root is B - A.  For tau > 0 the three conditions
+    are A*tau > -1, (A - B)*tau > 0 and B*tau < zeta*sin(zeta) -
+    A*tau*cos(zeta) with zeta = -A*tau*tan(zeta) on (0, pi).  The oracle for
+    trivial_stability, sharing no code with it; A*tau = 0 with tau > 0 is
+    out of scope and raises ValueError.
+    """
+    if tau < 0.0:
+        raise ValueError("tau must be nonnegative")
+    if tau == 0.0:
+        return B - A < 0.0
+    x = A * tau
+    if not x > -1.0:
+        return False
+    if not (A - B) * tau > 0.0:
+        return False
+    if x == 0.0:
+        raise ValueError("A*tau == 0 with tau > 0 is not supported")
+    z = _zeta(x)
+    return B * tau < z * math.sin(z) - x * math.cos(z)
+
+
+# --- spectral oracle for the linearized DDE, independent of switch ---
+
+def _char_fn(lin: LinCoeffs, mu: float, k: float, lam: complex) -> tuple[complex, complex]:
+    """det(lam*I - L0 - L1*exp(-lam*tau)) and its lam-derivative.
+
+    The determinant of [[lam+A-B*e, 0, C-D*e], [-G, lam+mu, 0], [0, H, lam+k]]
+    with e = exp(-lam*tau), expanded along the first row.
+    """
+    A, B, C, D, G, H, tau = lin.A, lin.B, lin.C, lin.D, lin.G, lin.H, lin.tau
+    e = cmath.exp(-lam * tau)
+    u, v, w = lam + A - B * e, lam + mu, lam + k
+    f = u * v * w - G * H * (C - D * e)
+    df = (1.0 + tau * B * e) * v * w + u * (v + w) - G * H * tau * D * e
+    return f, df
+
+
+def spectral_roots(lin: LinCoeffs, mu: float, k: float, n: int = 30, keep: int = 6) -> list[complex]:
+    """Rightmost characteristic roots of x' = L0 x + L1 x(t - tau), descending in Re.
+
+    Pseudospectral collocation of the infinitesimal generator (Breda, Maset
+    and Vermiglio, SIAM J. Sci. Comput. 27, 2005): u on the n + 1 Chebyshev
+    points of [-tau, 0] with the spectral derivative at every point but
+    theta = 0, whose row is L0 u(0) + L1 u(-tau).  The `keep` rightmost
+    eigenvalues are polished by Newton on the 3x3 characteristic function;
+    one whose Newton iteration does not settle is dropped.
+    """
+    import numpy as np
+
+    tau = lin.tau
+    L0 = np.array([[-lin.A, 0.0, -lin.C], [lin.G, -mu, 0.0], [0.0, -lin.H, -k]])
+    L1 = np.array([[lin.B, 0.0, lin.D], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    # Trefethen's Chebyshev differentiation matrix on x_j = cos(j*pi/n);
+    # theta = tau*(x - 1)/2 puts x_0 at theta = 0 and x_n at theta = -tau
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    c = np.ones(n + 1)
+    c[0] = c[n] = 2.0
+    c *= (-1.0) ** np.arange(n + 1)
+    dx = x[:, None] - x[None, :] + np.eye(n + 1)
+    Dx = np.outer(c, 1.0 / c) / dx
+    Dx -= np.diag(Dx.sum(axis=1))
+    gen = np.kron(2.0 / tau * Dx, np.eye(3))
+    gen[:3, :] = 0.0
+    gen[:3, :3] = L0
+    gen[:3, -3:] += L1
+    roots = []
+    for lam in sorted(np.linalg.eigvals(gen), key=lambda z: -z.real)[:keep]:
+        lam = complex(lam)
+        for _ in range(50):
+            f, df = _char_fn(lin, mu, k, lam)
+            step = f / df
+            lam -= step
+            if abs(step) <= 1e-15 * max(1.0, abs(lam)):
+                roots.append(lam)
+                break
+    return sorted(roots, key=lambda z: -z.real)

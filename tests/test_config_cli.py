@@ -42,7 +42,6 @@ RUN_SECTION = """
 [run]
 grid_step = 0.3
 n_max = 2
-seed = 7
 history = equilibrium*1.2
 max_step = 0.1
 t_end = 40
@@ -85,13 +84,13 @@ class TestParseConfig:
     def test_run_section(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE_CFG + (
             "\n[run]\ntau = 1.4\nt_end = 500\ntransient = 50\nmax_step = 0.02\n"
-            "history = equilibrium*1.2\ngrid_step = 0.01\nn_max = 2\nseed = 7\n"
+            "history = equilibrium*1.2\ngrid_step = 0.01\nn_max = 2\n"
         ))
         params, opts = parse_config(cfg)
         assert params.tau == 1.4
         assert opts == RunOptions(tau=1.4, t_end=500.0, transient=50.0,
                                   max_step=0.02, history="equilibrium*1.2",
-                                  grid_step=0.01, n_max=2, seed=7)
+                                  grid_step=0.01, n_max=2)
 
     def test_comments_and_blank_lines(self, tmp_path):
         noisy = "# leading comment\n; alt comment\n\n" + BASE_CFG
@@ -109,6 +108,14 @@ class TestParseConfig:
     def test_unknown_key_names_line(self, tmp_path):
         with pytest.raises(ConfigError, match=r"line 2: unknown key model\.zz"):
             parse_config(write_cfg(tmp_path, "[model]\nzz = 1\n"))
+
+    def test_run_seed_is_unknown(self, tmp_path, capsys):
+        # every pipeline is deterministic, so there is no seed to set
+        cfg = write_cfg(tmp_path, BASE_CFG + "\n[run]\nseed = 7\n")
+        with pytest.raises(ConfigError, match=r"unknown key run\.seed"):
+            parse_config(cfg)
+        assert main(["equilibria", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert "unknown key run.seed" in capsys.readouterr().err
 
     def test_unknown_section(self, tmp_path):
         with pytest.raises(ConfigError, match=r"line 1: unknown section \[foo\]"):
@@ -193,8 +200,7 @@ class TestEquilibriaCommand:
     def test_manifest_resolved_and_options(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE_CFG + RUN_SECTION)
         out = tmp_path / "out"
-        assert main(["equilibria", "--config", str(cfg), "--out-dir", str(out),
-                     "--seed", "3"]) == 0
+        assert main(["equilibria", "--config", str(cfg), "--out-dir", str(out)]) == 0
         manifest = load_manifest(out)
         assert manifest["resolved"] == {
             "delta": 0.01, "gamma": 0.2, "mu": 0.02, "k": 2.8, "tau": 0.0,
@@ -203,8 +209,13 @@ class TestEquilibriaCommand:
         }
         assert manifest["options"] == {
             "tau": None, "t_end": 40.0, "transient": 5.0, "max_step": 0.1,
-            "history": "equilibrium*1.2", "grid_step": 0.3, "n_max": 2, "seed": 3,
+            "history": "equilibrium*1.2", "grid_step": 0.3, "n_max": 2,
         }
+
+    def test_seed_flag_is_refused(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["equilibria", "--seed", "3", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
 
     def test_grid_step_too_coarse_for_span(self, tmp_path):
         assert main(["equilibria", "--out-dir", str(tmp_path), "--grid-step", "5.0"]) == 2
@@ -379,7 +390,7 @@ class TestSimulateCommand:
         }
         assert manifest["options"] == {
             "tau": 1.4, "t_end": 50.0, "transient": 10.0, "max_step": None,
-            "history": None, "grid_step": None, "n_max": 1, "seed": None,
+            "history": None, "grid_step": None, "n_max": 1,
         }
 
     def test_stride(self, tmp_path):
@@ -676,6 +687,14 @@ class TestExitCodes:
         assert main(["coeffs", "--config", cfg, "--out-dir", out]) == 0
         assert main(["scan", "--config", cfg, "--out-dir", out]) in (0, 3)
         assert main(["reproduce", "--config", cfg, "--out-dir", out]) in (0, 3)
+
+    def test_negative_stage_state_with_fractional_r(self, tmp_path, capsys):
+        # an RK4 stage state dips below M = 0, where M**7.5 would be complex;
+        # f treats it as no feedback and the run stops at the -1e-6 floor
+        cfg = str(write_cfg(tmp_path, CANCELLING_CFG.replace("r = 7", "r = 7.5")))
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out"),
+                     "--tau", "3.0", "--t-end", "50", "--transient", "5"]) == 3
+        assert "component reached" in capsys.readouterr().err
 
     def test_fuzzed_configs(self, tmp_path, capsys):
         # the reference scalars scaled by 10^U(-8, 8), r in [1, 1e4], one set

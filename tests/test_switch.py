@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import hashlib
 import math
 import random
@@ -447,3 +448,28 @@ def test_crossing_directions_match_simulations(scan_result, probe_runs):
         else:
             assert report.direction == "stabilizing"
             assert above < 1.0 < below
+
+
+class TestSpectralOracle:
+    """scan's verdicts against the pseudospectral roots of checks.spectral_roots,
+    which shares no code with the h, theta and S_n machinery."""
+
+    @staticmethod
+    def rightmost(p, tau):
+        q = dataclasses.replace(p, tau=tau)
+        lin = linearize(q, positive_equilibrium(q, tau), tau)
+        return checks.spectral_roots(lin, p.mu, p.k)[0]
+
+    def test_rightmost_sign_matches_partition(self, params, scan_result):
+        for i in range(13):
+            tau = 0.2 + i * (2.95 - 0.2) / 12
+            (verdict,) = [v for lo, hi, v in scan_result.partition if lo <= tau < hi]
+            re = self.rightmost(params, tau).real
+            assert (re < 0.0) == (verdict == "stable"), (tau, re, verdict)
+
+    def test_switches_sit_on_the_imaginary_axis(self, params, scan_result):
+        assert len(scan_result.reports) == 2
+        for r in scan_result.reports:
+            lam = self.rightmost(params, r.tau_star)
+            assert abs(lam.real) <= 1e-9, (r.tau_star, lam)
+            assert abs(abs(lam.imag) - r.omega_star) <= 1e-6, (r.tau_star, lam)
