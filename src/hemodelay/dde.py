@@ -2,26 +2,24 @@
 
 The delay is constant, so derivative discontinuities inherited from the
 initial history sit exactly at multiples of tau.  The stepper exploits
-that: the mesh spacing is tau/m (m chosen so the step stays at or below
-max_step, default tau/64), which pins every multiple of tau to a mesh
-point and keeps the classical fourth-order Runge-Kutta scheme at full
-order between them.  Delayed stage states are read from the history for
-times at or below zero and from the trajectory's own cubic Hermite
-segments afterwards; the derivative stored at each mesh point doubles as
-the next step's first stage.  A step as long as the delay (max_step >=
-tau, one step per delay) is supported: its read at t + dt - tau falls on
-the right end of the last completed segment.
+that: the mesh spacing is dt = tau/m (m chosen so the step stays at or
+below max_step, default tau/64), which pins every multiple of tau to a
+mesh point and keeps the classical fourth-order Runge-Kutta scheme at full
+order between them.  It also turns the delayed reads of step j into mesh
+reads.  The full-step read at t + dt - tau is mesh point j + 1 - m, the
+stored state (the current one with one step per delay, max_step >= tau),
+or the history at (j + 1 - m)*dt while that index is negative.  The
+half-step read at t + dt/2 - tau lies inside segment j - m and comes from
+its cubic Hermite interpolant, or from the history before the first delay.
 
 The stepper keeps Q, M, E and their derivatives in flat float lists,
 checking finiteness and the nonnegativity floor once per step on the new
 state.  Every stage goes through model.vector_field, built once per run;
 model.rhs is the checked wrapper around the same field.  The field takes
-the delayed re-entry flux, and the stepper computes it once per distinct
-delayed read: stages 2 and 3 share the read at t + dt/2 - tau, and the
-read at t + dt - tau (taken as the stored mesh state when it falls exactly
-on one) serves stage 4 and, whenever t + dt rounds to the same float as
-the next mesh time (j + 1) * dt, the new mesh point's derivative;
-otherwise that point is read afresh.  The two stage reads are inlined.
+the delayed re-entry flux, computed once per read: stages 2 and 3 share
+the half-step one, and the full-step one serves stage 4 and the new mesh
+point's derivative, which doubles as the next step's first stage.  Both
+reads are inlined.
 
 A Trajectory stores these lists as float columns (times, Q, M, E, dQ, dM,
 dE) and everything here reads the columns.  Its one dense-output entry is
@@ -214,20 +212,7 @@ def integrate(
     kQ1, kM1, kE1 = field(Q, M, E, reentry(d0.Q, d0.E))
     times, Qs, Ms, Es = [0.0], [Q], [M], [E]
     dQs, dMs, dEs = [kQ1], [kM1], [kE1]
-
-    def delayed(tq: float) -> tuple[float, float]:
-        """(Q, E) at time tq; the field never reads the delayed M."""
-        if tq <= 0.0:
-            y = history.eval(max(tq, -tau))
-            return y.Q, y.E
-        # the last segment with both end derivatives stored: with one step
-        # per delay the read at t_next - tau falls on its right end
-        i = min(int(tq / dt), len(dQs) - 2)
-        w0, v0, w1, v1 = _hermite_weights((tq - times[i]) / dt, dt)
-        return (
-            w0 * Qs[i] + v0 * dQs[i] + w1 * Qs[i + 1] + v1 * dQs[i + 1],
-            w0 * Es[i] + v0 * dEs[i] + w1 * Es[i + 1] + v1 * dEs[i + 1],
-        )
+    m = round(tau / dt)  # steps per delay: mesh point j - m sits at t_j - tau
 
     isfinite = math.isfinite
     half = 0.5 * dt
@@ -236,14 +221,11 @@ def integrate(
     for j in range(n_steps):
         Q2, M2, E2 = Q + half * kQ1, M + half * kM1, E + half * kE1
         if tau > 0.0:
-            # the two stage reads are delayed() inlined, with the same
-            # arithmetic as _hermite_weights.  At step j the segments
-            # 0 .. j-1 have both end derivatives stored; the read at
-            # t + dt/2 - tau always lies in them, the one at t + dt - tau
-            # only after the clamp when the step is the whole delay
+            # stages 2 and 3 read at t + dt/2 - tau: inside segment j - m,
+            # with the arithmetic of _hermite_weights, or in the history
             tq = t + half - tau
-            if tq > 0.0:
-                i = int(tq / dt)
+            i = j - m
+            if i >= 0:
                 s = (tq - times[i]) / dt
                 s2, u2 = s * s, (1.0 - s) ** 2
                 w0, v0 = (1.0 + 2.0 * s) * u2, dt * (s * u2)
@@ -251,31 +233,20 @@ def integrate(
                 Qh = w0 * Qs[i] + v0 * dQs[i] + w1 * Qs[i + 1] + v1 * dQs[i + 1]
                 Eh = w0 * Es[i] + v0 * dEs[i] + w1 * Es[i + 1] + v1 * dEs[i + 1]
             else:
-                Qh, Eh = delayed(tq)
-            tf = t + dt
-            tq = tf - tau
-            if tq > 0.0:
-                i = int(tq / dt)
-                if i >= j:
-                    i = j - 1
-                s = (tq - times[i]) / dt
-                if s == 0.0:
-                    # weights 1, 0, 0, -0: the sum is the stored float
-                    Qf, Ef = Qs[i], Es[i]
-                else:
-                    s2, u2 = s * s, (1.0 - s) ** 2
-                    w0, v0 = (1.0 + 2.0 * s) * u2, dt * (s * u2)
-                    w1, v1 = s2 * (3.0 - 2.0 * s), dt * (s2 * (s - 1.0))
-                    Qf = w0 * Qs[i] + v0 * dQs[i] + w1 * Qs[i + 1] + v1 * dQs[i + 1]
-                    Ef = w0 * Es[i] + v0 * dEs[i] + w1 * Es[i + 1] + v1 * dEs[i + 1]
+                Qh, _, Eh = history.eval(tq)
+            # stage 4 reads at t + dt - tau, mesh point j + 1 - m (the
+            # current one with one step per delay), or the history
+            i = j + 1 - m
+            if i >= 0:
+                Qf, Ef = Qs[i], Es[i]
             else:
-                Qf, Ef = delayed(tq)
+                Qf, _, Ef = history.eval(i * dt)
             rh = reentry(Qh, Eh)  # stages 2 and 3 share this read
             kQ2, kM2, kE2 = field(Q2, M2, E2, rh)
             Q3, M3, E3 = Q + half * kQ2, M + half * kM2, E + half * kE2
             kQ3, kM3, kE3 = field(Q3, M3, E3, rh)
             Q4, M4, E4 = Q + dt * kQ3, M + dt * kM3, E + dt * kE3
-            rf = reentry(Qf, Ef)
+            rf = reentry(Qf, Ef)  # also the delayed flux of mesh point j + 1
             kQ4, kM4, kE4 = field(Q4, M4, E4, rf)
         else:
             kQ2, kM2, kE2 = field(Q2, M2, E2, reentry(Q2, E2))
@@ -299,10 +270,6 @@ def integrate(
             )
         if tau <= 0.0:
             rf = reentry(Qn, En)
-        elif t_next != tf:
-            # rf is the flux of the stage read at t + dt - tau, this very
-            # time unless t + dt rounded away from t_next
-            rf = reentry(*delayed(t_next - tau))
         kQ1, kM1, kE1 = field(Qn, Mn, En, rf)
         t, Q, M, E = t_next, Qn, Mn, En
         times.append(t)

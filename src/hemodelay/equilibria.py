@@ -64,8 +64,11 @@ def tau_max(p: ModelParams) -> float | None:
     Returns None when delta + g'(0) >= beta(0, f(0)/k), in which case no
     delay admits a positive steady state; returns math.inf for gamma = 0
     (no in-cycle apoptosis, the reward factor stays at 2 for every delay).
+    Raises NumericalError when beta(0, f(0)/k) is not finite.
     """
     b00 = p.rates.beta(0.0, p.rates.f(0.0) / p.k)
+    if not math.isfinite(b00):
+        raise NumericalError(f"beta(0, f(0)/k) = {b00!r} is not finite")
     thr = p.delta + p.rates.g_prime(0.0)
     if not thr < b00:
         return None
@@ -101,7 +104,7 @@ def positive_equilibrium(p: ModelParams, tau: float) -> Equilibrium | None:
     (see the module docstring).
     """
     global _memo
-    if tau < 0.0:
+    if not tau >= 0.0:  # NaN fails too
         raise ValueError("tau must be nonnegative")
     memo_p, table = _memo
     if p is not memo_p and not p == memo_p:

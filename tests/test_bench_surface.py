@@ -1,9 +1,11 @@
-"""The names perfbench reads from hemodelay still resolve.
+"""The names perfbench reads from hemodelay still resolve, and its outputs hold.
 
 perfbench/ is the benchmark's own code and changes only with the benchmark,
 so a trim of the package must keep every name it imports, calls or patches.
 The check runs in a fresh interpreter, as the benchmark imports the package,
 and loads perfbench/tracing.py by path without writing anything next to it.
+The sweep check repeats, for the delays nearest its gate, the benchmark's
+comparison against perfbench/reference.json, which it only reads.
 """
 
 from __future__ import annotations
@@ -14,7 +16,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hemodelay
+from hemodelay import (
+    classify_asymptotics,
+    default_params,
+    detect_period,
+    integrate,
+    positive_equilibrium,
+    scaled_equilibrium_history,
+)
+
+import checks
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -57,3 +71,25 @@ def test_names_read_by_the_benchmark_resolve():
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == []
+
+
+# sweep-pool delays whose recorded off-mesh states sit nearest the 1e-12
+# gate, from 6.4e-13 down to 3.8e-13 relative
+THIN_MARGIN_DELAYS = (2.06, 1.85, 2.32, 2.27, 2.31)
+
+
+@pytest.mark.parametrize("tau", THIN_MARGIN_DELAYS)
+def test_sweep_delays_match_the_benchmark_reference(tau):
+    # the `sweep` defaults: t_end 1200, transient 400, max_step 0.05,
+    # history equilibrium*1.1
+    rec = checks.bench_reference()["sweep_dense"][repr(tau)]
+    p = default_params(tau=tau)
+    eq = positive_equilibrium(p, tau)
+    traj = integrate(p, scaled_equilibrium_history(eq, 1.1), 1200.0, max_step=0.05)
+    assert classify_asymptotics(traj, eq, 400.0) == rec["verdict"]
+    est = detect_period(traj, "Q", 400.0)
+    assert (est is None) == (rec["period"] is None)
+    if est is not None:
+        assert checks.rel_close(est.period, rec["period"], 1e-6)
+    for t, *want in rec["off_mesh"]:
+        assert all(checks.rel_close(a, b, 1e-12) for a, b in zip(traj.state(t), want)), t

@@ -92,6 +92,13 @@ class TestParseConfig:
                                   max_step=0.02, history="equilibrium*1.2",
                                   grid_step=0.01, n_max=2)
 
+    def test_readme_example_is_the_default(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        params, opts = parse_config(write_cfg(tmp_path, block))
+        assert params == default_params()
+        assert opts == RunOptions()
+
     def test_comments_and_blank_lines(self, tmp_path):
         noisy = "# leading comment\n; alt comment\n\n" + BASE_CFG
         params, _ = parse_config(write_cfg(tmp_path, noisy))
@@ -629,13 +636,30 @@ class TestReproduceCommand:
         # to the mesh or to the float formatting moves them
         digests = {
             "sim_tau0.5.csv": "c52bd6df056b15d30314936db60f38b148947010971dbe84293226bb72a6bd6c",
-            "sim_tau1.4.csv": "806372c7b638cb6d93937871ba9e3bc160eea48308de58712064b393f56de7e5",
-            "sim_tau2.8.csv": "3e61c272098fb1b382fb8049b7dff853777bdd3caa91137331870f472157dac4",
-            "sim_tau2.9.csv": "cdc9c1653156d78ddae8e41dbc1ea520951d9c23b6daea2ec9b9ec43e41a6ef9",
+            "sim_tau1.4.csv": "7ea72bdf6f8c20a7c2460b7d0c238b93d9790d86f3edba44420df18b8515c25b",
+            "sim_tau2.8.csv": "e1afde3508c517ba18afc52bde1b2d469b4778d291144b3990301c161a3d1e68",
+            "sim_tau2.9.csv": "54a0f8b5e27b5b9046868ce2a4318975f4a180f99dbb0d20871d781b2ef650e9",
         }
         _, dirs = repro
         for name, digest in digests.items():
             assert hashlib.sha256((dirs[0] / name).read_bytes()).hexdigest() == digest, name
+
+    def test_outputs_match_the_benchmark_reference(self, repro):
+        # what perfbench checks on every reproduce item: the analytic bytes,
+        # the simulation row counts, and every 1000th row and the last
+        # within 1e-12 relative of the recorded floats
+        ref = checks.bench_reference()["reproduce"]
+        _, dirs = repro
+        for name, digest in ref["analytic_sha256"].items():
+            assert hashlib.sha256((dirs[0] / name).read_bytes()).hexdigest() == digest, name
+        for name, sim in ref["simulations"].items():
+            lines = (dirs[0] / name).read_text().splitlines()
+            assert len(lines) - 1 == sim["rows"], name
+            rows = [lines[i] for i in range(1, len(lines), 1000)] + [lines[-1]]
+            assert len(rows) == len(sim["sample"]), name
+            for row, want in zip(rows, sim["sample"]):
+                got = [float(v) for v in row.split(",")]
+                assert all(checks.rel_close(a, b, 1e-12) for a, b in zip(got, want)), (name, row)
 
     def test_manifest_lists_real_csvs(self, repro):
         _, dirs = repro
@@ -687,6 +711,14 @@ class TestExitCodes:
         assert main(["coeffs", "--config", cfg, "--out-dir", out]) == 0
         assert main(["scan", "--config", cfg, "--out-dir", out]) in (0, 3)
         assert main(["reproduce", "--config", cfg, "--out-dir", out]) in (0, 3)
+
+    def test_overflowing_cubic_coefficients(self, tmp_path, capsys):
+        # b1 = 1e110: b1 ** 3 in the cubic overflows, and * would not raise
+        cfg = str(write_cfg(tmp_path, BASE_CFG.replace("k = 2.8", "k = 1e55").replace("a = 6570", "a = 1e65")))
+        for cmd in ("scan", "reproduce"):
+            argv = [cmd, "--config", cfg, "--out-dir", str(tmp_path / cmd), "--grid-step", "0.05"]
+            assert main(argv) == 3, cmd
+            assert "cubic with b1=1e+110" in capsys.readouterr().err
 
     def test_negative_stage_state_with_fractional_r(self, tmp_path, capsys):
         # an RK4 stage state dips below M = 0, where M**7.5 would be complex;

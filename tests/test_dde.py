@@ -171,8 +171,7 @@ class TestIntegrateMesh:
 
     @pytest.mark.parametrize("tau", [0.03, 1.4])
     def test_one_step_per_delay(self, tau):
-        # the read at t_next - tau lands on the right end of the segment
-        # being built, whose end derivative is not stored yet
+        # the read at t_next - tau is the mesh state the step starts from
         p, _, traj = perturbed_run(tau, 30 * tau, max_step=tau)
         assert traj.dt == tau
         assert len(traj.times) == 31
@@ -183,18 +182,30 @@ class TestIntegrateMesh:
                 assert abs(x - y) <= 1e-12 * (1.0 + abs(y))
 
     def test_rate_calls_per_step(self):
-        # one re-entry flux per distinct delayed read: stages 2 and 3 share
-        # the read at t + dt/2 - tau, and the one at t + dt - tau serves
-        # stage 4 and the next step's first stage
+        # one re-entry flux per delayed read: stages 2 and 3 share the read
+        # at t + dt/2 - tau, and the one at t + dt - tau serves stage 4 and
+        # the next step's first stage.  At 1.4 and 2.9, t + dt is not always
+        # the float (j + 1) * dt, and the count must not depend on that
         rates = checks.CountingRates(**dataclasses.asdict(default_params().rates))
-        p = dataclasses.replace(default_params(tau=0.5), rates=rates)
-        history = scaled_equilibrium_history(positive_equilibrium(p, 0.5))
-        rates.calls.update(beta=0, g=0, f=0)
-        traj = integrate(p, history, 20.0)
-        n = len(traj.times) - 1
-        # the first stage of step 0 is one full field evaluation
-        assert rates.calls["beta"] <= 6 * n + 2
-        assert rates.calls["g"] == rates.calls["f"] == 4 * n + 1
+        for tau in (0.5, 1.4, 2.9):
+            p = dataclasses.replace(default_params(tau=tau), rates=rates)
+            history = scaled_equilibrium_history(positive_equilibrium(p, tau))
+            rates.calls.update(beta=0, g=0, f=0)
+            traj = integrate(p, history, 20.0)
+            n = len(traj.times) - 1
+            # the first stage of step 0 is one full field evaluation
+            assert rates.calls["beta"] == 6 * n + 2, tau
+            assert rates.calls["g"] == rates.calls["f"] == 4 * n + 1, tau
+
+    @pytest.mark.parametrize("tau, max_step", [(1.4, None), (2.9, None), (1.4, 1.4)])
+    def test_derivative_reads_the_mesh_state_one_delay_back(self, tau, max_step):
+        # dt = tau/m, so mesh point j's delayed state is mesh point j - m,
+        # bit for bit, however (j * dt) - tau rounds
+        p, _, traj = perturbed_run(tau, 30.0, max_step=max_step)
+        m = round(tau / traj.dt)
+        stored, states = derivs(traj), traj.states
+        for j in range(m, len(states)):
+            assert stored[j] == rhs(states[j], states[j - m], p), j
 
     def test_mesh_arrays_are_consistent(self):
         _, _, traj = perturbed_run(0.5, 20.0)
@@ -347,15 +358,16 @@ class TestTrajectoryBits:
         )
 
     def test_delayed_off_mesh_reads(self):
-        # tau = 2.9: t + dt misses the mesh time (j + 1) * dt on some steps,
-        # and the read at t + dt - tau lands on a mesh point on others
+        # tau = 2.9: dt = tau/64 is not a power of two, so t + dt and
+        # t + dt - tau round away from mesh times on some steps; the
+        # full-step read is mesh point j + 1 - m whatever they round to
         _, _, traj = perturbed_run(2.9, 40.0)
         assert trajectory_digest(traj) == (
-            "e54766505a11e16201641d9fd47087e4ae319458cd370c50bb228f7cda9580b1"
+            "354eb373c1f58f36f6c914b03e4f46371f4e29b2dec4fcec2371fc1a80cfe28a"
         )
 
     def test_one_step_per_delay(self):
-        # the read at t + dt - tau is clamped onto the last completed segment
+        # the read at t + dt - tau is the mesh state the step starts from
         _, _, traj = perturbed_run(0.03, 0.9, max_step=0.03)
         assert trajectory_digest(traj) == (
             "7f6cc47e78678a56a3bcccbb72465abcc1ddabfd640497b7de0fcce5ff6dde58"
@@ -365,14 +377,14 @@ class TestTrajectoryBits:
         h = History(lambda t: SystemState(1.0 + t * t, 2.0, 3.0))
         traj = integrate(default_params(tau=1.4), h, 30.0)
         assert trajectory_digest(traj) == (
-            "101569d614a6614862bce06e97c70c494669610ff654d6a6eea5837863820aa6"
+            "19a89a811f44aed958b203736d47706b9a58975de93a960cfdde50cbc1101a36"
         )
 
     def test_generic_rate_functions(self):
         h = History.constant(SystemState(1.0, 2.0, 3.0))
         traj = integrate(custom_params(checks.DampedRates(), tau=1.4), h, 30.0)
         assert trajectory_digest(traj) == (
-            "e6ddd6128c1d78a6a7821996647d91bbe5875e08fa652a929b28b65a51d84dff"
+            "d3f30193fce965c14a032d45128a99f5f457c2d201c38a29264cbd2435030b86"
         )
 
 

@@ -64,6 +64,14 @@ class TestTauMax:
         eq_rates = checks.ConstantRates(b0=0.5, G=0.25)
         assert tau_max(with_rates(eq_rates, delta=0.25)) is None
 
+    def test_overflowing_reentry_rate_is_a_numerical_error(self):
+        # beta(0, f(0)/k) overflows to inf, and log(inf/inf) would be nan
+        p = with_rates(hill(beta0=1e300, a=1e300))
+        with pytest.raises(NumericalError, match="not finite"):
+            tau_max(p)
+        with pytest.raises(NumericalError, match="not finite"):
+            positive_equilibrium(p, 1.0)
+
 
 class TestTrivialEquilibrium:
     def test_default(self, params):
@@ -153,6 +161,11 @@ class TestPositiveEquilibrium:
         # the memo keys on repr(tau): each spelling of zero keeps its own tau
         for tau in (0.0, 0, -0.0):
             assert repr(positive_equilibrium(params, tau).tau) == repr(tau)
+
+    def test_nan_tau_rejected(self, params):
+        with pytest.raises(ValueError, match="nonnegative"):
+            positive_equilibrium(params, math.nan)
+        assert "nan" not in equilibria._memo[1]
 
     def test_balance_and_consistency(self, params):
         tm = tau_max(params)
