@@ -53,20 +53,12 @@ _RK4_STABILITY_LIMIT = 2.785
 _REPRO_RUNS = ((0.5, 1000.0, 100.0), (1.4, 1200.0, 400.0), (2.8, 2500.0, 800.0), (2.9, 2500.0, 800.0))
 
 
-def _fmt(v: object) -> str:
-    return "" if v is None else str(v)
-
-
-def _write_csv(
-    path: Path, header: list[str], rows: Iterable[tuple], row_format: str | None = None
-) -> Path:
-    """One CSV; `row_format` (a %-format of the whole row) replaces _fmt for all-float rows."""
+def _write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> Path:
+    """One CSV with every cell written by %s: a float as its repr, a str as is."""
+    row_format = ",".join(["%s"] * len(header)) + "\n"
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        if row_format is None:
-            fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
-        else:
-            fh.writelines(row_format % row for row in rows)
+        fh.writelines(row_format % row for row in rows)
     return path
 
 
@@ -170,7 +162,7 @@ def _write_equilibria(out_dir: Path, params: ModelParams, grid: list[float]) -> 
         eq = positive_equilibrium(params, t)
         rows.append(
             (t, 0.0, 0.0, e0)
-            + ((eq.Q, eq.M, eq.E) if eq is not None else (None, None, None))
+            + ((eq.Q, eq.M, eq.E) if eq is not None else ("", "", ""))
         )
     header = ["tau", "Q_trivial", "M_trivial", "E_trivial", "Q_positive", "M_positive", "E_positive"]
     return _write_csv(out_dir / "equilibria.csv", header, rows)
@@ -307,8 +299,7 @@ def _simulate_once(
 
 def _write_trajectory(path: Path, traj: Trajectory, stride: int = 1) -> Path:
     rows = islice(zip(traj.times, traj.Q, traj.M, traj.E), 0, None, stride)
-    # every cell is a float, whose %r is its str
-    return _write_csv(path, ["t", "Q", "M", "E"], rows, "%r,%r,%r,%r\n")
+    return _write_csv(path, ["t", "Q", "M", "E"], rows)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
@@ -359,9 +350,9 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[dict, int]:
         )
         rows.append(
             (tau, verdict,
-             None if period is None else period.period,
-             None if period is None else period.std,
-             None if period is None else period.amplitude_ratio)
+             "" if period is None else period.period,
+             "" if period is None else period.std,
+             "" if period is None else period.amplitude_ratio)
         )
         print(f"tau={tau:g}: {verdict}" + (f", period {period.period:.2f}" if period else ""))
     out = _write_csv(

@@ -42,14 +42,17 @@ def real_cubic_roots(b1: float, b2: float, b3: float) -> list[float]:
     """All real roots, ascending, with multiplicity collapsed to one entry."""
     if not all(math.isfinite(v) for v in (b1, b2, b3)):
         raise ValueError("coefficients must be finite")
-    try:  # a float ** raises where * would give inf
+    try:  # a float ** raises where * gives inf, so R * R is checked by hand
         Q = (b1 * b1 - 3.0 * b2) / 9.0
         R = (2.0 * b1 ** 3 - 9.0 * b1 * b2 + 27.0 * b3) / 54.0
         Q3 = Q ** 3
+        R2 = R * R
+        if not math.isfinite(R2):
+            raise OverflowError
     except OverflowError:
         raise NumericalError(f"cubic with b1={b1!r}, b2={b2!r}, b3={b3!r} overflows") from None
 
-    if R * R < Q3:
+    if R2 < Q3:
         th = math.acos(R / math.sqrt(Q3))
         m = -2.0 * math.sqrt(Q)
         shift = b1 / 3.0
@@ -60,7 +63,7 @@ def real_cubic_roots(b1: float, b2: float, b3: float) -> list[float]:
         # sign-stable Cardano: the large-magnitude cube root first, the
         # companion term as Q over it to avoid cancellation
         big = -math.copysign(
-            (abs(R) + math.sqrt(max(R * R - Q3, 0.0))) ** (1.0 / 3.0), R
+            (abs(R) + math.sqrt(max(R2 - Q3, 0.0))) ** (1.0 / 3.0), R
         )
         small = Q / big if big != 0.0 else 0.0
         r0 = big + small - b1 / 3.0

@@ -15,9 +15,9 @@ geometry:
     zero of S_n is a delay where i*omega(tau) is an actual characteristic
     root;
   * scan samples every S_n on every live root branch over a tau grid,
-    refines each sign change by bisection, attaches the crossing direction
-    via the transversality sign, and assembles the stability partition of
-    [0, tau_max) from the no-delay verdict and the refined crossings.
+    refines each sign change by bisection, takes its direction from
+    sign(dh/dz) and the sign of its S_n bracket, and counts right-half-plane
+    root pairs over [0, tau_max) from the no-delay verdict.
 
 Evaluations at distinct tau are independent; everything is deterministic
 for a fixed grid.
@@ -67,8 +67,9 @@ class SwitchReport:
     omega_star: float
     n: int
     branch: int
-    transversality: int  # +1 or -1
-    direction: str  # "destabilizing" | "stabilizing" | "unclassified"
+    transversality: int  # sign(dh/dz) * sign of S_n's rise over its bracket
+    # "destabilizing" | "stabilizing", or "unclassified" if unrefined or simultaneous
+    direction: str
     residual: float  # |P(i omega*) + Q(i omega*) exp(-i omega* tau*)|
     refined: bool
 
@@ -275,27 +276,16 @@ def _refine_crossing(
     return best_tau, best_abs < _S_TOL
 
 
-def _ds_dtau(p: ModelParams, tau: float, n: int, branch: int) -> float | None:
-    """dS_n/dtau by central differences with one Richardson halving."""
-    h = 1e-5
-    if tau - h < 0.0:
-        return None
-    vals = [sn_value(p, t, n, branch) for t in (tau - h, tau + h, tau - h / 2, tau + h / 2)]
-    if any(v is None for v in vals):
-        return None
-    d1 = (vals[1] - vals[0]) / (2.0 * h)
-    d2 = (vals[3] - vals[2]) / h
-    return (4.0 * d2 - d1) / 3.0
-
-
 def scan(p: ModelParams, tau_grid: list[float], n_max: int) -> ScanResult:
     """Sample S_n curves, refine crossings, and map stability over the grid.
 
-    The partition starts from the no-delay Routh-Hurwitz verdict and tracks
-    the count of right-half-plane root pairs: +1 at a destabilizing
-    crossing, -1 at a stabilizing one.  If the system is already unstable
-    with no delay, every interval is unstable (right-half-plane roots
-    cannot leave through the origin since a3+a6 > 0 is enforced).
+    Each crossing's transversality is sign(dh/dz) times the sign of S_n's
+    rise across the grid bracket it was refined in (Beretta and Kuang, SIAM
+    J. Math. Anal. 33, 2002).  The partition counts right-half-plane root
+    pairs, starting at 0 or 1 from the no-delay Routh-Hurwitz verdict: +1
+    at a destabilizing crossing, -1 at a stabilizing one.  A crossing left
+    unrefined (S_n changed sign but no zero was found, as at a theta wrap
+    or a branch switch) is unclassified, and so is every piece after it.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -329,9 +319,8 @@ def scan(p: ModelParams, tau_grid: list[float], n_max: int) -> ScanResult:
                 if s0 == 0.0 or (s0 > 0.0) != (s1 > 0.0):
                     tau_star, refined = _refine_crossing(p, n, branch, t0, t1, s0)
                     roots_n.append(tau_star)
-                    reports.append(
-                        _build_report(p, tau_star, n, branch, refined)
-                    )
+                    rising = (s1 > s0) - (s1 < s0)
+                    reports.append(_build_report(p, tau_star, n, branch, refined, rising))
             curves.append(SnCurve(n, branch, samples, tuple(roots_n)))
 
     reports.sort(key=lambda r: r.tau_star)
@@ -350,7 +339,7 @@ def scan(p: ModelParams, tau_grid: list[float], n_max: int) -> ScanResult:
 
 
 def _build_report(
-    p: ModelParams, tau_star: float, n: int, branch: int, refined: bool
+    p: ModelParams, tau_star: float, n: int, branch: int, refined: bool, rising: int
 ) -> SwitchReport:
     state = _sn_state(p, tau_star, branch)
     if state is None:
@@ -361,11 +350,10 @@ def _build_report(
         raise NumericalError(
             f"crossing at tau={tau_star!r} has residual {residual:.3e}"
         )
-    ds = _ds_dtau(p, tau_star, n, branch)
-    if ds is None or ds == 0.0 or root.dh_sign == 0:
+    sign = root.dh_sign * rising
+    if sign == 0:
         raise NumericalError(f"transversality undetermined at tau={tau_star!r}")
-    sign = root.dh_sign * ((ds > 0.0) - (ds < 0.0))
-    direction = "destabilizing" if sign > 0 else "stabilizing"
+    direction = ("destabilizing" if sign > 0 else "stabilizing") if refined else "unclassified"
     return SwitchReport(tau_star, root.omega, n, branch, sign, direction, residual, refined)
 
 
@@ -388,16 +376,20 @@ def _assemble_partition(
     cc0 = _coeffs_at(p, 0.0)
     if cc0 is None:
         return ()
-    stable0 = routh_hurwitz_tau0(cc0)
     tm = tau_max(p)
     end = tm if tm is not None and math.isfinite(tm) else tau_grid[-1]
 
+    # At tau = 0 the roots solve lambda^3 + (a1+a4) lambda^2 + (a2+a5) lambda
+    # + (a3+a6) = 0, with a3+a6 > 0 (enforced) and a1+a4 = mu + k + g' - g/Q
+    # - beta_Q*Q > 0 (the RateFunctions contract).  Their product -(a3+a6) < 0
+    # leaves 0 or 2 in the right half-plane, and those can leave only across
+    # the imaginary axis, so the pair count starts at 0 or 1.
     pieces = []
     lo = 0.0
-    pairs = 0
+    pairs = 0 if routh_hurwitz_tau0(cc0) else 1
     ambiguous = False
     for r in reports:
-        verdict = _verdict(stable0, pairs, ambiguous)
+        verdict = _verdict(pairs, ambiguous)
         if r.tau_star > lo:
             pieces.append((lo, r.tau_star, verdict))
         if r.direction == "unclassified":
@@ -406,13 +398,11 @@ def _assemble_partition(
         if pairs < 0:
             raise NumericalError("more stabilizing than destabilizing crossings")
         lo = r.tau_star
-    pieces.append((lo, end, _verdict(stable0, pairs, ambiguous)))
+    pieces.append((lo, end, _verdict(pairs, ambiguous)))
     return tuple(pieces)
 
 
-def _verdict(stable0: bool, pairs: int, ambiguous: bool) -> str:
+def _verdict(pairs: int, ambiguous: bool) -> str:
     if ambiguous:
         return "unclassified"
-    if not stable0:
-        return "unstable"
     return "stable" if pairs == 0 else "unstable"

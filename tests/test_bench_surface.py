@@ -4,8 +4,9 @@ perfbench/ is the benchmark's own code and changes only with the benchmark,
 so a trim of the package must keep every name it imports, calls or patches.
 The check runs in a fresh interpreter, as the benchmark imports the package,
 and loads perfbench/tracing.py by path without writing anything next to it.
-The sweep check repeats, for the delays nearest its gate, the benchmark's
-comparison against perfbench/reference.json, which it only reads.
+The sweep and stability-map checks repeat, for the inputs nearest their
+gates, the benchmark's comparison against perfbench/reference.json, which
+they only read.
 """
 
 from __future__ import annotations
@@ -93,3 +94,36 @@ def test_sweep_delays_match_the_benchmark_reference(tau):
         assert checks.rel_close(est.period, rec["period"], 1e-6)
     for t, *want in rec["off_mesh"]:
         assert all(checks.rel_close(a, b, 1e-12) for a, b in zip(traj.state(t), want)), t
+
+
+MAP_CHILD = r"""
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import workloads
+hd = workloads.fresh_import()
+ref, _ = hd.parse_config(hd.default_config_path())
+recorded = workloads.load_reference()["stability_map"]
+fn = workloads.api(hd)
+errors = []
+for i in json.loads(sys.argv[2]):
+    member = {"index": i, "params": workloads.member_params(hd, ref, i),
+              "cross_check": [0.05, 0.35, 0.65, 0.95]}
+    out = workloads.map_member(fn, member["params"])
+    errors += workloads.check_member(hd, recorded[i], member, out)
+print(json.dumps(errors))
+"""
+
+# stability_map pool members: the reference set, the two with no recorded
+# crossing, the three whose crossing pairs are closest and the three whose
+# last crossing sits nearest the root-window edge
+MAP_MEMBERS = [0, 22, 88, 44, 212, 160, 96, 237, 119]
+
+
+def test_stability_map_members_match_the_benchmark_reference():
+    env = dict(os.environ, PYTHONPATH=str(Path(hemodelay.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", MAP_CHILD, str(ROOT / "perfbench"), json.dumps(MAP_MEMBERS)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []

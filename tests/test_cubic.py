@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hemodelay import real_cubic_roots
+from hemodelay import NumericalError, real_cubic_roots
 
 import checks
 
@@ -64,6 +64,14 @@ def test_nonfinite_coefficients_rejected():
         real_cubic_roots(math.nan, 0.0, 1.0)
     with pytest.raises(ValueError):
         real_cubic_roots(0.0, math.inf, 1.0)
+
+
+def test_overflowing_square_is_a_numerical_error():
+    # R * R overflows to inf without raising; the real root of the first is
+    # 2.15e53, where an unchecked square gave [inf]
+    for b2, b3 in [(0.0, -1e160), (0.0, 1e160), (-1e100, 1e160)]:
+        with pytest.raises(NumericalError, match="overflows"):
+            real_cubic_roots(0.0, b2, b3)
 
 
 def test_matches_companion_matrix_oracle():

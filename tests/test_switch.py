@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from hemodelay import (
     CharCoeffs,
     DegenerateDenominatorError,
+    HillRates,
+    ModelParams,
     NumericalError,
     char_coeffs,
     char_residual,
@@ -420,7 +422,8 @@ def test_transversality_matches_newton_roots(params):
     """Re(lambda) changes sign across each crossing as its direction says.
 
     The root is followed by Newton's method on the full characteristic
-    equation, independently of S_n, theta and the dS_n/dtau estimate.
+    equation, independently of h, theta and the S_n bracket whose sign the
+    direction is read from.
     """
     checked = 0
     for p in [params] + [checks.perturbed_params(seed) for seed in range(7)]:
@@ -455,10 +458,10 @@ class TestSpectralOracle:
     which shares no code with the h, theta and S_n machinery."""
 
     @staticmethod
-    def rightmost(p, tau):
+    def rightmost(p, tau, n=30):
         q = dataclasses.replace(p, tau=tau)
         lin = linearize(q, positive_equilibrium(q, tau), tau)
-        return checks.spectral_roots(lin, p.mu, p.k)[0]
+        return checks.spectral_roots(lin, p.mu, p.k, n)[0]
 
     def test_rightmost_sign_matches_partition(self, params, scan_result):
         for i in range(13):
@@ -473,3 +476,40 @@ class TestSpectralOracle:
             lam = self.rightmost(params, r.tau_star)
             assert abs(lam.real) <= 1e-9, (r.tau_star, lam)
             assert abs(abs(lam.imag) - r.omega_star) <= 1e-6, (r.tau_star, lam)
+
+
+class TestUnstableWithoutDelay:
+    """Sets whose no-delay system is unstable, on 100-point grids, each piece
+    checked against the spectral oracle at its midpoint.  The oracle runs at
+    n = 60: the default 30 missed the rightmost root on one such set."""
+
+    @staticmethod
+    def scan_and_oracle(p):
+        res = scan(p, checks.make_grid(p, tau_max(p) / 100), 1)
+        mids = [0.5 * (lo + hi) for lo, hi, _ in res.partition]
+        return res, [TestSpectralOracle.rightmost(p, t, n=60).real for t in mids]
+
+    def test_pair_count_starts_at_the_no_delay_verdict(self):
+        # unstable at tau = 0, stabilized by one crossing
+        p = ModelParams(0.002289, 9.231, 0.0, 0.005367, 0.2064,
+                        HillRates(18.15, 0.6173, 499.7, 0.04899, 2.066))
+        res, re = self.scan_and_oracle(p)
+        (r,) = res.reports
+        assert r.refined and r.direction == "stabilizing" and r.transversality == -1
+        assert abs(r.tau_star - 0.07028) < 1e-5
+        assert [v for *_, v in res.partition] == ["unstable", "stable"]
+        assert re[0] > 0.0 > re[1], re
+
+    def test_unrefined_crossing_is_unclassified(self):
+        # S_0 changes sign near 0.0842 without a zero, and after it the count
+        # is unknown: the oracle finds the last piece stable again
+        p = ModelParams(0.01375, 2.13, 0.0, 1.319, 1.845,
+                        HillRates(0.6075, 0.07103, 1998.0, 0.001074, 47.12))
+        res, re = self.scan_and_oracle(p)
+        first = res.reports[0]
+        assert not first.refined and first.direction == "unclassified"
+        assert abs(first.tau_star - 0.0842) < 1e-4
+        assert res.partition[0][2] == "unstable" and re[0] > 0.0
+        assert res.partition[0][1] == first.tau_star
+        assert all(v == "unclassified" for *_, v in res.partition[1:])
+        assert re[-1] < 0.0, re
