@@ -21,10 +21,10 @@ the half-step one, and the full-step one serves stage 4 and the new mesh
 point's derivative, which doubles as the next step's first stage.  Both
 reads are inlined.
 
-A Trajectory stores these lists as float columns (times, Q, M, E, dQ, dM,
-dE) and everything here reads the columns.  Its one dense-output entry is
-Trajectory.state(t); `states` is a SystemState view of the mesh states,
-built on first use, for callers that want tuples.
+A Trajectory packs these lists once, at the end, into read-only float64
+columns (times, Q, M, E, dQ, dM, dE), and everything here reads them.  Its
+one dense-output entry is Trajectory.state(t); `states` is a SystemState
+view of the mesh states, built on first use, for callers that want tuples.
 
 With tau = 0 the same stepper runs as a plain ODE integrator, the delayed
 state being the current stage state, so the no-delay limit stays
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -50,8 +51,8 @@ from .equilibria import Equilibrium
 from .model import InvalidStateError, ModelParams, NumericalError, SystemState, validate, vector_field
 
 _DEFAULT_SUBSTEPS = 64
-# a mesh point keeps 7 floats, about 224 bytes: 10M steps hold about 2.2 GB,
-# 78 times the 128k steps of the tau = 0.5 reproduction run
+# a mesh point keeps 7 float64s, 56 bytes once packed, and about 280 while
+# stepping: 10M steps, 78 times the 128k of the tau = 0.5 run, peak near 2.8 GB
 _MAX_STEPS = 10_000_000
 _NEG_FLOOR = -1e-6
 _COMPONENTS = ("Q", "M", "E")
@@ -101,39 +102,26 @@ def scaled_equilibrium_history(eq: Equilibrium, factor: float = 1.1) -> History:
     return History.constant(SystemState(factor * eq.Q, factor * eq.M, factor * eq.E))
 
 
-def _hermite_weights(s: float, dt: float) -> tuple[float, float, float, float]:
-    """Cubic Hermite weights at offset s in [0, 1] of a segment of length dt.
-
-    The derivative weights come scaled by dt, so a value reads
-    w0*y0 + v0*f0 + w1*y1 + v1*f1.
-    """
-    s2 = s * s
-    w0 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-    v0 = dt * (s * (1.0 - s) ** 2)
-    w1 = s2 * (3.0 - 2.0 * s)
-    v1 = dt * (s2 * (s - 1.0))
-    return w0, v0, w1, v1
-
-
 @dataclass(frozen=True)
 class Trajectory:
-    """Mesh times, states and derivatives of one integration, as float columns.
+    """Mesh times, states and derivatives of one integration, as columns.
 
-    Q, M, E hold the state and dQ, dM, dE its derivative at each mesh time;
-    `states` holds the mesh states as SystemState tuples, built on first
-    use.  `state(t)` is the dense output.
+    Each column is a read-only float64 memoryview, 8 bytes a mesh point;
+    its slices are views.  Q, M, E hold the state and dQ, dM, dE its
+    derivative at each mesh time; `states` holds the mesh states as
+    SystemState tuples, built on first use.  `state(t)` is the dense output.
     """
 
     params: ModelParams
     history: History
     dt: float
-    times: tuple[float, ...]
-    Q: tuple[float, ...]
-    M: tuple[float, ...]
-    E: tuple[float, ...]
-    dQ: tuple[float, ...]
-    dM: tuple[float, ...]
-    dE: tuple[float, ...]
+    times: memoryview
+    Q: memoryview
+    M: memoryview
+    E: memoryview
+    dQ: memoryview
+    dM: memoryview
+    dE: memoryview
 
     @property
     def t_end(self) -> float:
@@ -143,19 +131,30 @@ class Trajectory:
     def states(self) -> tuple[SystemState, ...]:
         return tuple(map(SystemState, self.Q, self.M, self.E))
 
+    @cached_property
+    def _dense(self) -> tuple:
+        """What state(t) reads: its domain, step, last segment and the columns."""
+        tol = 1e-9 * max(1.0, self.t_end)
+        t0 = -self.params.tau
+        return (t0 - tol, self.t_end + tol, t0, self.dt, len(self.times) - 2,
+                self.times, self.Q, self.M, self.E, self.dQ, self.dM, self.dE)
+
     def state(self, t: float) -> SystemState:
         """Dense output: the history for t <= 0, the cubic Hermite segments after."""
-        tol = 1e-9 * max(1.0, self.t_end)
-        tau = self.params.tau
-        if not (-tau - tol <= t <= self.t_end + tol):  # NaN fails too
-            raise ValueError(f"t={t!r} outside [{-tau!r}, {self.t_end!r}]")
+        lo, hi, t0, dt, last, times, Q, M, E, dQ, dM, dE = self._dense
+        if not (lo <= t <= hi):  # NaN fails too
+            raise ValueError(f"t={t!r} outside [{t0!r}, {self.t_end!r}]")
         if t <= 0.0:
-            return self.history.eval(max(t, -tau))
-        dt, times = self.dt, self.times
-        i = min(int(t / dt), len(times) - 2)
+            return self.history.eval(max(t, t0))
+        i = min(int(t / dt), last)
         k = i + 1
-        w0, v0, w1, v1 = _hermite_weights((t - times[i]) / dt, dt)
-        Q, M, E, dQ, dM, dE = self.Q, self.M, self.E, self.dQ, self.dM, self.dE
+        # the cubic Hermite weights at offset s, derivative weights scaled by dt
+        s = (t - times[i]) / dt
+        s2 = s * s
+        w0 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
+        v0 = dt * (s * (1.0 - s) ** 2)
+        w1 = s2 * (3.0 - 2.0 * s)
+        v1 = dt * (s2 * (s - 1.0))
         return SystemState(
             w0 * Q[i] + v0 * dQ[i] + w1 * Q[k] + v1 * dQ[k],
             w0 * M[i] + v0 * dM[i] + w1 * M[k] + v1 * dM[k],
@@ -222,7 +221,7 @@ def integrate(
         Q2, M2, E2 = Q + half * kQ1, M + half * kM1, E + half * kE1
         if tau > 0.0:
             # stages 2 and 3 read at t + dt/2 - tau: inside segment j - m,
-            # with the arithmetic of _hermite_weights, or in the history
+            # with the Hermite arithmetic of Trajectory.state, or in the history
             tq = t + half - tau
             i = j - m
             if i >= 0:
@@ -280,10 +279,8 @@ def integrate(
         dMs.append(kM1)
         dEs.append(kE1)
 
-    return Trajectory(
-        p, history, dt, tuple(times),
-        tuple(Qs), tuple(Ms), tuple(Es), tuple(dQs), tuple(dMs), tuple(dEs),
-    )
+    columns = (times, Qs, Ms, Es, dQs, dMs, dEs)
+    return Trajectory(p, history, dt, *(memoryview(array("d", c)).toreadonly() for c in columns))
 
 
 @dataclass(frozen=True)

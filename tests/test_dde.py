@@ -1,6 +1,9 @@
 import dataclasses
+import gc
 import hashlib
 import math
+import random
+import tracemalloc
 
 import pytest
 
@@ -335,7 +338,8 @@ class TestIntegrateErrors:
 
 
 def trajectory_digest(traj: Trajectory) -> str:
-    return hashlib.sha256(repr((traj.times, traj.states, derivs(traj))).encode()).hexdigest()
+    # a memoryview's repr is its address, so the times go in as a tuple
+    return hashlib.sha256(repr((tuple(traj.times), traj.states, derivs(traj))).encode()).hexdigest()
 
 
 class TestTrajectoryBits:
@@ -448,6 +452,73 @@ class TestInterpolate:
                 y, dy = getattr(traj, c), getattr(traj, "d" + c)
                 want = h00 * y[i] + h10 * dt * dy[i] + h01 * y[i + 1] + h11 * dt * dy[i + 1]
                 assert getattr(traj.state(t), c) == pytest.approx(want, rel=1e-14)
+
+
+def dense_read_digest(traj: Trajectory, seed: int) -> str:
+    """sha256 of the repr of 2000 seeded state(t) reads over the whole domain."""
+    rng = random.Random(seed)
+    tau, t_end, last = traj.params.tau, traj.t_end, len(traj.times) - 1
+    tol = 1e-9 * max(1.0, t_end)
+    ts = [-tau, 0.0, -0.5 * tol, t_end, t_end + 0.5 * tol]
+    ts += [-tau * rng.random() for _ in range(200)]  # the history
+    ts += [traj.times[rng.randrange(last + 1)] for _ in range(400)]  # mesh times
+    ts += [t_end * rng.random() for _ in range(1000)]  # interior points
+    ts += [traj.times[last - 1] + traj.dt * rng.random() for _ in range(395)]  # last segment
+    return hashlib.sha256(repr([traj.state(t) for t in ts]).encode()).hexdigest()
+
+
+class TestDenseReadBits:
+    """Every dense read, pinned by a sha256 of the repr of seeded reads."""
+
+    def test_delayed(self):
+        _, _, traj = perturbed_run(1.4, 50.0)
+        assert dense_read_digest(traj, 1) == (
+            "df9918013a22636fb0ab13a75146b795cdf8e1a91b423ec9c8802c6b175a5ec0"
+        )
+
+    def test_tau_zero(self):
+        _, _, traj = perturbed_run(0.0, 50.0, max_step=0.05)
+        assert dense_read_digest(traj, 2) == (
+            "b485f03842ea8a5bb31e6481808fc5deb772f472fbc3da0c41d6a0d76543471e"
+        )
+
+
+class TestStorage:
+    """The columns are packed float64 buffers that callers can read, not write."""
+
+    def test_columns_are_read_only_float64(self):
+        _, _, traj = perturbed_run(1.4, 20.0)
+        columns = (traj.times, traj.Q, traj.M, traj.E, traj.dQ, traj.dM, traj.dE)
+        assert len({len(c) for c in columns}) == 1
+        for c in columns:
+            assert c.format == "d"
+            with pytest.raises(TypeError):
+                c[0] = 1.0
+        assert type(traj.state(3.3)) is SystemState
+
+    def test_tail_slices_are_views(self):
+        _, _, traj = perturbed_run(1.4, 20.0)
+        tail = traj.times[100:]
+        assert tail.obj is traj.times.obj
+        assert tail[0] == traj.times[100] and len(tail) == len(traj.times) - 100
+
+    def test_kept_bytes_per_mesh_point(self):
+        # seven float64 columns keep 56 bytes a mesh point; the margin leaves
+        # no room for a boxed float (24 bytes) per mesh point and column
+        p, eq, _ = perturbed_run(0.5, 1.0)
+        history = scaled_equilibrium_history(eq)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = integrate(p, history, 200.0)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        points = len(traj.times)
+        assert points == 25601
+        assert kept <= 1.25 * 56 * points, kept
 
 
 class TestDetectPeriod:
