@@ -20,29 +20,66 @@ bisection on the sign of the residual pins it down to adjacent floats.
 
 positive_equilibrium solves each (params, tau) pair once: the analytic chain
 asks for the same delays several times (the CLI rows, positive_root_intervals
-and scan each walk the whole grid).  The memo is one table for the most
-recent parameter set, keyed by repr(tau) so that 0, 0.0 and -0.0 stay apart;
-a call with a parameter set that is neither that object nor == to it starts
-a new table, and so does a solve that finds the table full (_MEMO_POINTS).
-A NumericalError is not cached: it is raised again on every call.  The memo
-is module state meant for one thread of calls.
+and scan each walk the whole grid).  The memo (a ParamsMemo, which the switch
+module uses for its coefficients too) is one table for the most recent
+parameter set, keyed by repr(tau) so that 0, 0.0 and -0.0 stay apart; a call
+with a parameter set that is neither that object nor == to it starts a new
+table, and so does a miss that finds the table full (_MEMO_POINTS).  A
+NumericalError is not cached: it is raised again on every call.  The memo is
+module state meant for one thread of calls.
+
+A solve whose table's most recent entry is an equilibrium starts from it: a
+secant walk from that pool size gives a root estimate x and slope s, and the
+window [x - w, x + w], w = max(1e-14*x, 64*eps*S/|s|) with S the summed
+magnitude of the residual's terms, is used only if the residual is positive
+at its left end and not at its right end.  The bisection then takes the same
+midpoints as without the window and evaluates the residual only inside it,
+so it returns the same float in under a third of the evaluations.  Without
+a usable window (the first solve of a set, a walk that does not settle, a
+window that fails its check) the window is the whole axis (0, inf), which
+is the plain bisection.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 from .model import HillRates, ModelParams, NumericalError, SystemState, bisect_flip, reward
 
 _BRACKET_LO = 1e-12  # lower end of the pool-size bracket
-_MEMO_POINTS = 4096  # solves kept for one parameter set; the reference grid has 598
+_MEMO_POINTS = 4096  # entries kept for one parameter set; the reference grid has 598
+_SECANT_STEPS = 12  # secant steps from a hint before the plain bracket is used
 
-# the positive_equilibrium memo: the most recent parameter set and its
-# solves, keyed by repr(tau); replaced as a pair, so a table only ever holds
-# the solves of the parameter set it is stored with
-_memo: tuple[ModelParams | None, dict[str, Equilibrium | None]] = (None, {})
+
+class ParamsMemo:
+    """Values for the most recent parameter set, keyed by repr(tau).
+
+    A parameter set that is neither the stored object nor == to it starts a
+    new table, and so does storing into a full one (_MEMO_POINTS).  A table
+    is replaced together with its parameter set, so it only ever holds that
+    set's values.
+    """
+
+    def __init__(self) -> None:
+        self.params: ModelParams | None = None
+        self.table: dict[str, object] = {}
+
+    def table_for(self, p: ModelParams) -> dict[str, object]:
+        if p is not self.params and not p == self.params:
+            self.params, self.table = p, {}
+        return self.table
+
+    def put(self, p: ModelParams, key: str, value: object) -> None:
+        table = self.table_for(p)
+        if len(table) >= _MEMO_POINTS:
+            self.table = table = {}
+        table[key] = value
+
+
+_memo = ParamsMemo()  # the positive_equilibrium memo
 
 
 @dataclass(frozen=True)
@@ -100,45 +137,58 @@ def positive_equilibrium(p: ModelParams, tau: float) -> Equilibrium | None:
     The pool size is bracketed ([1e-12, doubling upward from 1]) and the
     bracket is bisected down to adjacent floats; the midpoint is the root,
     and a balance residual there of 1e-12*(delta + g'(0) + 1) or more raises
-    NumericalError.  Results are memoized for the most recent parameter set
-    (see the module docstring).
+    NumericalError.  Results are memoized for the most recent parameter set,
+    and the most recent solve of that set is the hint of the next one (see
+    the module docstring).
     """
-    global _memo
     if not tau >= 0.0:  # NaN fails too
         raise ValueError("tau must be nonnegative")
-    memo_p, table = _memo
-    if p is not memo_p and not p == memo_p:
-        table = {}
-        _memo = (p, table)
+    table = _memo.table_for(p)
     key = repr(tau)
     if key in table:
         return table[key]
-    eq = _solve_positive(p, tau)
-    if len(table) >= _MEMO_POINTS:
-        table = {}
-        _memo = (p, table)
-    table[key] = eq
+    last = next(reversed(table.values()), None)
+    eq = _solve_positive(p, tau, None if last is None else last.Q)
+    _memo.put(p, key, eq)
     return eq
 
 
-def _solve_positive(p: ModelParams, tau: float) -> Equilibrium | None:
-    """positive_equilibrium without the memo."""
+def _solve_positive(p: ModelParams, tau: float, hint: float | None = None) -> Equilibrium | None:
+    """positive_equilibrium without the memo, warm-started from the pool size `hint`.
+
+    The window from _window decides the midpoints outside it without
+    evaluating the residual, so the steps, and the returned float, are those
+    of the solve without a hint.
+    """
     tm = tau_max(p)
     if tm is None or not tau < tm:
         return None
     alpha = reward(p, tau) - 1.0
     residual = _residual_fn(p, alpha)
+    a, b = (0.0, math.inf) if hint is None else _window(p, residual, hint)
+
+    def positive(Q: float) -> bool:
+        return Q <= a or (Q < b and residual(Q) > 0.0)
 
     # a few ulps below tau_max the threshold test can pass while the residual
     # at 0+ rounds to <= 0: no positive root to bracket, as past the threshold
-    if not residual(_BRACKET_LO) > 0.0:
+    if not positive(_BRACKET_LO):
         return None
     hi = 1.0
-    while residual(hi) > 0.0:
+    while positive(hi):
         hi *= 2.0
         if hi > 2.0**200:
             raise NumericalError("no sign change found while expanding the bracket")
-    lo, hi = bisect_flip(lambda Q: residual(Q) > 0.0, _BRACKET_LO, hi)
+    # the midpoints outside the window are decided already: take them in a
+    # bare loop, then bisect_flip takes the same steps from there
+    lo, mid = _BRACKET_LO, 0.5 * (_BRACKET_LO + hi)
+    while lo < mid < hi and not a < mid < b:
+        if mid <= a:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    lo, hi = bisect_flip(positive, lo, hi)
     Q = 0.5 * (lo + hi)
     r_end = abs(residual(Q))
     tol = 1e-12 * (p.delta + p.rates.g_prime(0.0) + 1.0)
@@ -147,6 +197,35 @@ def _solve_positive(p: ModelParams, tau: float) -> Equilibrium | None:
     M = p.rates.g(Q) / p.mu
     E = p.rates.f(M) / p.k
     return Equilibrium("positive", Q, M, E, tau)
+
+
+def _window(p: ModelParams, residual: Callable[[float], float], hint: float) -> tuple[float, float]:
+    """Pool sizes (a, b) with residual(a) > 0 >= residual(b), near the root.
+
+    A secant walk from `hint` gives the root estimate x and the slope s; the
+    window is x -+ max(1e-14*x, 64*eps*S/|s|), with S = |alpha*beta| + delta
+    + g(Q)/Q taken at the last secant point.  Returns (0, inf), the whole
+    axis, when the walk leaves (hint/4, 4*hint), stalls or does not settle,
+    or the check fails.
+    """
+    # a second point this close makes the first secant step nearly Newton's
+    x0, x1 = hint, hint * (1.0 + 1e-7)
+    r0, r1 = residual(x0), residual(x1)
+    for _ in range(_SECANT_STEPS):
+        if r1 == r0:
+            break
+        s = (r1 - r0) / (x1 - x0)
+        x = x1 - r1 / s
+        if not 0.25 * hint < x < 4.0 * hint:
+            break
+        if abs(x - x1) <= 1e-10 * x:
+            loss = p.delta + p.rates.g(x1) / x1
+            w = max(1e-14 * x, 64.0 * sys.float_info.epsilon * (abs(r1 + loss) + loss) / abs(s))
+            if x - w > 0.0 and residual(x - w) > 0.0 >= residual(x + w):
+                return x - w, x + w
+            break
+        x0, r0, x1, r1 = x1, r1, x, residual(x)
+    return 0.0, math.inf
 
 
 def hill_equilibrium_closed_form(p: ModelParams, tau: float) -> Equilibrium:

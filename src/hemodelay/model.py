@@ -49,8 +49,8 @@ class RateFunctions(ABC):
     shut re-entry down.
 
     The rates must not change their outputs once a ModelParams holding them
-    is in use: equilibria.positive_equilibrium memoizes its solves per
-    parameter set.
+    is in use: equilibria.positive_equilibrium memoizes its solves, and
+    switch its characteristic coefficients, per parameter set.
     """
 
     @abstractmethod

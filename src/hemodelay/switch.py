@@ -20,7 +20,11 @@ geometry:
     root pairs over [0, tau_max) from the no-delay verdict.
 
 Evaluations at distinct tau are independent; everything is deterministic
-for a fixed grid.
+for a fixed grid.  The coefficients of each delay are built once: _coeffs_at
+keeps them per parameter set and repr(tau), with the equilibrium memo's
+rule (equilibria.ParamsMemo), so the root window, the grid samples, the S_n
+refinement and the crossing reports share one build.  A NumericalError is
+not cached.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .cubic import cubic_prime, cubic_value, real_cubic_roots
-from .equilibria import positive_equilibrium, tau_max
+from .equilibria import ParamsMemo, positive_equilibrium, tau_max
 from .linearization import CharCoeffs, char_coeffs, linearize, routh_hurwitz_tau0
 from .model import ModelParams, NumericalError, bisect_flip
 
@@ -38,6 +42,8 @@ _S_TOL = 1e-10
 _RESIDUAL_TOL = 1e-8
 # the runtime check only rejects grids too coarse to bracket crossings at all
 _GRID_SPACING_CAP = 0.05
+
+_coeff_memo = ParamsMemo()  # _coeffs_at's CharCoeffs, replaced as the equilibrium memo is
 
 
 class DegenerateDenominatorError(NumericalError):
@@ -145,13 +151,17 @@ def char_residual(cc: CharCoeffs, lam: complex, tau: float) -> complex:
 
 
 def _coeffs_at(p: ModelParams, tau: float) -> CharCoeffs | None:
+    """The coefficients at the positive equilibrium, built once per delay."""
+    table = _coeff_memo.table_for(p)
+    key = repr(tau)
+    if key in table:
+        return table[key]
     eq = positive_equilibrium(p, tau)
-    if eq is None:
-        return None
-    cc = char_coeffs(linearize(p, eq, tau), p.mu, p.k)
+    cc = None if eq is None else char_coeffs(linearize(p, eq, tau), p.mu, p.k)
     # no root may sit at the origin, else crossings through 0 would go unseen
-    if not cc.a3 + cc.a6 > 0.0:
+    if cc is not None and not cc.a3 + cc.a6 > 0.0:
         raise NumericalError(f"a3+a6 = {cc.a3 + cc.a6!r} <= 0 at tau={tau!r}")
+    _coeff_memo.put(p, key, cc)
     return cc
 
 

@@ -165,7 +165,7 @@ class TestPositiveEquilibrium:
     def test_nan_tau_rejected(self, params):
         with pytest.raises(ValueError, match="nonnegative"):
             positive_equilibrium(params, math.nan)
-        assert "nan" not in equilibria._memo[1]
+        assert "nan" not in equilibria._memo.table
 
     def test_balance_and_consistency(self, params):
         tm = tau_max(params)
@@ -188,7 +188,7 @@ class TestPositiveEquilibrium:
         prev = None
         for i in range(50):
             eq = positive_equilibrium(p, tm * i / 50.0)
-            assert len(equilibria._memo[1]) <= 16
+            assert len(equilibria._memo.table) <= 16
             if prev is not None:
                 assert eq.Q < prev.Q
                 assert eq.M < prev.M
@@ -230,6 +230,65 @@ class TestPositiveEquilibrium:
             signs = [residual(q) > 0.0 for q in qs]
             flips = sum(a != b for a, b in zip(signs, signs[1:]))
             assert flips == 1, f"{flips} sign changes for {p}"
+
+
+class TestWarmStart:
+    """A solve started from a hint returns the unhinted solve's bits, and
+    takes its window on a walk along the delays."""
+
+    @staticmethod
+    def walks():
+        """(params, delays): the reference and DampedRates grids and every 7th
+        point of eight +-20% Hill sets, each followed by tau_max*(1 - 10**-k)."""
+        ref = default_params()
+        damped = with_rates(checks.DampedRates())
+        runs = [(ref, checks.make_grid(ref)), (damped, checks.make_grid(damped, 0.01))]
+        runs += [(p, checks.make_grid(p)[::7]) for p in map(checks.perturbed_params, range(8))]
+        return [
+            (p, taus + [tau_max(p) * (1.0 - 10.0**-k) for k in (3, 6, 9, 12, 14)])
+            for p, taus in runs
+        ]
+
+    def test_hint_does_not_change_the_solve(self, monkeypatch):
+        # the reference is the unhinted solve, the plain bisection; the hints
+        # are the previous delay's root, the root +-5%, 1.0 and 100x the root
+        windows = []
+        window = equilibria._window
+        monkeypatch.setattr(
+            equilibria, "_window", lambda *args: windows.append(window(*args)) or windows[-1]
+        )
+        solve = equilibria._solve_positive
+
+        def check(p, tau, prev):
+            want = solve(p, tau)
+            hints = [1.0] if want is None else [1.05 * want.Q, 0.95 * want.Q, 1.0, 100.0 * want.Q]
+            for hint in hints + ([] if prev is None else [prev.Q]):
+                assert repr(solve(p, tau, hint)) == repr(want), (p, tau, hint)
+            return want
+
+        walked = windowed = 0
+        for p, taus in self.walks():
+            prev = None
+            for tau in taus:
+                want = check(p, tau, prev)
+                if prev is not None and want is not None:
+                    walked += 1
+                    windowed += windows[-1][1] < math.inf
+                prev = want
+        for p, tau in near_threshold_cases():
+            check(p, tau, None)
+        assert walked > 1200 and windowed >= 0.95 * walked, (walked, windowed)
+
+    def test_warm_solves_cost_at_most_25_rate_calls(self):
+        # a deterministic stand-in for a timing: each residual evaluation
+        # calls f once, and the plain bisection takes about 60 per solve
+        rates = checks.CountingRates(**dataclasses.asdict(default_params().rates))
+        p = with_rates(rates)
+        positive_equilibrium(default_params(tau=1.0), 0.0)  # another set's table
+        grid = checks.make_grid(p)
+        for tau in grid:
+            positive_equilibrium(p, tau)
+        assert len(grid) <= rates.calls["f"] <= 25 * len(grid), rates.calls
 
 
 class TestClosedForm:

@@ -17,17 +17,26 @@ from hemodelay import (
     char_coeffs,
     char_residual,
     default_params,
+    integrate,
     linearize,
     positive_equilibrium,
     positive_root_intervals,
     positive_roots_h,
+    scaled_equilibrium_history,
     scan,
     sn_value,
     tau_max,
     theta,
     trivial_equilibrium,
 )
-from hemodelay.switch import SwitchReport, _assemble_partition, _mark_simultaneous, _refine_crossing
+from hemodelay import switch
+from hemodelay.switch import (
+    SwitchReport,
+    _assemble_partition,
+    _coeffs_at,
+    _mark_simultaneous,
+    _refine_crossing,
+)
 
 import checks
 
@@ -282,9 +291,9 @@ class TestScan:
         assert s2 and all(c.roots == () for c in s2)
 
     def test_same_result_from_cold_and_warm_memo(self, params, default_grid):
-        # cold: the last solve was for another parameter set; warm: every
-        # grid delay already solved for these parameters
-        positive_equilibrium(default_params(tau=1.0), 0.0)
+        # cold: the last solve and coefficient build were for another
+        # parameter set; warm: every grid delay already solved and built
+        sn_value(default_params(tau=1.0), 0.0, 0, 0)
         cold = repr((positive_root_intervals(params, default_grid), scan(params, default_grid, 1)))
         for tau in default_grid:
             positive_equilibrium(params, tau)
@@ -376,6 +385,76 @@ class TestRefineCrossing:
         # rounds to an end, and no sample came within 1e-10 of zero
         self.fake_sn(monkeypatch, lambda t: -1.0 if t < 0.3 else 1.0, 0.4)
         assert _refine_crossing(params, 0, 0, 0.0, 1.0, -1.0) == (0.0, False)
+
+
+class TestCoefficientMemo:
+    """_coeffs_at builds each delay's coefficients once per parameter set, by
+    the equilibrium memo's rule, through switch.positive_equilibrium,
+    switch.linearize and switch.char_coeffs as looked up at call time."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        """Recording wrappers on the three switch attributes: {name: [repr(tau), ...]}."""
+        delay_of = {
+            "positive_equilibrium": lambda p, tau: tau,
+            "linearize": lambda p, eq, tau: tau,
+            "char_coeffs": lambda lin, mu, k: lin.tau,
+        }
+        seen = {name: [] for name in delay_of}
+        for name, delay in delay_of.items():
+            def recorded(*args, _fn=getattr(switch, name), _delay=delay, _taus=seen[name]):
+                _taus.append(repr(_delay(*args)))
+                return _fn(*args)
+            monkeypatch.setattr(switch, name, recorded)
+        return seen
+
+    def test_each_delay_is_built_once(self, params, default_grid, monkeypatch):
+        sn_value(default_params(tau=1.0), 0.0, 0, 0)  # another set's tables
+        seen = self.count_builds(monkeypatch)
+        intervals = positive_root_intervals(params, default_grid)
+        result = scan(params, default_grid, 1)
+        built = seen["char_coeffs"]
+        assert len(built) > len(default_grid)
+        assert len(set(built)) == len(built)
+        assert seen["positive_equilibrium"] == seen["linearize"] == built
+        # an == but distinct parameter set reads the same table
+        seen["char_coeffs"].clear()
+        same = dataclasses.replace(params)
+        assert same is not params
+        assert positive_root_intervals(same, default_grid) == intervals
+        assert scan(same, default_grid, 1) == result
+        assert seen["char_coeffs"] == []
+
+    def test_second_scan_calls_beta_at_most_twice(self, default_grid):
+        # a deterministic stand-in for a timing: the second scan reads every
+        # coefficient from the memo, and only tau_max evaluates beta (twice)
+        rates = checks.CountingRates(**dataclasses.asdict(default_params().rates))
+        p = dataclasses.replace(default_params(), rates=rates)
+        first = scan(p, default_grid, 1)
+        before = rates.calls["beta"]
+        assert scan(p, default_grid, 1) == first
+        assert rates.calls["beta"] - before <= 2, rates.calls["beta"] - before
+
+    def test_signed_zeros_stay_apart(self, params):
+        for tau in (0.0, -0.0, 0):
+            assert repr(_coeffs_at(params, tau).tau) == repr(tau)
+
+    def test_numerical_error_is_raised_on_every_call(self, monkeypatch):
+        # f' reported with the wrong sign flips the sign of H, and with it
+        # a3 + a6 = alpha*G*H*beta_E*Q for Hill rates: a root at the origin
+        @dataclasses.dataclass(frozen=True)
+        class RisingFeedback(HillRates):
+            def f_prime(self, M):
+                return -super().f_prime(M)
+
+        p = dataclasses.replace(
+            default_params(), rates=RisingFeedback(**dataclasses.asdict(default_params().rates))
+        )
+        seen = self.count_builds(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(NumericalError, match=r"a3\+a6"):
+                sn_value(p, 1.0, 0, 0)
+        assert seen["char_coeffs"] == ["1.0", "1.0"]
 
 
 class TestRootWindow:
@@ -476,6 +555,30 @@ class TestSpectralOracle:
             lam = self.rightmost(params, r.tau_star)
             assert abs(lam.real) <= 1e-9, (r.tau_star, lam)
             assert abs(abs(lam.imag) - r.omega_star) <= 1e-6, (r.tau_star, lam)
+
+    def test_envelope_decays_at_the_rightmost_rate(self):
+        # just below tau* = 1.3734 the rightmost pair decays slowly and the
+        # rest fast, so log|Q - Q*| at its peaks falls on a line whose slope
+        # is Re(lambda)
+        tau = 1.36
+        p = default_params(tau)
+        eq = positive_equilibrium(p, tau)
+        lam = self.rightmost(p, tau)
+        traj = integrate(p, scaled_equilibrium_history(eq, 1.01), 1500.0, max_step=0.05)
+        dev = [abs(q - eq.Q) for q in traj.Q]
+        peaks = [
+            (t, math.log(d))
+            for t, d0, d, d1 in zip(traj.times[1:], dev, dev[1:], dev[2:])
+            if d0 < d >= d1 and t > 200.0
+        ]
+        t_mean = sum(t for t, _ in peaks) / len(peaks)
+        y_mean = sum(y for _, y in peaks) / len(peaks)
+        slope = sum((t - t_mean) * (y - y_mean) for t, y in peaks) / sum(
+            (t - t_mean) ** 2 for t, _ in peaks
+        )
+        assert len(peaks) >= 20
+        assert lam.real < 0.0
+        assert abs(slope - lam.real) <= 3e-5, (slope, lam)
 
 
 class TestUnstableWithoutDelay:
