@@ -37,7 +37,11 @@ midpoints as without the window and evaluates the residual only inside it,
 so it returns the same float in under a third of the evaluations.  Without
 a usable window (the first solve of a set, a walk that does not settle, a
 window that fails its check) the window is the whole axis (0, inf), which
-is the plain bisection.
+is the plain bisection.  The check reads the window's two ends only, so the
+equality rests on the sign of the float residual being monotone outside the
+window, a precondition model.RateFunctions states; the residual at the
+bracket's low end, which decides whether there is a root at all, is
+evaluated with or without a window.
 """
 
 from __future__ import annotations
@@ -165,30 +169,22 @@ def _solve_positive(p: ModelParams, tau: float, hint: float | None = None) -> Eq
         return None
     alpha = reward(p, tau) - 1.0
     residual = _residual_fn(p, alpha)
+    # a few ulps below tau_max the threshold test can pass while the residual
+    # at 0+ rounds to <= 0: no positive root to bracket, as past the threshold.
+    # Evaluated with or without a window, so a hint cannot turn None into a root.
+    if not residual(_BRACKET_LO) > 0.0:
+        return None
     a, b = (0.0, math.inf) if hint is None else _window(p, residual, hint)
 
     def positive(Q: float) -> bool:
         return Q <= a or (Q < b and residual(Q) > 0.0)
 
-    # a few ulps below tau_max the threshold test can pass while the residual
-    # at 0+ rounds to <= 0: no positive root to bracket, as past the threshold
-    if not positive(_BRACKET_LO):
-        return None
     hi = 1.0
     while positive(hi):
         hi *= 2.0
         if hi > 2.0**200:
             raise NumericalError("no sign change found while expanding the bracket")
-    # the midpoints outside the window are decided already: take them in a
-    # bare loop, then bisect_flip takes the same steps from there
-    lo, mid = _BRACKET_LO, 0.5 * (_BRACKET_LO + hi)
-    while lo < mid < hi and not a < mid < b:
-        if mid <= a:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    lo, hi = bisect_flip(positive, lo, hi)
+    lo, hi = bisect_flip(positive, _BRACKET_LO, hi)
     Q = 0.5 * (lo + hi)
     r_end = abs(residual(Q))
     tol = 1e-12 * (p.delta + p.rates.g_prime(0.0) + 1.0)

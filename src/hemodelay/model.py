@@ -50,7 +50,13 @@ class RateFunctions(ABC):
 
     The rates must not change their outputs once a ModelParams holding them
     is in use: equilibria.positive_equilibrium memoizes its solves, and
-    switch its characteristic coefficients, per parameter set.
+    switch its characteristic coefficients, per parameter set.  The balance
+    residual alpha*beta(Q, f(g(Q)/mu)/k) - delta - g(Q)/Q, evaluated in
+    floats, must change sign only once outside 64*eps*S/|s| of its root (S
+    the summed magnitude of its terms, s its slope): positive_equilibrium
+    starts each solve from the previous root and evaluates the residual only
+    near it, so with a noisier residual a solve could depend in its last bits
+    on the solves before it.
     """
 
     @abstractmethod

@@ -279,6 +279,28 @@ class TestWarmStart:
             check(p, tau, None)
         assert walked > 1200 and windowed >= 0.95 * walked, (walked, windowed)
 
+    def test_hint_does_not_find_a_root_the_plain_solve_lacks(self, monkeypatch):
+        # a few ulps below tau_max the plain solve can return None (the
+        # residual at the bracket's low end rounds to <= 0); hinted with the
+        # root of a slightly smaller delay it must too, even when the window
+        # is taken on trust
+        solve = equilibria._solve_positive
+        cases = []
+        for p, tau in near_threshold_cases():
+            if solve(p, tau) is None:
+                tm = tau_max(p)
+                for d in (1e-14, 1e-13, 1e-12):
+                    prev = solve(p, tm * (1.0 - d))
+                    if prev is not None:
+                        cases.append((p, tau, prev.Q))
+                        break
+        assert len(cases) > 50, len(cases)
+        for p, tau, hint in cases:
+            assert solve(p, tau, hint) is None, (p, tau, hint)
+        monkeypatch.setattr(equilibria, "_window", lambda p, residual, hint: (hint, 2.0 * hint))
+        for p, tau, hint in cases:
+            assert solve(p, tau, hint) is None, (p, tau, hint)
+
     def test_warm_solves_cost_at_most_25_rate_calls(self):
         # a deterministic stand-in for a timing: each residual evaluation
         # calls f once, and the plain bisection takes about 60 per solve
