@@ -16,17 +16,7 @@ import csv
 import sys
 from pathlib import Path
 
-try:
-    import matplotlib
-
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-except ImportError:
-    print(
-        "matplotlib is not installed; run `pip install -e .[plots]`",
-        file=sys.stderr,
-    )
-    sys.exit(1)
+plt = None  # matplotlib.pyplot, imported by main() so that read_columns loads without it
 
 
 def read_columns(path: Path) -> dict[str, list]:
@@ -126,10 +116,19 @@ def plot_simulations(out_dir: Path) -> Path:
 
 
 def main() -> int:
+    global plt
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", type=Path, default=Path("out"),
                         help="directory holding the reproduce CSVs")
     args = parser.parse_args()
+    try:
+        import matplotlib
+
+        matplotlib.use("Agg")
+        import matplotlib.pyplot as plt
+    except ImportError:
+        print("matplotlib is not installed; run `pip install -e .[plots]`", file=sys.stderr)
+        return 1
     if not (args.out_dir / "equilibria.csv").is_file():
         print(f"no CSVs in {args.out_dir}; run `hemodelay reproduce` first",
               file=sys.stderr)

@@ -37,9 +37,9 @@ from .dde import (
     scaled_equilibrium_history,
 )
 from .equilibria import Equilibrium, positive_equilibrium, tau_max, trivial_equilibrium
-from .linearization import char_coeffs, linearize
+from .linearization import char_coeffs, linearize  # noqa: F401 (traced by name in perfbench)
 from .model import InvalidStateError, ModelParams, NumericalError, SystemState, validate
-from .switch import ScanResult, positive_root_intervals
+from .switch import ScanResult, linear_coeffs, positive_root_intervals
 from .switch import scan as run_scan
 
 _NO_EQ_SPAN = 10.0  # tau span for outputs when no positive equilibrium exists
@@ -188,11 +188,10 @@ def _coeff_rows(params: ModelParams, grid: list[float]) -> list[tuple]:
     """One row per grid delay with a positive equilibrium."""
     rows = []
     for t in grid:
-        eq = positive_equilibrium(params, t)
-        if eq is None:
+        built = linear_coeffs(params, t)
+        if built is None:
             continue
-        lc = linearize(params, eq, t)
-        cc = char_coeffs(lc, params.mu, params.k)
+        lc, cc = built
         rows.append(
             (t, lc.A, lc.B, lc.C, lc.D, lc.G, lc.H,
              cc.a1, cc.a2, cc.a3, cc.a4, cc.a5, cc.a6, cc.b1, cc.b2, cc.b3)

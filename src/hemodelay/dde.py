@@ -12,19 +12,19 @@ or the history at (j + 1 - m)*dt while that index is negative.  The
 half-step read at t + dt/2 - tau lies inside segment j - m and comes from
 its cubic Hermite interpolant, or from the history before the first delay.
 
-The stepper keeps Q, M, E and their derivatives in flat float lists,
-checking finiteness and the nonnegativity floor once per step on the new
-state.  Every stage goes through model.vector_field, built once per run;
-model.rhs is the checked wrapper around the same field.  The field takes
-the delayed re-entry flux, computed once per read: stages 2 and 3 share
-the half-step one, and the full-step one serves stage 4 and the new mesh
-point's derivative, which doubles as the next step's first stage.  Both
-reads are inlined.
+The stepper appends each mesh point as a row (t, Q, M, E, dQ, dM, dE) to
+one flat float list, checking finiteness and the nonnegativity floor once
+per step on the new state.  Every stage goes through model.vector_field,
+built once per run; model.rhs is the checked wrapper around the same
+field.  The field takes the delayed re-entry flux, computed once per read:
+stages 2 and 3 share the half-step one, and the full-step one serves stage
+4 and the new mesh point's derivative, which doubles as the next step's
+first stage.  Both reads are inlined.
 
-A Trajectory packs these lists once, at the end, into read-only float64
-columns (times, Q, M, E, dQ, dM, dE), and everything here reads them.  Its
-one dense-output entry is Trajectory.state(t); `states` is a SystemState
-view of the mesh states, built on first use, for callers that want tuples.
+A Trajectory keeps that list packed once, at the end, into one read-only
+float64 buffer, and its columns (times, Q, M, E, dQ, dM, dE) are strided
+views of it.  Its one dense-output entry is Trajectory.state(t); `states`
+is a SystemState view of the mesh states, built on first use.
 
 With tau = 0 the same stepper runs as a plain ODE integrator, the delayed
 state being the current stage state, so the no-delay limit stays
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import struct
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -51,11 +52,12 @@ from .equilibria import Equilibrium
 from .model import InvalidStateError, ModelParams, NumericalError, SystemState, validate, vector_field
 
 _DEFAULT_SUBSTEPS = 64
-# a mesh point keeps 7 float64s, 56 bytes once packed, and about 280 while
+# a mesh point keeps a row of 7 float64s, 56 bytes packed, and about 280 while
 # stepping: 10M steps, 78 times the 128k of the tau = 0.5 run, peak near 2.8 GB
 _MAX_STEPS = 10_000_000
 _NEG_FLOOR = -1e-6
 _COMPONENTS = ("Q", "M", "E")
+_unpack_two_rows = struct.Struct("14d").unpack_from  # two rows of 7 float64s
 
 
 class DivergenceError(NumericalError):
@@ -104,28 +106,25 @@ def scaled_equilibrium_history(eq: Equilibrium, factor: float = 1.1) -> History:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Mesh times, states and derivatives of one integration, as columns.
+    """Mesh times, states and derivatives of one integration, as packed rows.
 
-    Each column is a read-only float64 memoryview, 8 bytes a mesh point;
-    its slices are views.  Q, M, E hold the state and dQ, dM, dE its
-    derivative at each mesh time; `states` holds the mesh states as
+    `rows` is a read-only float64 memoryview holding one row (t, Q, M, E,
+    dQ, dM, dE) per mesh point, 56 bytes a point.  The columns times, Q, M,
+    E, dQ, dM, dE are read-only strided views of it, built on first use;
+    their slices are views too.  `states` holds the mesh states as
     SystemState tuples, built on first use.  `state(t)` is the dense output.
     """
 
     params: ModelParams
     history: History
     dt: float
-    times: memoryview
-    Q: memoryview
-    M: memoryview
-    E: memoryview
-    dQ: memoryview
-    dM: memoryview
-    dE: memoryview
+    rows: memoryview
+
+    times, Q, M, E, dQ, dM, dE = (cached_property(lambda self, c=c: self.rows[c::7]) for c in range(7))
 
     @property
     def t_end(self) -> float:
-        return self.times[-1]
+        return self.rows[-7]
 
     @cached_property
     def states(self) -> tuple[SystemState, ...]:
@@ -133,33 +132,32 @@ class Trajectory:
 
     @cached_property
     def _dense(self) -> tuple:
-        """What state(t) reads: its domain, step, last segment and the columns."""
+        """What state(t) reads: its domain, step, last segment and the rows."""
         tol = 1e-9 * max(1.0, self.t_end)
         t0 = -self.params.tau
-        return (t0 - tol, self.t_end + tol, t0, self.dt, len(self.times) - 2,
-                self.times, self.Q, self.M, self.E, self.dQ, self.dM, self.dE)
+        return t0 - tol, self.t_end + tol, t0, self.dt, len(self.rows) // 7 - 2, self.rows
 
     def state(self, t: float) -> SystemState:
         """Dense output: the history for t <= 0, the cubic Hermite segments after."""
-        lo, hi, t0, dt, last, times, Q, M, E, dQ, dM, dE = self._dense
+        lo, hi, t0, dt, last, rows = self._dense
         if not (lo <= t <= hi):  # NaN fails too
             raise ValueError(f"t={t!r} outside [{t0!r}, {self.t_end!r}]")
         if t <= 0.0:
             return self.history.eval(max(t, t0))
-        i = min(int(t / dt), last)
-        k = i + 1
+        i = int(t / dt)
+        if i > last:
+            i = last
+        ti, Q0, M0, E0, dQ0, dM0, dE0, _, Q1, M1, E1, dQ1, dM1, dE1 = _unpack_two_rows(rows, 56 * i)
         # the cubic Hermite weights at offset s, derivative weights scaled by dt
-        s = (t - times[i]) / dt
-        s2 = s * s
-        w0 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-        v0 = dt * (s * (1.0 - s) ** 2)
-        w1 = s2 * (3.0 - 2.0 * s)
-        v1 = dt * (s2 * (s - 1.0))
-        return SystemState(
-            w0 * Q[i] + v0 * dQ[i] + w1 * Q[k] + v1 * dQ[k],
-            w0 * M[i] + v0 * dM[i] + w1 * M[k] + v1 * dM[k],
-            w0 * E[i] + v0 * dE[i] + w1 * E[k] + v1 * dE[k],
-        )
+        s = (t - ti) / dt
+        s2, u2 = s * s, (1.0 - s) ** 2
+        w0, v0 = (1.0 + 2.0 * s) * u2, dt * (s * u2)
+        w1, v1 = s2 * (3.0 - 2.0 * s), dt * (s2 * (s - 1.0))
+        return tuple.__new__(SystemState, (
+            w0 * Q0 + v0 * dQ0 + w1 * Q1 + v1 * dQ1,
+            w0 * M0 + v0 * dM0 + w1 * M1 + v1 * dM1,
+            w0 * E0 + v0 * dE0 + w1 * E1 + v1 * dE1,
+        ))
 
 
 def mesh_step(tau: float, max_step: float | None) -> float:
@@ -209,8 +207,7 @@ def integrate(
     d0 = history.eval(-tau) if tau > 0.0 else y0
     Q, M, E = y0
     kQ1, kM1, kE1 = field(Q, M, E, reentry(d0.Q, d0.E))
-    times, Qs, Ms, Es = [0.0], [Q], [M], [E]
-    dQs, dMs, dEs = [kQ1], [kM1], [kE1]
+    rows = [0.0, Q, M, E, kQ1, kM1, kE1]
     m = round(tau / dt)  # steps per delay: mesh point j - m sits at t_j - tau
 
     isfinite = math.isfinite
@@ -225,19 +222,20 @@ def integrate(
             tq = t + half - tau
             i = j - m
             if i >= 0:
-                s = (tq - times[i]) / dt
+                ti, Q0, _, E0, dQ0, _, dE0, _, Q1, _, E1, dQ1, _, dE1 = rows[7 * i:7 * i + 14]
+                s = (tq - ti) / dt
                 s2, u2 = s * s, (1.0 - s) ** 2
                 w0, v0 = (1.0 + 2.0 * s) * u2, dt * (s * u2)
                 w1, v1 = s2 * (3.0 - 2.0 * s), dt * (s2 * (s - 1.0))
-                Qh = w0 * Qs[i] + v0 * dQs[i] + w1 * Qs[i + 1] + v1 * dQs[i + 1]
-                Eh = w0 * Es[i] + v0 * dEs[i] + w1 * Es[i + 1] + v1 * dEs[i + 1]
+                Qh = w0 * Q0 + v0 * dQ0 + w1 * Q1 + v1 * dQ1
+                Eh = w0 * E0 + v0 * dE0 + w1 * E1 + v1 * dE1
             else:
                 Qh, _, Eh = history.eval(tq)
             # stage 4 reads at t + dt - tau, mesh point j + 1 - m (the
             # current one with one step per delay), or the history
             i = j + 1 - m
             if i >= 0:
-                Qf, Ef = Qs[i], Es[i]
+                Qf, Ef = rows[7 * i + 1], rows[7 * i + 3]
             else:
                 Qf, _, Ef = history.eval(i * dt)
             rh = reentry(Qh, Eh)  # stages 2 and 3 share this read
@@ -271,16 +269,9 @@ def integrate(
             rf = reentry(Qn, En)
         kQ1, kM1, kE1 = field(Qn, Mn, En, rf)
         t, Q, M, E = t_next, Qn, Mn, En
-        times.append(t)
-        Qs.append(Q)
-        Ms.append(M)
-        Es.append(E)
-        dQs.append(kQ1)
-        dMs.append(kM1)
-        dEs.append(kE1)
+        rows += (t, Q, M, E, kQ1, kM1, kE1)
 
-    columns = (times, Qs, Ms, Es, dQs, dMs, dEs)
-    return Trajectory(p, history, dt, *(memoryview(array("d", c)).toreadonly() for c in columns))
+    return Trajectory(p, history, dt, memoryview(array("d", rows)).toreadonly())
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,11 @@ geometry:
     root pairs over [0, tau_max) from the no-delay verdict.
 
 Evaluations at distinct tau are independent; everything is deterministic
-for a fixed grid.  The coefficients of each delay are built once: _coeffs_at
-keeps them per parameter set and repr(tau), with the equilibrium memo's
-rule (equilibria.ParamsMemo), so the root window, the grid samples, the S_n
-refinement and the crossing reports share one build.  A NumericalError is
-not cached.
+for a fixed grid.  The coefficients of each delay are built once:
+linear_coeffs keeps them per parameter set and repr(tau), with the
+equilibrium memo's rule (equilibria.ParamsMemo), so the CLI's rows, the
+root window, the grid samples, the S_n refinement and the crossing reports
+share one build.  A NumericalError is not cached.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 from .cubic import cubic_prime, cubic_value, real_cubic_roots
 from .equilibria import ParamsMemo, positive_equilibrium, tau_max
-from .linearization import CharCoeffs, char_coeffs, linearize, routh_hurwitz_tau0
+from .linearization import CharCoeffs, LinCoeffs, char_coeffs, linearize, routh_hurwitz_tau0
 from .model import ModelParams, NumericalError, bisect_flip
 
 _S_TOL = 1e-10
@@ -43,7 +43,7 @@ _RESIDUAL_TOL = 1e-8
 # the runtime check only rejects grids too coarse to bracket crossings at all
 _GRID_SPACING_CAP = 0.05
 
-_coeff_memo = ParamsMemo()  # _coeffs_at's CharCoeffs, replaced as the equilibrium memo is
+_coeff_memo = ParamsMemo()  # linear_coeffs' builds, replaced as the equilibrium memo is
 
 
 class DegenerateDenominatorError(NumericalError):
@@ -150,18 +150,28 @@ def char_residual(cc: CharCoeffs, lam: complex, tau: float) -> complex:
     return p + q * cmath.exp(-lam * tau)
 
 
-def _coeffs_at(p: ModelParams, tau: float) -> CharCoeffs | None:
-    """The coefficients at the positive equilibrium, built once per delay."""
+def linear_coeffs(p: ModelParams, tau: float) -> tuple[LinCoeffs, CharCoeffs] | None:
+    """The linearization and coefficients at the positive equilibrium, built
+    once per delay; a build that _coeffs_at refuses is returned, not kept."""
     table = _coeff_memo.table_for(p)
     key = repr(tau)
     if key in table:
         return table[key]
     eq = positive_equilibrium(p, tau)
-    cc = None if eq is None else char_coeffs(linearize(p, eq, tau), p.mu, p.k)
+    lc = None if eq is None else linearize(p, eq, tau)
+    built = None if lc is None else (lc, char_coeffs(lc, p.mu, p.k))
+    if built is None or built[1].a3 + built[1].a6 > 0.0:
+        _coeff_memo.put(p, key, built)
+    return built
+
+
+def _coeffs_at(p: ModelParams, tau: float) -> CharCoeffs | None:
+    """The coefficients at the positive equilibrium, built once per delay."""
+    built = linear_coeffs(p, tau)
+    cc = built and built[1]
     # no root may sit at the origin, else crossings through 0 would go unseen
     if cc is not None and not cc.a3 + cc.a6 > 0.0:
         raise NumericalError(f"a3+a6 = {cc.a3 + cc.a6!r} <= 0 at tau={tau!r}")
-    _coeff_memo.put(p, key, cc)
     return cc
 
 

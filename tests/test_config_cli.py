@@ -1,9 +1,11 @@
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -700,6 +702,46 @@ class TestReproduceCommand:
         assert [Path(p).name for p in manifest["outputs"]] == ["equilibria.csv"]
         _, rows = read_csv(out / "equilibria.csv")
         assert all(r[4] == "" and r[5] == "" and r[6] == "" for r in rows)
+
+
+class TestPlotScript:
+    """scripts/plot_figures.py loads without matplotlib and finds its columns."""
+
+    # the CSVs the plot functions read, as they glob them, and the columns they use
+    USED = {
+        "equilibria.csv": {"tau", "Q_positive", "M_positive", "E_positive", "E_trivial"},
+        "coeffs.csv": {"tau", "b2", "b3"},
+        "s*_curve.csv": {"tau", "S"},
+        "switches.csv": {"tau_star"},
+        "sim_tau*.csv": {"t", "Q", "M"},
+    }
+
+    @staticmethod
+    def load_script():
+        path = Path(__file__).resolve().parent.parent / "scripts" / "plot_figures.py"
+        spec = importlib.util.spec_from_file_location("plot_figures", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        return script
+
+    def test_used_columns_are_listed(self):
+        source = Path(self.load_script().__file__).read_text()
+        used = set(re.findall(r'(?:cols|switches)\["(\w+)"\]', source))
+        assert used == set().union(*self.USED.values())
+
+    def test_read_columns_finds_every_used_column(self, repro):
+        script = self.load_script()
+        _, dirs = repro
+        for pattern, names in self.USED.items():
+            paths = sorted(dirs[0].glob(pattern))
+            assert paths, pattern
+            for path in paths:
+                cols = script.read_columns(path)
+                assert names <= cols.keys(), (path.name, names - cols.keys())
+                for name in names:
+                    assert cols[name] and all(type(v) is float for v in cols[name]), (path.name, name)
+        # plot_simulations titles each run with the delay in its file name
+        assert sorted(float(p.stem[7:]) for p in dirs[0].glob("sim_tau*.csv")) == [0.5, 1.4, 2.8, 2.9]
 
 
 class TestExitCodes:

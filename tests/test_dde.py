@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -96,6 +97,14 @@ def custom_params(rates: RateFunctions, tau: float = 1.0) -> ModelParams:
     return ModelParams(delta=0.01, gamma=0.2, tau=tau, mu=0.02, k=2.8, rates=rates)
 
 
+def packed_trajectory(p, history, dt, times, states, derivs) -> Trajectory:
+    """A Trajectory of the given mesh, packed into rows as integrate packs them."""
+    rows = array("d")
+    for t, y, dy in zip(times, states, derivs):
+        rows.extend((t, *y, *dy))
+    return Trajectory(p, history, dt, memoryview(rows).toreadonly())
+
+
 def sine_trajectory(dt: float = 0.1, t_end: float = 600.0) -> Trajectory:
     """All three components follow 2 + sin(2 pi t / 50)."""
     w = 2.0 * math.pi / 50.0
@@ -105,13 +114,8 @@ def sine_trajectory(dt: float = 0.1, t_end: float = 600.0) -> Trajectory:
         SystemState(*(2.0 + math.sin(w * t),) * 3) for t in times
     )
     derivs = tuple(SystemState(*(w * math.cos(w * t),) * 3) for t in times)
-    return Trajectory(
-        default_params(tau=0.5),
-        History.constant(SystemState(2.0, 2.0, 2.0)),
-        dt,
-        times,
-        *zip(*states),
-        *zip(*derivs),
+    return packed_trajectory(
+        default_params(tau=0.5), History.constant(SystemState(2.0, 2.0, 2.0)), dt, times, states, derivs
     )
 
 
@@ -426,13 +430,8 @@ class TestInterpolate:
         times = tuple(i * dt for i in range(11))
         states = tuple(SystemState(*(y(t),) * 3) for t in times)
         derivs = tuple(SystemState(*(dy(t),) * 3) for t in times)
-        traj = Trajectory(
-            default_params(tau=1.0),
-            History.constant(SystemState(3.0, 3.0, 3.0)),
-            dt,
-            times,
-            *zip(*states),
-            *zip(*derivs),
+        traj = packed_trajectory(
+            default_params(tau=1.0), History.constant(SystemState(3.0, 3.0, 3.0)), dt, times, states, derivs
         )
         for t in (0.1, 0.77, 2.34, 4.9, 4.999):
             got = traj.state(t)
@@ -440,11 +439,12 @@ class TestInterpolate:
 
     def test_state_method_is_dense_output(self):
         # the cubic Hermite interpolant of the stored columns, written out
-        # in the standard basis
+        # in the standard basis: in the first segment, inside, in the last
+        # segment (whose index state(t) clamps) and at t_end
         _, _, traj = perturbed_run(0.5, 5.0)
-        dt = traj.dt
-        for t in (0.3, 1.234, 4.5):
-            i = int(t / dt)
+        dt, last = traj.dt, len(traj.times) - 2
+        for t in (0.5 * dt, 0.3, 1.234, 4.5, traj.times[last] + 0.5 * dt, traj.t_end):
+            i = min(int(t / dt), last)
             s = (t - traj.times[i]) / dt
             h00, h10 = 2 * s**3 - 3 * s**2 + 1, s**3 - 2 * s**2 + s
             h01, h11 = -2 * s**3 + 3 * s**2, s**3 - s**2
@@ -495,6 +495,18 @@ class TestStorage:
             with pytest.raises(TypeError):
                 c[0] = 1.0
         assert type(traj.state(3.3)) is SystemState
+
+    def test_columns_are_views_of_one_row_buffer(self):
+        _, _, traj = perturbed_run(1.4, 20.0)
+        rows = traj.rows
+        assert rows.format == "d" and rows.readonly and rows.c_contiguous
+        assert rows.nbytes == 56 * len(traj.times)
+        columns = (traj.times, traj.Q, traj.M, traj.E, traj.dQ, traj.dM, traj.dE)
+        for c, column in enumerate(columns):
+            assert column.obj is rows.obj
+            assert column.strides == (56,)
+            assert column.tolist() == rows.tolist()[c::7]
+        assert traj.times is traj.times
 
     def test_tail_slices_are_views(self):
         _, _, traj = perturbed_run(1.4, 20.0)
@@ -587,9 +599,7 @@ class TestClassify:
         derivs = tuple(
             SystemState(1e-5 * math.exp(0.01 * t), 0.0, 0.0) for t in times
         )
-        traj = Trajectory(
-            p, History.constant(eq.state), 1.0, times, *zip(*states), *zip(*derivs)
-        )
+        traj = packed_trajectory(p, History.constant(eq.state), 1.0, times, states, derivs)
         assert classify_asymptotics(traj, eq, 100.0) == "diverging"
 
     def test_transient_must_precede_end(self, standard_runs):

@@ -29,7 +29,7 @@ from hemodelay import (
     theta,
     trivial_equilibrium,
 )
-from hemodelay import switch
+from hemodelay import cli, switch
 from hemodelay.switch import (
     SwitchReport,
     _assemble_partition,
@@ -455,6 +455,26 @@ class TestCoefficientMemo:
             with pytest.raises(NumericalError, match=r"a3\+a6"):
                 sn_value(p, 1.0, 0, 0)
         assert seen["char_coeffs"] == ["1.0", "1.0"]
+        # the coeffs command still writes the row: only _coeffs_at refuses it
+        (row,) = cli._coeff_rows(p, [1.0])
+        assert row[0] == 1.0 and not row[9] + row[12] > 0.0  # a3 + a6
+        with pytest.raises(NumericalError, match=r"a3\+a6"):
+            sn_value(p, 1.0, 0, 0)
+        assert seen["char_coeffs"] == ["1.0"] * 4
+
+    def test_coefficient_rows_share_the_build(self, params, default_grid, monkeypatch):
+        # the CLI's coeffs.csv rows fill the memo that the root window reads,
+        # which then builds only its bisection midpoints
+        sn_value(default_params(tau=1.0), 0.0, 0, 0)  # another set's tables
+        seen = self.count_builds(monkeypatch)
+        grid = list(map(repr, default_grid))
+        rows = cli._coeff_rows(params, default_grid)
+        assert [repr(r[0]) for r in rows] == seen["char_coeffs"] == grid
+        seen["char_coeffs"].clear()
+        positive_root_intervals(params, default_grid)
+        assert seen["char_coeffs"] and set(seen["char_coeffs"]).isdisjoint(grid)
+        built = switch.linear_coeffs(params, default_grid[7])
+        assert built[0].tau == default_grid[7] and built[1] is _coeffs_at(params, default_grid[7])
 
 
 class TestRootWindow:
