@@ -13,13 +13,18 @@ half-step read at t + dt/2 - tau lies inside segment j - m and comes from
 its cubic Hermite interpolant, or from the history before the first delay.
 
 The stepper appends each mesh point as a row (t, Q, M, E, dQ, dM, dE) to
-one flat float list, checking finiteness and the nonnegativity floor once
-per step on the new state.  Every stage goes through model.vector_field,
-built once per run; model.rhs is the checked wrapper around the same
-field.  The field takes the delayed re-entry flux, computed once per read:
-stages 2 and 3 share the half-step one, and the full-step one serves stage
-4 and the new mesh point's derivative, which doubles as the next step's
-first stage.  Both reads are inlined.
+one flat float list.  It checks the new state once per step, with one
+chained comparison floor <= x < inf per component, and only when that
+fails sorts the failure into a DivergenceError (a component not finite)
+or an InvariantViolationError (one below the -1e-6 floor).  Every stage
+goes through model.vector_field, built once per run, which evaluates the
+exact HillRates inline and any other rates through their methods;
+model.rhs is the checked wrapper around the same field.  The field takes
+the delayed re-entry flux, computed once per read: stages 2 and 3 share
+the half-step one, and the full-step one serves stage 4 and the new mesh
+point's derivative, which doubles as the next step's first stage.  Both
+reads are inlined, so a delayed step with HillRates makes 6 calls: 4 of
+the field and 2 of the flux.
 
 A Trajectory keeps that list packed once, at the end, into one read-only
 float64 buffer, and its columns (times, Q, M, E, dQ, dM, dE) are strided
@@ -210,7 +215,7 @@ def integrate(
     rows = [0.0, Q, M, E, kQ1, kM1, kE1]
     m = round(tau / dt)  # steps per delay: mesh point j - m sits at t_j - tau
 
-    isfinite = math.isfinite
+    isfinite, inf, floor = math.isfinite, math.inf, _NEG_FLOOR
     half = 0.5 * dt
     sixth = dt / 6.0
     t = 0.0
@@ -255,15 +260,15 @@ def integrate(
         Mn = M + sixth * (kM1 + 2.0 * (kM2 + kM3) + kM4)
         En = E + sixth * (kE1 + 2.0 * (kE2 + kE3) + kE4)
         t_next = (j + 1) * dt
-        # a non-finite stage state propagates into the new state
-        if not (isfinite(Qn) and isfinite(Mn) and isfinite(En)):
-            raise DivergenceError(
-                f"state non-finite at t={t_next!r}; last valid t={t!r}", t
-            )
-        low = min(Qn, Mn, En)
-        if low < _NEG_FLOOR:
+        # a non-finite stage state propagates into the new state, and NaN
+        # fails every comparison
+        if not (floor <= Qn < inf and floor <= Mn < inf and floor <= En < inf):
+            if not (isfinite(Qn) and isfinite(Mn) and isfinite(En)):
+                raise DivergenceError(
+                    f"state non-finite at t={t_next!r}; last valid t={t!r}", t
+                )
             raise InvariantViolationError(
-                f"component reached {low!r} at t={t_next!r}", t
+                f"component reached {min(Qn, Mn, En)!r} at t={t_next!r}", t
             )
         if tau <= 0.0:
             rf = reentry(Qn, En)

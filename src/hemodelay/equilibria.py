@@ -22,7 +22,7 @@ positive_equilibrium solves each (params, tau) pair once: the analytic chain
 asks for the same delays several times (the CLI rows, positive_root_intervals
 and scan each walk the whole grid).  The memo (a ParamsMemo, which the switch
 module uses for its coefficients too) is one table for the most recent
-parameter set, keyed by repr(tau) so that 0, 0.0 and -0.0 stay apart; a call
+parameter set, keyed by the delay so that 0, 0.0 and -0.0 stay apart; a call
 with a parameter set that is neither that object nor == to it starts a new
 table, and so does a miss that finds the table full (_MEMO_POINTS).  A
 NumericalError is not cached: it is raised again on every call.  The memo is
@@ -59,28 +59,41 @@ _SECANT_STEPS = 12  # secant steps from a hint before the plain bracket is used
 
 
 class ParamsMemo:
-    """Values for the most recent parameter set, keyed by repr(tau).
+    """Values for the most recent parameter set, keyed by delay.
 
-    A parameter set that is neither the stored object nor == to it starts a
-    new table, and so does storing into a full one (_MEMO_POINTS).  A table
-    is replaced together with its parameter set, so it only ever holds that
-    set's values.
+    The key of tau is (tau, copysign(1.0, tau), type(tau)): two delays share
+    it exactly when they are the same number of the same type, so 0, 0.0 and
+    -0.0 stay apart.  A NaN delay is never stored.  A parameter set that is
+    neither the stored object nor == to it starts a new table, and so does
+    storing into a full one (_MEMO_POINTS).  A table is replaced together
+    with its parameter set, so it only ever holds that set's values.
     """
+
+    MISSING = object()  # what get returns for a delay not stored
 
     def __init__(self) -> None:
         self.params: ModelParams | None = None
-        self.table: dict[str, object] = {}
+        self.table: dict[tuple, object] = {}
 
-    def table_for(self, p: ModelParams) -> dict[str, object]:
+    def table_for(self, p: ModelParams) -> dict[tuple, object]:
         if p is not self.params and not p == self.params:
             self.params, self.table = p, {}
         return self.table
 
-    def put(self, p: ModelParams, key: str, value: object) -> None:
+    def get(self, p: ModelParams, tau: float) -> object:
+        return self.table_for(p).get(_delay_key(tau), self.MISSING)
+
+    def put(self, p: ModelParams, tau: float, value: object) -> None:
+        if tau != tau:
+            return  # a NaN key would never be found again
         table = self.table_for(p)
         if len(table) >= _MEMO_POINTS:
             self.table = table = {}
-        table[key] = value
+        table[_delay_key(tau)] = value
+
+
+def _delay_key(tau: float) -> tuple:
+    return tau, math.copysign(1.0, tau), type(tau)
 
 
 _memo = ParamsMemo()  # the positive_equilibrium memo
@@ -147,13 +160,11 @@ def positive_equilibrium(p: ModelParams, tau: float) -> Equilibrium | None:
     """
     if not tau >= 0.0:  # NaN fails too
         raise ValueError("tau must be nonnegative")
-    table = _memo.table_for(p)
-    key = repr(tau)
-    if key in table:
-        return table[key]
-    last = next(reversed(table.values()), None)
-    eq = _solve_positive(p, tau, None if last is None else last.Q)
-    _memo.put(p, key, eq)
+    eq = _memo.get(p, tau)
+    if eq is _memo.MISSING:
+        last = next(reversed(_memo.table.values()), None)
+        eq = _solve_positive(p, tau, None if last is None else last.Q)
+        _memo.put(p, tau, eq)
     return eq
 
 

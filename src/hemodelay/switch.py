@@ -21,7 +21,7 @@ geometry:
 
 Evaluations at distinct tau are independent; everything is deterministic
 for a fixed grid.  The coefficients of each delay are built once:
-linear_coeffs keeps them per parameter set and repr(tau), with the
+linear_coeffs keeps them per parameter set and delay, with the
 equilibrium memo's rule (equilibria.ParamsMemo), so the CLI's rows, the
 root window, the grid samples, the S_n refinement and the crossing reports
 share one build.  A NumericalError is not cached.
@@ -153,15 +153,14 @@ def char_residual(cc: CharCoeffs, lam: complex, tau: float) -> complex:
 def linear_coeffs(p: ModelParams, tau: float) -> tuple[LinCoeffs, CharCoeffs] | None:
     """The linearization and coefficients at the positive equilibrium, built
     once per delay; a build that _coeffs_at refuses is returned, not kept."""
-    table = _coeff_memo.table_for(p)
-    key = repr(tau)
-    if key in table:
-        return table[key]
+    built = _coeff_memo.get(p, tau)
+    if built is not _coeff_memo.MISSING:
+        return built
     eq = positive_equilibrium(p, tau)
     lc = None if eq is None else linearize(p, eq, tau)
     built = None if lc is None else (lc, char_coeffs(lc, p.mu, p.k))
     if built is None or built[1].a3 + built[1].a6 > 0.0:
-        _coeff_memo.put(p, key, built)
+        _coeff_memo.put(p, tau, built)
     return built
 
 

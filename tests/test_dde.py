@@ -10,6 +10,7 @@ import pytest
 
 from hemodelay import (
     DivergenceError,
+    HillRates,
     History,
     InvalidStateError,
     InvariantViolationError,
@@ -28,6 +29,7 @@ from hemodelay import (
     routh_hurwitz_tau0,
     scaled_equilibrium_history,
 )
+from hemodelay.model import vector_field
 
 import checks
 
@@ -91,6 +93,15 @@ class BigSource(RateFunctions):
 
     def f_prime(self, M):
         return 0.0
+
+
+@dataclasses.dataclass(frozen=True)
+class PlainHill(HillRates):
+    """HillRates under another type: vector_field composes its beta, g and f."""
+
+
+def plain_hill(p: ModelParams) -> ModelParams:
+    return dataclasses.replace(p, rates=PlainHill(**dataclasses.asdict(p.rates)))
 
 
 def custom_params(rates: RateFunctions, tau: float = 1.0) -> ModelParams:
@@ -192,7 +203,8 @@ class TestIntegrateMesh:
         # one re-entry flux per delayed read: stages 2 and 3 share the read
         # at t + dt/2 - tau, and the one at t + dt - tau serves stage 4 and
         # the next step's first stage.  At 1.4 and 2.9, t + dt is not always
-        # the float (j + 1) * dt, and the count must not depend on that
+        # the float (j + 1) * dt, and the count must not depend on that.
+        # CountingRates is a HillRates subclass, so it takes the generic path
         rates = checks.CountingRates(**dataclasses.asdict(default_params().rates))
         for tau in (0.5, 1.4, 2.9):
             p = dataclasses.replace(default_params(tau=tau), rates=rates)
@@ -394,6 +406,62 @@ class TestTrajectoryBits:
         assert trajectory_digest(traj) == (
             "d3f30193fce965c14a032d45128a99f5f457c2d201c38a29264cbd2435030b86"
         )
+
+
+class TestInlineHillField:
+    """vector_field evaluates exact HillRates inline, bit for bit as the
+    generic composition of beta, g and f that a subclass gets."""
+
+    @staticmethod
+    def hill_params(seed, tau):
+        # the reference beta0 = 0.5 multiplies exactly; a perturbed set's
+        # does not, and its r is not an integer
+        p = default_params() if seed is None else checks.perturbed_params(seed)
+        return dataclasses.replace(p, tau=tau)
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.4, 2.9])
+    def test_rows_match_the_generic_path(self, tau, seed):
+        p = self.hill_params(seed, tau)
+        history = History.constant(SystemState(3.6, 7.3, 0.12))
+        inline = integrate(p, history, 12.0)
+        generic = integrate(plain_hill(p), history, 12.0)
+        assert inline.rows.tobytes() == generic.rows.tobytes()
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_field_matches_the_generic_path_at_the_edges(self, seed):
+        p = self.hill_params(seed, 1.4)
+        (field, reentry), (field_g, reentry_g) = vector_field(p), vector_field(plain_hill(p))
+        assert field.__code__ is not field_g.__code__
+        # M < 0 and M = +-0 take f's no-feedback branch; K*M**r underflows
+        # for a tiny M and overflows for a huge one; E = 0 and a huge E
+        # push beta to its ends
+        for Q, E in ((0.0, 0.0), (2.9, 0.24), (1e-300, 1e300), (3.3, 1.7e308)):
+            assert repr(reentry(Q, E)) == repr(reentry_g(Q, E)), (Q, E)
+            for M in (-3.0, -0.0, 0.0, 5e-324, 1e-300, 1e-3, 6.6, 1e60, 1e300, math.inf):
+                assert repr(field(Q, M, E, 0.7)) == repr(field_g(Q, M, E, 0.7)), (Q, M, E)
+        with pytest.raises(OverflowError):
+            p.rates.K * 1e60**p.rates.r  # the overflow case is reached
+
+    def test_exact_hill_rates_call_no_rate_method(self, monkeypatch):
+        # counted on the class, so the generic path's calls show (6n + 2
+        # beta calls per 20-day run) and the inline path's absence does too
+        calls = dict.fromkeys(("beta", "g", "f"), 0)
+        for name in calls:
+            def counted(self, *args, _name=name, _method=getattr(HillRates, name)):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(HillRates, name, counted)
+        for tau in (0.5, 1.4, 2.9):
+            p = default_params(tau=tau)
+            assert type(p.rates) is HillRates
+            history = scaled_equilibrium_history(positive_equilibrium(p, tau))
+            for params, generic in ((p, False), (plain_hill(p), True)):
+                calls.update(beta=0, g=0, f=0)
+                n = len(integrate(params, history, 20.0).times) - 1
+                want = (6 * n + 2, 4 * n + 1, 4 * n + 1) if generic else (0, 0, 0)
+                assert tuple(calls.values()) == want, (tau, generic)
 
 
 class TestInterpolate:

@@ -158,14 +158,23 @@ class TestPositiveEquilibrium:
     def test_negative_tau_rejected(self, params):
         with pytest.raises(ValueError):
             positive_equilibrium(params, -0.1)
-        # the memo keys on repr(tau): each spelling of zero keeps its own tau
+        # the memo keys on the delay's value, sign and type: each spelling of
+        # zero keeps its own tau
         for tau in (0.0, 0, -0.0):
             assert repr(positive_equilibrium(params, tau).tau) == repr(tau)
 
     def test_nan_tau_rejected(self, params):
         with pytest.raises(ValueError, match="nonnegative"):
             positive_equilibrium(params, math.nan)
-        assert "nan" not in equilibria._memo.table
+        assert not any(math.isnan(key[0]) for key in equilibria._memo.table)
+
+    def test_memo_keys(self, params):
+        memo = equilibria.ParamsMemo()
+        for i, tau in enumerate((0.0, -0.0, 0, 1, 1.0, math.nan)):
+            memo.put(params, tau, i)
+        assert [memo.get(params, tau) for tau in (0.0, -0.0, 0, 1, 1.0)] == [0, 1, 2, 3, 4]
+        assert memo.get(params, math.nan) is memo.MISSING
+        assert len(memo.table) == 5
 
     def test_balance_and_consistency(self, params):
         tm = tau_max(params)
