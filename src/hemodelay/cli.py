@@ -37,6 +37,7 @@ from .dde import (
     scaled_equilibrium_history,
 )
 from .equilibria import Equilibrium, positive_equilibrium, tau_max, trivial_equilibrium
+from .linearization import CharCoeffs, LinCoeffs
 from .linearization import char_coeffs, linearize  # noqa: F401 (traced by name in perfbench)
 from .model import InvalidStateError, ModelParams, NumericalError, SystemState, validate
 from .switch import ScanResult, linear_coeffs, positive_root_intervals
@@ -178,10 +179,7 @@ def _cmd_equilibria(args: argparse.Namespace) -> tuple[dict, int]:
     return _manifest("equilibria", cfg, params, opts, [out], []), 0
 
 
-_COEFF_HEADER = [
-    "tau", "A", "B", "C", "D", "G", "H",
-    "a1", "a2", "a3", "a4", "a5", "a6", "b1", "b2", "b3",
-]
+_COEFF_HEADER = ["tau", *LinCoeffs._fields[:6], *CharCoeffs._fields[:9]]
 
 
 def _coeff_rows(params: ModelParams, grid: list[float]) -> list[tuple]:
@@ -192,10 +190,7 @@ def _coeff_rows(params: ModelParams, grid: list[float]) -> list[tuple]:
         if built is None:
             continue
         lc, cc = built
-        rows.append(
-            (t, lc.A, lc.B, lc.C, lc.D, lc.G, lc.H,
-             cc.a1, cc.a2, cc.a3, cc.a4, cc.a5, cc.a6, cc.b1, cc.b2, cc.b3)
-        )
+        rows.append((t, *lc[:6], *cc[:9]))
     return rows
 
 

@@ -29,13 +29,14 @@ def _polish(b1: float, b2: float, b3: float, z: float) -> float:
     d = cubic_prime(b1, b2, z)
     if d == 0.0 or not math.isfinite(d):
         return z
-    step = cubic_value(b1, b2, b3, z) / d
+    v = cubic_value(b1, b2, b3, z)
+    step = v / d
     if not math.isfinite(step):
         return z
     # a Newton step from a near-multiple root can blow up; keep it only if
     # it does not worsen the residual
     zn = z - step
-    return zn if abs(cubic_value(b1, b2, b3, zn)) <= abs(cubic_value(b1, b2, b3, z)) else z
+    return zn if abs(cubic_value(b1, b2, b3, zn)) <= abs(v) else z
 
 
 def real_cubic_roots(b1: float, b2: float, b3: float) -> list[float]:

@@ -33,23 +33,24 @@ secant walk from that pool size gives a root estimate x and slope s, and the
 window [x - w, x + w], w = max(1e-14*x, 64*eps*S/|s|) with S the summed
 magnitude of the residual's terms, is used only if the residual is positive
 at its left end and not at its right end.  The bisection then takes the same
-midpoints as without the window and evaluates the residual only inside it,
-so it returns the same float in under a third of the evaluations.  Without
-a usable window (the first solve of a set, a walk that does not settle, a
-window that fails its check) the window is the whole axis (0, inf), which
-is the plain bisection.  The check reads the window's two ends only, so the
-equality rests on the sign of the float residual being monotone outside the
-window, a precondition model.RateFunctions states; the residual at the
-bracket's low end, which decides whether there is a root at all, is
-evaluated with or without a window.
+midpoints as without the window: a bare loop takes those outside the window
+without the residual until one falls inside it, and model.bisect_flip goes
+on from there with the plain predicate residual(Q) > 0, so it returns the
+same float in about a third of the evaluations.  Without a usable window
+(the first solve of a set, a walk that does not settle, a window that fails
+its check) the window is the whole axis (0, inf), which is the plain
+bisection.  The check reads the window's two ends only, so the equality
+rests on the sign of the float residual being monotone outside the window,
+a precondition model.RateFunctions states; the residual at the bracket's
+low end, which decides whether there is a root at all, is evaluated with or
+without a window.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .model import HillRates, ModelParams, NumericalError, SystemState, bisect_flip, reward
 
@@ -99,8 +100,7 @@ def _delay_key(tau: float) -> tuple:
 _memo = ParamsMemo()  # the positive_equilibrium memo
 
 
-@dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(NamedTuple):
     kind: str  # "trivial" or "positive"
     Q: float
     M: float
@@ -171,9 +171,10 @@ def positive_equilibrium(p: ModelParams, tau: float) -> Equilibrium | None:
 def _solve_positive(p: ModelParams, tau: float, hint: float | None = None) -> Equilibrium | None:
     """positive_equilibrium without the memo, warm-started from the pool size `hint`.
 
-    The window from _window decides the midpoints outside it without
-    evaluating the residual, so the steps, and the returned float, are those
-    of the solve without a hint.
+    The bracket expansion and the bisection's midpoints outside the window
+    from _window are decided without evaluating the residual; bisect_flip
+    takes over at the first midpoint inside it.  The steps, and the returned
+    float, are those of the solve without a hint.
     """
     tm = tau_max(p)
     if tm is None or not tau < tm:
@@ -186,16 +187,21 @@ def _solve_positive(p: ModelParams, tau: float, hint: float | None = None) -> Eq
     if not residual(_BRACKET_LO) > 0.0:
         return None
     a, b = (0.0, math.inf) if hint is None else _window(p, residual, hint)
-
-    def positive(Q: float) -> bool:
-        return Q <= a or (Q < b and residual(Q) > 0.0)
-
     hi = 1.0
-    while positive(hi):
+    while hi <= a or (hi < b and residual(hi) > 0.0):
         hi *= 2.0
         if hi > 2.0**200:
             raise NumericalError("no sign change found while expanding the bracket")
-    lo, hi = bisect_flip(positive, _BRACKET_LO, hi)
+    # bisect_flip's steps, taken here while the midpoint is outside the
+    # window, whose side of the root is known without the residual
+    lo, mid = _BRACKET_LO, 0.5 * (_BRACKET_LO + hi)
+    while lo < mid < hi and not a < mid < b:
+        if mid <= a:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    lo, hi = bisect_flip(lambda Q: residual(Q) > 0.0, lo, hi)
     Q = 0.5 * (lo + hi)
     r_end = abs(residual(Q))
     tol = 1e-12 * (p.delta + p.rates.g_prime(0.0) + 1.0)

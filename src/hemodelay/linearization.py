@@ -24,14 +24,13 @@ crossing machinery live in the switch module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .equilibria import Equilibrium
 from .model import ModelParams, reward, validate
 
 
-@dataclass(frozen=True)
-class LinCoeffs:
+class LinCoeffs(NamedTuple):
     """Constants of the linearized system at one equilibrium and delay."""
 
     A: float
@@ -43,8 +42,7 @@ class LinCoeffs:
     tau: float
 
 
-@dataclass(frozen=True)
-class CharCoeffs:
+class CharCoeffs(NamedTuple):
     """Coefficients of P, Q and of the imaginary-root cubic h."""
 
     a1: float

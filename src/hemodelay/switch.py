@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .cubic import cubic_prime, cubic_value, real_cubic_roots
 from .equilibria import ParamsMemo, positive_equilibrium, tau_max
@@ -50,8 +51,7 @@ class DegenerateDenominatorError(NumericalError):
     """|Q(i*omega)|^2 vanished, so the phase angle is undefined."""
 
 
-@dataclass(frozen=True)
-class OmegaRoot:
+class OmegaRoot(NamedTuple):
     """One positive root z of h, with omega = sqrt(z) and the sign of dh/dz."""
 
     z: float

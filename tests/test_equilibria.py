@@ -15,6 +15,7 @@ from hemodelay import (
     trivial_equilibrium,
 )
 from hemodelay import equilibria
+from hemodelay.model import bisect_flip
 
 import checks
 
@@ -320,6 +321,29 @@ class TestWarmStart:
         for tau in grid:
             positive_equilibrium(p, tau)
         assert len(grid) <= rates.calls["f"] <= 25 * len(grid), rates.calls
+
+    def test_warm_solves_cost_at_most_24_predicate_calls(self, monkeypatch):
+        # the midpoints outside the window take no predicate call: the plain
+        # bisection makes 53 on every solve of the reference grid walk
+        calls = []
+
+        def counting(inside, lo, hi, width=0.0):
+            calls.append(0)
+
+            def counted(Q):
+                calls[-1] += 1
+                return inside(Q)
+
+            return bisect_flip(counted, lo, hi, width)
+
+        p = default_params()
+        positive_equilibrium(default_params(tau=1.0), 0.0)  # another set's table
+        monkeypatch.setattr(equilibria, "bisect_flip", counting)
+        grid = checks.make_grid(p)
+        for tau in grid:
+            positive_equilibrium(p, tau)
+        assert len(calls) == len(grid), len(calls)
+        assert max(calls[1:]) <= 24, sorted(calls[1:])[-5:]
 
 
 class TestClosedForm:

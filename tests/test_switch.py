@@ -11,9 +11,13 @@ from hypothesis import strategies as st
 from hemodelay import (
     CharCoeffs,
     DegenerateDenominatorError,
+    Equilibrium,
     HillRates,
+    LinCoeffs,
     ModelParams,
     NumericalError,
+    OmegaRoot,
+    SystemState,
     char_coeffs,
     char_residual,
     default_params,
@@ -636,3 +640,28 @@ class TestUnstableWithoutDelay:
         assert res.partition[0][1] == first.tau_star
         assert all(v == "unclassified" for *_, v in res.partition[1:])
         assert re[-1] < 0.0, re
+
+
+def test_chain_records_are_frozen_named_tuples():
+    # the records built per delay or per solve keep their fields, their
+    # Name(field=value, ...) repr and their immutability as NamedTuples
+    p, tau = default_params(), 2.0
+    eq = positive_equilibrium(p, tau)
+    lc = linearize(p, eq, tau)
+    cc = char_coeffs(lc, p.mu, p.k)
+    (root,) = positive_roots_h(cc)
+    fields = {
+        Equilibrium: ("kind", "Q", "M", "E", "tau"),
+        LinCoeffs: ("A", "B", "C", "D", "G", "H", "tau"),
+        CharCoeffs: ("a1", "a2", "a3", "a4", "a5", "a6", "b1", "b2", "b3", "tau"),
+        OmegaRoot: ("z", "omega", "dh_sign"),
+    }
+    for rec in (eq, lc, cc, root):
+        cls = type(rec)
+        assert cls._fields == fields[cls]
+        body = ", ".join(f"{f}={getattr(rec, f)!r}" for f in fields[cls])
+        assert repr(rec) == f"{cls.__name__}({body})"
+        for f in fields[cls]:
+            with pytest.raises(AttributeError):
+                setattr(rec, f, 0.0)
+    assert type(eq.state) is SystemState and eq.state == (eq.Q, eq.M, eq.E)
