@@ -33,7 +33,6 @@ from .linearization import (
     char_coeffs,
     linearize,
     routh_hurwitz_tau0,
-    trivial_stability,
 )
 from .model import (
     HillRates,

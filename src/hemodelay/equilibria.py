@@ -32,17 +32,14 @@ A solve whose table's most recent entry is an equilibrium starts from it: a
 secant walk from that pool size gives a root estimate x and slope s, and the
 window [x - w, x + w], w = max(1e-14*x, 64*eps*S/|s|) with S the summed
 magnitude of the residual's terms, is used only if the residual is positive
-at its left end and not at its right end.  The bisection then takes the same
-midpoints as without the window: a bare loop takes those outside the window
-without the residual until one falls inside it, and model.bisect_flip goes
-on from there with the plain predicate residual(Q) > 0, so it returns the
-same float in about a third of the evaluations.  Without a usable window
+at its left end and not at its right end.  The bisection takes the same
+midpoints with or without the window, but evaluates the residual only at
+those inside it; the side of the others is known.  Without a usable window
 (the first solve of a set, a walk that does not settle, a window that fails
-its check) the window is the whole axis (0, inf), which is the plain
-bisection.  The check reads the window's two ends only, so the equality
-rests on the sign of the float residual being monotone outside the window,
-a precondition model.RateFunctions states; the residual at the bracket's
-low end, which decides whether there is a root at all, is evaluated with or
+its check) the window is the whole axis (0, inf).  The equality rests on the
+sign of the float residual being monotone outside the window, a
+precondition model.RateFunctions states; the residual at the bracket's low
+end, which decides whether there is a root at all, is evaluated with or
 without a window.
 """
 
@@ -52,7 +49,7 @@ import math
 import sys
 from typing import Callable, NamedTuple
 
-from .model import HillRates, ModelParams, NumericalError, SystemState, bisect_flip, reward
+from .model import HillRates, ModelParams, NumericalError, SystemState, reward
 
 _BRACKET_LO = 1e-12  # lower end of the pool-size bracket
 _MEMO_POINTS = 4096  # entries kept for one parameter set; the reference grid has 598
@@ -171,10 +168,9 @@ def positive_equilibrium(p: ModelParams, tau: float) -> Equilibrium | None:
 def _solve_positive(p: ModelParams, tau: float, hint: float | None = None) -> Equilibrium | None:
     """positive_equilibrium without the memo, warm-started from the pool size `hint`.
 
-    The bracket expansion and the bisection's midpoints outside the window
-    from _window are decided without evaluating the residual; bisect_flip
-    takes over at the first midpoint inside it.  The steps, and the returned
-    float, are those of the solve without a hint.
+    One loop expands the bracket and one bisects it; each evaluates the
+    residual only inside the window from _window, so the steps, and the
+    returned float, are those of the solve without a hint.
     """
     tm = tau_max(p)
     if tm is None or not tau < tm:
@@ -192,17 +188,16 @@ def _solve_positive(p: ModelParams, tau: float, hint: float | None = None) -> Eq
         hi *= 2.0
         if hi > 2.0**200:
             raise NumericalError("no sign change found while expanding the bracket")
-    # bisect_flip's steps, taken here while the midpoint is outside the
-    # window, whose side of the root is known without the residual
+    # bisect down to adjacent floats; outside the window the side of the
+    # root is known without the residual
     lo, mid = _BRACKET_LO, 0.5 * (_BRACKET_LO + hi)
-    while lo < mid < hi and not a < mid < b:
-        if mid <= a:
+    while lo < mid < hi:
+        if mid <= a or (mid < b and residual(mid) > 0.0):
             lo = mid
         else:
             hi = mid
         mid = 0.5 * (lo + hi)
-    lo, hi = bisect_flip(lambda Q: residual(Q) > 0.0, lo, hi)
-    Q = 0.5 * (lo + hi)
+    Q = mid
     r_end = abs(residual(Q))
     tol = 1e-12 * (p.delta + p.rates.g_prime(0.0) + 1.0)
     if not r_end < tol:

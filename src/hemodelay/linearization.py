@@ -13,13 +13,11 @@ P and quadratic Q.  Purely imaginary roots lambda = i*omega require
     h(z) = z^3 + b1*z^2 + b2*z + b3 = 0.
 
 This module computes the six linearization constants A, B, C, D, G, H, the
-polynomial coefficients a1..a6 and b1..b3, the tau = 0 Routh-Hurwitz
-verdict, and the stability verdict for the extinction steady state.  Each
-coefficient is computed once, in char_coeffs; the tests check the
-transcription against the characteristic equation above, written out
-independently, and trivial_stability against the Hayes conditions.  h and
-h' are evaluated in the cubic module only; the root geometry of h and the
-crossing machinery live in the switch module.
+polynomial coefficients a1..a6 and b1..b3, and the tau = 0 Routh-Hurwitz
+verdict.  Each coefficient is computed once, in char_coeffs; the tests check
+the transcription against the characteristic equation above, written out
+independently.  h and h' are evaluated in the cubic module only; the root
+geometry of h and the crossing machinery live in the switch module.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .equilibria import Equilibrium
-from .model import ModelParams, reward, validate
+from .model import ModelParams, reward
 
 
 class LinCoeffs(NamedTuple):
@@ -100,27 +98,3 @@ def routh_hurwitz_tau0(cc: CharCoeffs) -> bool:
     if cc.tau != 0.0:
         raise ValueError(f"coefficients were built at tau={cc.tau}, not 0")
     return (cc.a1 + cc.a4) * (cc.a2 + cc.a5) - (cc.a3 + cc.a6) > 0.0
-
-
-def trivial_stability(p: ModelParams, tau: float) -> str:
-    """Verdict for the extinction steady state: stable, unstable or boundary.
-
-    The governing scalar equation is lambda + A - B*exp(-lambda*tau) = 0 with
-    A = delta + g'(0) + beta(0, f(0)/k) and B = 2*exp(-gamma*tau)*beta(0,
-    f(0)/k); it is stable exactly when no positive steady state exists at
-    this delay, i.e. delta + g'(0) > (2*exp(-gamma*tau) - 1)*beta(0, f(0)/k),
-    and unstable when the inequality reverses.  Equality is the transcritical
-    point and is reported as boundary, not classified.
-    """
-    bad = validate(p)
-    if bad:
-        raise ValueError("; ".join(bad))
-    if tau < 0.0:
-        raise ValueError("tau must be nonnegative")
-    thr = p.delta + p.rates.g_prime(0.0)
-    net = (reward(p, tau) - 1.0) * p.rates.beta(0.0, p.rates.f(0.0) / p.k)
-    if thr > net:
-        return "stable"
-    if thr < net:
-        return "unstable"
-    return "boundary"

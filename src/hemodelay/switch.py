@@ -223,17 +223,9 @@ def positive_root_intervals(
         if flags[i] != flags[i + 1]:
             lo, hi = bisect_flip(lambda t: alive(t) == flags[i], tau_grid[i], tau_grid[i + 1], 1e-10)
             edges.append(0.5 * (lo + hi))
-    intervals = []
-    start = tau_grid[0] if flags[0] else None
-    for e in edges:
-        if start is None:
-            start = e
-        else:
-            intervals.append((start, e))
-            start = None
-    if start is not None:
-        intervals.append((start, tau_grid[-1]))
-    return intervals
+    # each edge flips aliveness, so the interval ends alternate start, end
+    ends = ([tau_grid[0]] if flags[0] else []) + edges + ([tau_grid[-1]] if flags[-1] else [])
+    return list(zip(ends[::2], ends[1::2]))
 
 
 def _check_grid(p: ModelParams, tau_grid: list[float]) -> None:

@@ -472,8 +472,8 @@ def hayes_check(A: float, B: float, tau: float) -> bool:
     For tau = 0 the single root is B - A.  For tau > 0 the three conditions
     are A*tau > -1, (A - B)*tau > 0 and B*tau < zeta*sin(zeta) -
     A*tau*cos(zeta) with zeta = -A*tau*tan(zeta) on (0, pi).  The oracle for
-    trivial_stability, sharing no code with it; A*tau = 0 with tau > 0 is
-    out of scope and raises ValueError.
+    the extinction state's stability, sharing no code with the package;
+    A*tau = 0 with tau > 0 is out of scope and raises ValueError.
     """
     if tau < 0.0:
         raise ValueError("tau must be nonnegative")

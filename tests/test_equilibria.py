@@ -15,7 +15,6 @@ from hemodelay import (
     trivial_equilibrium,
 )
 from hemodelay import equilibria
-from hemodelay.model import bisect_flip
 
 import checks
 
@@ -322,28 +321,42 @@ class TestWarmStart:
             positive_equilibrium(p, tau)
         assert len(grid) <= rates.calls["f"] <= 25 * len(grid), rates.calls
 
-    def test_warm_solves_cost_at_most_24_predicate_calls(self, monkeypatch):
-        # the midpoints outside the window take no predicate call: the plain
-        # bisection makes 53 on every solve of the reference grid walk
-        calls = []
+    def test_residual_is_evaluated_only_inside_the_window(self, monkeypatch):
+        # once a solve has its window (a, b), the bracket expansion and the
+        # bisection decide every point outside it without the residual
+        make_residual, window = equilibria._residual_fn, equilibria._window
+        current = [None]  # the window of the solve under way, once it has one
+        inside, outside, windowed = [], [], []
 
-        def counting(inside, lo, hi, width=0.0):
-            calls.append(0)
+        def residual_fn(p, alpha):
+            residual = make_residual(p, alpha)
+            current[0] = None
 
-            def counted(Q):
-                calls[-1] += 1
-                return inside(Q)
+            def recorded(Q):
+                if current[0] is not None:
+                    a, b = current[0]
+                    (inside if a <= Q <= b else outside).append(Q)
+                return residual(Q)
 
-            return bisect_flip(counted, lo, hi, width)
+            return recorded
 
+        def recorded_window(p, residual, hint):
+            a, b = window(p, residual, hint)
+            if b < math.inf:
+                current[0] = a, b
+                windowed.append((a, b))
+            return a, b
+
+        monkeypatch.setattr(equilibria, "_residual_fn", residual_fn)
+        monkeypatch.setattr(equilibria, "_window", recorded_window)
         p = default_params()
         positive_equilibrium(default_params(tau=1.0), 0.0)  # another set's table
-        monkeypatch.setattr(equilibria, "bisect_flip", counting)
         grid = checks.make_grid(p)
         for tau in grid:
             positive_equilibrium(p, tau)
-        assert len(calls) == len(grid), len(calls)
-        assert max(calls[1:]) <= 24, sorted(calls[1:])[-5:]
+        assert len(windowed) >= 0.95 * len(grid), len(windowed)
+        assert len(inside) >= len(windowed), len(inside)
+        assert outside == [], len(outside)
 
 
 class TestClosedForm:

@@ -16,7 +16,6 @@ from hemodelay import (
     routh_hurwitz_tau0,
     tau_max,
     trivial_equilibrium,
-    trivial_stability,
 )
 from hemodelay.cubic import cubic_prime, cubic_value
 
@@ -171,61 +170,47 @@ class TestTranscriptionOracle:
         assert worst_h < 1e-12
 
 
-class TestTrivialStability:
-    def test_default_unstable_below_threshold(self, params):
-        tm = tau_max(params)
-        for i in range(10):
-            assert trivial_stability(params, tm * i / 10.0) == "unstable"
-
-    def test_default_stable_past_threshold(self, params):
-        tm = tau_max(params)
-        assert trivial_stability(params, tm + 0.1) == "stable"
-
-    def test_weak_reentry_stable_all_delays(self):
-        p = dataclasses.replace(
-            default_params(),
-            rates=HillRates(beta0=0.01, G=0.04, a=6570.0, K=0.0382, r=7.0),
-        )
-        for tau in (0.0, 0.5, 1.0, 2.0, 10.0):
-            assert trivial_stability(p, tau) == "stable"
-
-    def test_boundary_at_exact_equality(self):
-        p = dataclasses.replace(
-            default_params(),
-            delta=0.25,
-            gamma=0.0,
-            rates=checks.ConstantRates(b0=0.5, G=0.25),
-        )
-        assert trivial_stability(p, 1.0) == "boundary"
-
-    def test_invalid_params_rejected(self, params):
-        with pytest.raises(ValueError):
-            trivial_stability(dataclasses.replace(params, mu=0.0), 1.0)
-        with pytest.raises(ValueError):
-            trivial_stability(params, -1.0)
-
-
 class TestHayes:
-    def trivial_AB(self, p, tau):
-        eq = trivial_equilibrium(dataclasses.replace(p, tau=tau))
-        lin = linearize(dataclasses.replace(p, tau=tau), eq, tau)
-        return lin.A, lin.B
+    """The Hayes conditions on the extinction state's scalar equation agree
+    with the transcritical claim: it is stable exactly when no positive
+    equilibrium exists."""
+
+    WEAK_REENTRY = HillRates(beta0=0.01, G=0.04, a=6570.0, K=0.0382, r=7.0)
+
+    def verdicts(self, p, tau):
+        """(Hayes says stable, no positive equilibrium) at `tau`."""
+        q = dataclasses.replace(p, tau=tau)
+        lin = linearize(q, trivial_equilibrium(q), tau)
+        return checks.hayes_check(lin.A, lin.B, tau), positive_equilibrium(p, tau) is None
+
+    def sets(self):
+        ref = default_params()
+        weak = dataclasses.replace(ref, rates=self.WEAK_REENTRY)
+        return [ref, weak] + [checks.perturbed_params(seed) for seed in range(5)]
 
     def test_agrees_with_condition_verdict_when_stable(self):
-        p = dataclasses.replace(
-            default_params(),
-            rates=HillRates(beta0=0.01, G=0.04, a=6570.0, K=0.0382, r=7.0),
-        )
-        for tau in (0.5, 1.0, 2.0):
-            A, B = self.trivial_AB(p, tau)
-            assert checks.hayes_check(A, B, tau) is True
-            assert trivial_stability(p, tau) == "stable"
+        # past tau_max, and at every delay for a set without one
+        checked = 0
+        for p in self.sets():
+            tm = tau_max(p)
+            if tm is None:
+                taus = [0.0, 0.5, 1.0, 2.0, 10.0]
+            else:
+                taus = [tm * x for x in (1.001, 1.01, 1.1, 1.5, 3.0)]
+            for tau in taus:
+                assert self.verdicts(p, tau) == (True, True), (p, tau)
+                checked += 1
+        assert checked == 35
 
-    def test_agrees_with_condition_verdict_when_unstable(self, params):
-        for tau in (0.5, 1.0, 2.0):
-            A, B = self.trivial_AB(params, tau)
-            assert checks.hayes_check(A, B, tau) is False
-            assert trivial_stability(params, tau) == "unstable"
+    def test_agrees_with_condition_verdict_when_unstable(self):
+        # below tau_max, where the positive equilibrium exists
+        checked = 0
+        for p in self.sets():
+            tm = tau_max(p)
+            for tau in [] if tm is None else [tm * x for x in (0.0, 0.1, 0.5, 0.9, 0.99, 0.999)]:
+                assert self.verdicts(p, tau) == (False, False), (p, tau)
+                checked += 1
+        assert checked == 36
 
     def test_zero_delay_reduces_to_scalar_root(self):
         assert checks.hayes_check(1.0, 0.5, 0.0) is True  # root B - A = -0.5

@@ -481,6 +481,9 @@ class TestCoefficientMemo:
         assert built[0].tau == default_grid[7] and built[1] is _coeffs_at(params, default_grid[7])
 
 
+_E1, _E2, _E3 = 0.73217, 1.41421, 2.23607  # synthetic root-window edges, between grid points
+
+
 class TestRootWindow:
     def test_single_interval_from_zero(self, params, default_grid):
         intervals = positive_root_intervals(params, default_grid)
@@ -488,6 +491,28 @@ class TestRootWindow:
         lo, hi = intervals[0]
         assert lo == 0.0
         assert abs(hi - checks.ROOT_WINDOW_EDGE) < 1e-8
+
+    @pytest.mark.parametrize(
+        "alive, want",
+        [
+            (lambda t: _E1 < t < _E2, [("E1", "E2")]),  # dead start
+            (lambda t: t > _E1, [("E1", "end")]),  # alive end
+            (lambda t: t < _E1 or _E2 < t < _E3, [("start", "E1"), ("E2", "E3")]),
+            (lambda t: False, []),
+            (lambda t: True, [("start", "end")]),
+        ],
+        ids=["dead_start", "alive_end", "two_intervals", "none", "whole_grid"],
+    )
+    def test_intervals_from_synthetic_aliveness(self, monkeypatch, params, default_grid, alive, want):
+        # aliveness as a function of tau alone, so the assembly of the
+        # intervals from the grid flags and the refined edges is what is tested
+        monkeypatch.setattr(switch, "_coeffs_at", lambda p, t: t)
+        monkeypatch.setattr(switch, "_roots_criterion", alive)
+        at = dict(E1=_E1, E2=_E2, E3=_E3, start=default_grid[0], end=default_grid[-1])
+        got = positive_root_intervals(params, default_grid)
+        assert len(got) == len(want), got
+        for (lo, hi), (lo_name, hi_name) in zip(got, want):
+            assert abs(lo - at[lo_name]) < 1e-10 and abs(hi - at[hi_name]) < 1e-10, (got, want)
 
     def test_b_signs_inside_window(self, params):
         for i in range(30):
