@@ -41,7 +41,7 @@ def _polish(b1: float, b2: float, b3: float, z: float) -> float:
 
 def real_cubic_roots(b1: float, b2: float, b3: float) -> list[float]:
     """All real roots, ascending, with multiplicity collapsed to one entry."""
-    if not all(math.isfinite(v) for v in (b1, b2, b3)):
+    if not (math.isfinite(b1) and math.isfinite(b2) and math.isfinite(b3)):
         raise ValueError("coefficients must be finite")
     try:  # a float ** raises where * gives inf, so R * R is checked by hand
         Q = (b1 * b1 - 3.0 * b2) / 9.0
@@ -80,7 +80,7 @@ def real_cubic_roots(b1: float, b2: float, b3: float) -> list[float]:
             if q != 0.0:
                 roots.append(v / q)
 
-    polished = sorted(_polish(b1, b2, b3, z) for z in roots)
+    polished = sorted([_polish(b1, b2, b3, z) for z in roots])
     out: list[float] = []
     for z in polished:
         if not out or abs(z - out[-1]) > 1e-9 * max(1.0, abs(z)):

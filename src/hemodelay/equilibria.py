@@ -22,14 +22,18 @@ positive_equilibrium solves each (params, tau) pair once: the analytic chain
 asks for the same delays several times (the CLI rows, positive_root_intervals
 and scan each walk the whole grid).  The memo (a ParamsMemo, which the switch
 module uses for its coefficients too) is one table for the most recent
-parameter set, keyed by the delay so that 0, 0.0 and -0.0 stay apart; a call
+parameter set, keyed by the delay so that 0, 0.0 and -0.0 stay apart (a
+nonzero float is its own key, any other delay a tuple); a call
 with a parameter set that is neither that object nor == to it starts a new
 table, and so does a miss that finds the table full (_MEMO_POINTS).  A
 NumericalError is not cached: it is raised again on every call.  The memo is
 module state meant for one thread of calls.
 
-A solve whose table's most recent entry is an equilibrium starts from it: a
-secant walk from that pool size gives a root estimate x and slope s, and the
+A solve whose table's most recent entry is an equilibrium starts from a
+hint: the line through the table's last two entries, evaluated at tau, when
+both are equilibria at different delays, tau is a float and the line's
+value lies within a factor 2 of the last root; the last root otherwise.  A
+secant walk from the hint gives a root estimate x and slope s, and the
 window [x - w, x + w], w = max(1e-14*x, 64*eps*S/|s|) with S the summed
 magnitude of the residual's terms, is used only if the residual is positive
 at its left end and not at its right end.  The bisection takes the same
@@ -40,7 +44,8 @@ its check) the window is the whole axis (0, inf).  The equality rests on the
 sign of the float residual being monotone outside the window, a
 precondition model.RateFunctions states; the residual at the bracket's low
 end, which decides whether there is a root at all, is evaluated with or
-without a window.
+without a window.  For rates of exactly type HillRates the residual is
+written out, as model.vector_field writes out the vector field.
 """
 
 from __future__ import annotations
@@ -59,9 +64,11 @@ _SECANT_STEPS = 12  # secant steps from a hint before the plain bracket is used
 class ParamsMemo:
     """Values for the most recent parameter set, keyed by delay.
 
-    The key of tau is (tau, copysign(1.0, tau), type(tau)): two delays share
-    it exactly when they are the same number of the same type, so 0, 0.0 and
-    -0.0 stay apart.  A NaN delay is never stored.  A parameter set that is
+    A nonzero float delay is its own key, and any other delay's key is
+    (tau, copysign(1.0, tau), type(tau)): two delays share a key exactly
+    when they are the same number of the same type, so 0, 0.0 and -0.0 stay
+    apart.  A NaN delay is never stored.  get and put skip the == check for
+    the stored parameter object itself.  A parameter set that is
     neither the stored object nor == to it starts a new table, and so does
     storing into a full one (_MEMO_POINTS).  A table is replaced together
     with its parameter set, so it only ever holds that set's values.
@@ -79,18 +86,21 @@ class ParamsMemo:
         return self.table
 
     def get(self, p: ModelParams, tau: float) -> object:
-        return self.table_for(p).get(_delay_key(tau), self.MISSING)
+        table = self.table if p is self.params else self.table_for(p)
+        return table.get(_delay_key(tau), self.MISSING)
 
     def put(self, p: ModelParams, tau: float, value: object) -> None:
         if tau != tau:
             return  # a NaN key would never be found again
-        table = self.table_for(p)
+        table = self.table if p is self.params else self.table_for(p)
         if len(table) >= _MEMO_POINTS:
             self.table = table = {}
         table[_delay_key(tau)] = value
 
 
-def _delay_key(tau: float) -> tuple:
+def _delay_key(tau: float) -> object:
+    if tau and type(tau) is float:
+        return tau  # a nonzero float; no tuple key equals it
     return tau, math.copysign(1.0, tau), type(tau)
 
 
@@ -134,13 +144,40 @@ def trivial_equilibrium(p: ModelParams) -> Equilibrium:
 
 
 def _residual_fn(p: ModelParams, alpha: float) -> Callable[[float], float]:
-    """The balance residual Q -> alpha*beta(Q, E(Q)) - delta - g(Q)/Q of one solve."""
-    beta, g, f = p.rates.beta, p.rates.g, p.rates.f
+    """The balance residual Q -> alpha*beta(Q, E(Q)) - delta - g(Q)/Q of one solve.
+
+    Rates of exactly type HillRates are evaluated inline, as in
+    model.vector_field, with the same floats as the composition of beta, g
+    and f that every other RateFunctions gets.
+    """
     delta, mu, k = p.delta, p.mu, p.k
+    if type(p.rates) is HillRates:
+        return _hill_residual(p.rates, alpha, delta, mu, k)
+    beta, g, f = p.rates.beta, p.rates.g, p.rates.f
 
     def residual(Q: float) -> float:
         gQ = g(Q)
         return alpha * beta(Q, f(gQ / mu) / k) - delta - gQ / Q
+
+    return residual
+
+
+def _hill_residual(rates: HillRates, alpha: float, delta: float, mu: float, k: float):
+    """_residual_fn's closure with HillRates.beta, g and f written out."""
+    beta0, G, a, K, r = rates.beta0, rates.G, rates.a, rates.K, rates.r
+
+    def residual(Q: float) -> float:
+        gQ = G * Q
+        M = gQ / mu
+        if M <= 0.0:  # the branches of HillRates.f
+            fM = a
+        else:
+            try:
+                fM = a / (1.0 + K * M**r)
+            except OverflowError:
+                fM = 0.0
+        E = fM / k
+        return alpha * (beta0 * E / (1.0 + E)) - delta - gQ / Q
 
     return residual
 
@@ -152,15 +189,23 @@ def positive_equilibrium(p: ModelParams, tau: float) -> Equilibrium | None:
     bracket is bisected down to adjacent floats; the midpoint is the root,
     and a balance residual there of 1e-12*(delta + g'(0) + 1) or more raises
     NumericalError.  Results are memoized for the most recent parameter set,
-    and the most recent solve of that set is the hint of the next one (see
+    and the last two solves of that set give the hint of the next one (see
     the module docstring).
     """
     if not tau >= 0.0:  # NaN fails too
         raise ValueError("tau must be nonnegative")
     eq = _memo.get(p, tau)
     if eq is _memo.MISSING:
-        last = next(reversed(_memo.table.values()), None)
-        eq = _solve_positive(p, tau, None if last is None else last.Q)
+        solved = reversed(_memo.table.values())
+        last, prev = next(solved, None), next(solved, None)
+        hint = None if last is None else last.Q
+        # the line through the last two solves; not drawn for a non-float
+        # delay, whose arithmetic with floats can raise (a Decimal does)
+        if last is not None and prev is not None and last.tau != prev.tau and type(tau) is float:
+            guess = hint + (hint - prev.Q) * ((tau - last.tau) / (last.tau - prev.tau))
+            if 0.5 * hint < guess < 2.0 * hint:
+                hint = guess
+        eq = _solve_positive(p, tau, hint)
         _memo.put(p, tau, eq)
     return eq
 

@@ -65,14 +65,10 @@ def linearize(p: ModelParams, eq: Equilibrium, tau: float) -> LinCoeffs:
     b = r.beta(Q, E)
     bQ = r.beta_dQ(Q, E)
     bE = r.beta_dE(Q, E)
+    G = r.g_prime(Q)
+    # A, B, C, D, G, H, tau
     return LinCoeffs(
-        A=p.delta + r.g_prime(Q) + b + bQ * Q,
-        B=surv * (b + bQ * Q),
-        C=bE * Q,
-        D=surv * bE * Q,
-        G=r.g_prime(Q),
-        H=-r.f_prime(M),
-        tau=tau,
+        p.delta + G + b + bQ * Q, surv * (b + bQ * Q), bE * Q, surv * bE * Q, G, -r.f_prime(M), tau
     )
 
 

@@ -54,13 +54,14 @@ class RateFunctions(ABC):
     residual alpha*beta(Q, f(g(Q)/mu)/k) - delta - g(Q)/Q, evaluated in
     floats, must change sign only once outside 64*eps*S/|s| of its root (S
     the summed magnitude of its terms, s its slope): positive_equilibrium
-    starts each solve from the previous root and evaluates the residual only
-    near it, so with a noisier residual a solve could depend in its last bits
+    starts each solve from a hint extrapolated from the previous roots and
+    evaluates the residual only near the root, so with a noisier residual a solve could depend in its last bits
     on the solves before it.
 
-    vector_field composes beta, g and f for every implementation except
-    HillRates itself, whose formulas it evaluates inline; a subclass of
-    HillRates, which may override a rate, is composed like any other.
+    vector_field and the equilibrium solve's balance residual compose beta,
+    g and f for every implementation except HillRates itself, whose formulas
+    they evaluate inline; a subclass of HillRates, which may override a
+    rate, is composed like any other.
     """
 
     @abstractmethod

@@ -119,7 +119,7 @@ def positive_roots_h(cc: CharCoeffs) -> list[OmegaRoot]:
             f"(b1={b1!r}, b2={b2!r}, b3={b3!r})"
         )
     out = []
-    for z in sorted(found, reverse=True):
+    for z in reversed(found):  # found is ascending and distinct
         d = cubic_prime(b1, b2, z)
         out.append(OmegaRoot(z, math.sqrt(z), (d > 0.0) - (d < 0.0)))
     return out

@@ -60,10 +60,12 @@ def test_zero_root_retained():
 
 
 def test_nonfinite_coefficients_rejected():
-    with pytest.raises(ValueError):
-        real_cubic_roots(math.nan, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        real_cubic_roots(0.0, math.inf, 1.0)
+    for b1, b2, b3 in [
+        (math.nan, 0.0, 1.0), (-math.inf, 0.0, 1.0), (0.0, math.inf, 1.0),
+        (0.0, 0.0, math.nan), (0.0, 0.0, math.inf), (0.0, 0.0, -math.inf),
+    ]:
+        with pytest.raises(ValueError):
+            real_cubic_roots(b1, b2, b3)
 
 
 def test_overflowing_square_is_a_numerical_error():

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import hashlib
 import math
 import random
@@ -166,7 +167,9 @@ class TestPositiveEquilibrium:
     def test_nan_tau_rejected(self, params):
         with pytest.raises(ValueError, match="nonnegative"):
             positive_equilibrium(params, math.nan)
-        assert not any(math.isnan(key[0]) for key in equilibria._memo.table)
+        # a nonzero float delay is its own key, any other delay a tuple led by it
+        keys = [key if isinstance(key, float) else key[0] for key in equilibria._memo.table]
+        assert not any(math.isnan(key) for key in keys)
 
     def test_memo_keys(self, params):
         memo = equilibria.ParamsMemo()
@@ -310,16 +313,46 @@ class TestWarmStart:
         for p, tau, hint in cases:
             assert solve(p, tau, hint) is None, (p, tau, hint)
 
-    def test_warm_solves_cost_at_most_25_rate_calls(self):
-        # a deterministic stand-in for a timing: each residual evaluation
-        # calls f once, and the plain bisection takes about 60 per solve
+    @staticmethod
+    def counted_grid_walk():
+        """f calls of the reference grid walk with CountingRates, and the grid."""
         rates = checks.CountingRates(**dataclasses.asdict(default_params().rates))
         p = with_rates(rates)
         positive_equilibrium(default_params(tau=1.0), 0.0)  # another set's table
         grid = checks.make_grid(p)
         for tau in grid:
             positive_equilibrium(p, tau)
-        assert len(grid) <= rates.calls["f"] <= 25 * len(grid), rates.calls
+        return rates.calls["f"], grid
+
+    def test_warm_solves_cost_at_most_25_rate_calls(self):
+        # a deterministic stand-in for a timing: each residual evaluation
+        # calls f once, and the plain bisection takes about 60 per solve
+        calls, grid = self.counted_grid_walk()
+        assert len(grid) <= calls <= 25 * len(grid), calls
+
+    def test_warm_solves_cost_at_most_18_rate_calls(self):
+        # the hint extrapolated through the last two solves lands closer to
+        # the root than the last root alone (about 19.2 calls a solve), so
+        # the secant walk settles in fewer steps: about 17.3 a solve
+        calls, grid = self.counted_grid_walk()
+        assert len(grid) <= calls <= 18 * len(grid), calls
+
+    def test_memoized_walks_return_the_unhinted_solve(self, monkeypatch):
+        # the hint depends on the order of the solves before it; the result
+        # must not: descending, shuffled, and a walk that crosses tau_max (a
+        # None entry between two roots) and comes back down; the Decimal
+        # past tau_max, which takes no part in float arithmetic, is None
+        rng = random.Random(20261019)
+        for p in (default_params(), with_rates(checks.DampedRates()), checks.perturbed_params(3)):
+            tm = tau_max(p)
+            grid = checks.make_grid(p, 0.01)
+            beyond = [decimal.Decimal(int(tm) + 1), tm * (1.0 - 1e-9), tm, 1.01 * tm]
+            crossing = grid[::3] + beyond + grid[-2::-5]
+            for walk in (grid[::-1], rng.sample(grid, len(grid)), crossing):
+                monkeypatch.setattr(equilibria, "_memo", equilibria.ParamsMemo())
+                for tau in walk:
+                    got = positive_equilibrium(p, tau)
+                    assert repr(got) == repr(equilibria._solve_positive(p, tau)), (p, tau)
 
     def test_residual_is_evaluated_only_inside_the_window(self, monkeypatch):
         # once a solve has its window (a, b), the bracket expansion and the
@@ -357,6 +390,49 @@ class TestWarmStart:
         assert len(windowed) >= 0.95 * len(grid), len(windowed)
         assert len(inside) >= len(windowed), len(inside)
         assert outside == [], len(outside)
+
+
+class TestInlineHillResidual:
+    """_residual_fn evaluates exact HillRates inline, bit for bit as the
+    generic composition of beta, g and f that a subclass gets."""
+
+    @staticmethod
+    def pool_sizes(p):
+        """1e-12, the roots of a grid walk, seeded log-uniform pool sizes and
+        ones where M**r overflows (and -1.0, f's no-feedback branch)."""
+        rng = random.Random(20261019)
+        tm = tau_max(p)
+        roots = [equilibria._solve_positive(p, tm * i / 40).Q for i in range(40)]
+        return ([1e-12, -1.0] + roots + [10.0 ** rng.uniform(-12.0, 12.0) for _ in range(200)]
+                + [1e60, 1e200, 1e300])
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_matches_the_generic_path(self, seed, monkeypatch):
+        p = default_params() if seed is None else checks.perturbed_params(seed)
+        counting = checks.CountingRates(**dataclasses.asdict(p.rates))
+        qs = self.pool_sizes(p)
+        taus = (0.0, 1.4, 0.999 * tau_max(p))
+        with pytest.raises(OverflowError):
+            (p.rates.G * 1e60 / p.mu) ** p.rates.r  # the overflow case is reached
+        # counted on the class, so a call from the inline path would show
+        calls = dict.fromkeys(("beta", "g", "f"), 0)
+        for name in calls:
+            def counted(self, *args, _name=name, _method=getattr(HillRates, name)):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(HillRates, name, counted)
+        for tau in taus:
+            alpha = 2.0 * math.exp(-p.gamma * tau) - 1.0
+            inline = equilibria._residual_fn(p, alpha)
+            generic = equilibria._residual_fn(dataclasses.replace(p, rates=counting), alpha)
+            assert inline.__code__ is not generic.__code__
+            for Q in qs:
+                assert repr(inline(Q)) == repr(generic(Q)), (tau, Q)
+        assert counting.calls["f"] == 3 * len(qs)
+        # CountingRates' own counter counts its calls, the class counter
+        # counts them again through super(): exact HillRates added none
+        assert calls == counting.calls, calls
 
 
 class TestClosedForm:
