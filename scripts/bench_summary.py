@@ -1,0 +1,150 @@
+"""Run the benchmark on a parent commit and on the working tree, in alternating
+pairs, and write a summary of every end-to-end metric to a JSON file.
+
+Usage:
+    python scripts/bench_summary.py --out BENCH_21.json \\
+        --workloads stability_map --seeds 301 302 303 --seconds 30
+
+The parent commit (--parent, default HEAD) is extracted with `git archive`
+into a fresh directory under --scratch (default: a new temporary
+directory), so both sides run `perfbench/run.py` from their own checkout
+with identical settings.  Pair i runs the parent first when i is even and
+the working tree first when i is odd.  Each run's last stdout line is the
+benchmark's result; the line before it carries the environment block.
+
+For each workload and side the file holds the median and quartiles
+(statistics.quantiles, n=4, exclusive method) of every end-to-end metric
+named in BENCHMARK.json, the raw runs, and the pairs the working tree won
+(ties count for neither side), together with both commits, the sha256 of
+each side's `src/hemodelay`, the seeds, the Python version and `nproc`.
+Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def extract(rev: str, dest: Path) -> None:
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2 or not lines[-2].startswith("report "):
+        raise SystemExit(f"{' '.join(cmd)} in {tree} failed ({proc.returncode}):\n{proc.stderr}")
+    result = json.loads(lines[-1])
+    env = json.loads(lines[-2][len("report "):])["environment"]
+    return {
+        "seed": seed,
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "src_sha256": env["src_sha256"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    }
+
+
+def summary(runs: list[dict], metrics: list[dict]) -> dict:
+    out = {}
+    for m in metrics:
+        values = [r["metrics"][m["name"]] for r in runs]
+        q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+        out[m["name"]] = {"unit": m["unit"], "median": median, "q1": q1, "q3": q3}
+    return out
+
+
+def pairs_won(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict:
+    won = {}
+    for m in metrics:
+        sign = 1.0 if m["better"] == "lower" else -1.0
+        won[m["name"]] = sum(
+            sign * (p["metrics"][m["name"]] - c["metrics"][m["name"]]) > 0.0
+            for p, c in zip(parent, change)
+        )
+    return won
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--workloads", nargs="+", required=True)
+    ap.add_argument("--seeds", nargs="+", type=int, required=True)
+    ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--parent", default="HEAD")
+    ap.add_argument("--scratch", type=Path, default=None)
+    args = ap.parse_args(argv)
+
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    parent_commit = git("rev-parse", args.parent)
+    scratch = Path(args.scratch or tempfile.mkdtemp(prefix="bench_summary-"))
+    parent_tree = scratch / f"parent-{parent_commit[:12]}"
+    if not parent_tree.exists():
+        parent_tree.mkdir(parents=True)
+        extract(parent_commit, parent_tree)
+
+    report = {
+        "parent": {"commit": parent_commit},
+        "change": {"commit": git("rev-parse", "HEAD"),
+                   "uncommitted_changes": bool(git("status", "--porcelain"))},
+        "seeds": args.seeds,
+        "seconds": args.seconds,
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "quartiles": "statistics.quantiles(n=4, method='exclusive')",
+        "workloads": {},
+    }
+    for workload in args.workloads:
+        runs = {"parent": [], "change": []}
+        for i, seed in enumerate(args.seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                tree = parent_tree if side == "parent" else ROOT
+                runs[side].append(run_once(tree, workload, seed, args.seconds))
+                print(f"{workload} seed {seed} {side}: cpu_s "
+                      f"{runs[side][-1]['metrics'].get('cpu_s')}", file=sys.stderr)
+        report["workloads"][workload] = {
+            side: {
+                "src_sha256": sorted({r["src_sha256"] for r in side_runs}),
+                "failed": sum(r["failed"] for r in side_runs),
+                "attempted": sum(r["attempted"] for r in side_runs),
+                "summary": summary(side_runs, metrics),
+                "runs": side_runs,
+            }
+            for side, side_runs in runs.items()
+        }
+        report["workloads"][workload]["change_won_pairs"] = pairs_won(
+            runs["parent"], runs["change"], metrics
+        )
+        report["workloads"][workload]["pairs"] = len(args.seeds)
+    args.out.write_text(json.dumps(report, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -50,18 +50,13 @@ class RateFunctions(ABC):
 
     The rates must not change their outputs once a ModelParams holding them
     is in use: equilibria.positive_equilibrium memoizes its solves, and
-    switch its characteristic coefficients, per parameter set.  The balance
-    residual alpha*beta(Q, f(g(Q)/mu)/k) - delta - g(Q)/Q, evaluated in
-    floats, must change sign only once outside 64*eps*S/|s| of its root (S
-    the summed magnitude of its terms, s its slope): positive_equilibrium
-    starts each solve from a hint extrapolated from the previous roots and
-    evaluates the residual only near the root, so with a noisier residual a solve could depend in its last bits
-    on the solves before it.
+    switch its characteristic coefficients, per parameter set.
 
     vector_field and the equilibrium solve's balance residual compose beta,
     g and f for every implementation except HillRates itself, whose formulas
-    they evaluate inline; a subclass of HillRates, which may override a
-    rate, is composed like any other.
+    they evaluate inline, and whose equilibrium solve alone bisects inside a
+    window around its closed-form root; a subclass of HillRates, which may
+    override a rate, is composed and solved like any other.
     """
 
     @abstractmethod

@@ -1,5 +1,6 @@
 import dataclasses
 import decimal
+import fractions
 import hashlib
 import math
 import random
@@ -171,6 +172,19 @@ class TestPositiveEquilibrium:
         keys = [key if isinstance(key, float) else key[0] for key in equilibria._memo.table]
         assert not any(math.isnan(key) for key in keys)
 
+    def test_delay_types(self, params):
+        # an int of any size or a float gets an answer or ValueError, and any
+        # other type gets ValueError
+        tm = tau_max(params)
+        assert positive_equilibrium(params, 1) == positive_equilibrium(params, 1.0)
+        assert type(positive_equilibrium(params, 1).tau) is int
+        assert positive_equilibrium(params, int(tm) + 1) is None
+        assert positive_equilibrium(params, 10**308) is None
+        for tau in (10**400, -(10**400), 2**1024, -1, decimal.Decimal("1"), "1.0", 1 + 0j,
+                    fractions.Fraction(1, 2), None):
+            with pytest.raises(ValueError):
+                positive_equilibrium(params, tau)
+
     def test_memo_keys(self, params):
         memo = equilibria.ParamsMemo()
         for i, tau in enumerate((0.0, -0.0, 0, 1, 1.0, math.nan)):
@@ -244,9 +258,9 @@ class TestPositiveEquilibrium:
             assert flips == 1, f"{flips} sign changes for {p}"
 
 
-class TestWarmStart:
-    """A solve started from a hint returns the unhinted solve's bits, and
-    takes its window on a walk along the delays."""
+class TestHillWindow:
+    """A solve of exact HillRates bisects inside a window around the closed-form
+    root, and returns the plain bisection's bits."""
 
     @staticmethod
     def walks():
@@ -261,41 +275,34 @@ class TestWarmStart:
             for p, taus in runs
         ]
 
-    def test_hint_does_not_change_the_solve(self, monkeypatch):
-        # the reference is the unhinted solve, the plain bisection; the hints
-        # are the previous delay's root, the root +-5%, 1.0 and 100x the root
-        windows = []
-        window = equilibria._window
-        monkeypatch.setattr(
-            equilibria, "_window", lambda *args: windows.append(window(*args)) or windows[-1]
-        )
+    def test_windowed_solve_is_the_plain_bisection(self, monkeypatch):
+        window, windows = equilibria._hill_window, []
+
+        def recorded(*args):
+            windows.append(window(*args))
+            return windows[-1]
+
         solve = equilibria._solve_positive
+        walked = [(p, tau) for p, taus in self.walks() for tau in taus]
+        hill = windowed = 0
+        for i, (p, tau) in enumerate(walked + near_threshold_cases()):
+            monkeypatch.setattr(equilibria, "_hill_window", recorded)
+            windows.clear()
+            got = solve(p, tau)
+            monkeypatch.setattr(equilibria, "_hill_window", lambda *args: (0.0, math.inf))
+            assert repr(got) == repr(solve(p, tau)), (p, tau)
+            if windows and got is not None and i < len(walked):
+                hill += 1
+                windowed += windows[-1][1] < math.inf
+        # within a few ulps of tau_max the closed form's numerator can round
+        # to <= 0, so the near-threshold cases are compared but not counted
+        assert hill > 1300 and windowed >= 0.95 * hill, (hill, windowed)
 
-        def check(p, tau, prev):
-            want = solve(p, tau)
-            hints = [1.0] if want is None else [1.05 * want.Q, 0.95 * want.Q, 1.0, 100.0 * want.Q]
-            for hint in hints + ([] if prev is None else [prev.Q]):
-                assert repr(solve(p, tau, hint)) == repr(want), (p, tau, hint)
-            return want
-
-        walked = windowed = 0
-        for p, taus in self.walks():
-            prev = None
-            for tau in taus:
-                want = check(p, tau, prev)
-                if prev is not None and want is not None:
-                    walked += 1
-                    windowed += windows[-1][1] < math.inf
-                prev = want
-        for p, tau in near_threshold_cases():
-            check(p, tau, None)
-        assert walked > 1200 and windowed >= 0.95 * walked, (walked, windowed)
-
-    def test_hint_does_not_find_a_root_the_plain_solve_lacks(self, monkeypatch):
+    def test_window_does_not_find_a_root_the_plain_solve_lacks(self, monkeypatch):
         # a few ulps below tau_max the plain solve can return None (the
-        # residual at the bracket's low end rounds to <= 0); hinted with the
-        # root of a slightly smaller delay it must too, even when the window
-        # is taken on trust
+        # residual at the bracket's low end rounds to <= 0); the windowed
+        # solve must too, even with a window taken on trust around the root
+        # of a slightly smaller delay
         solve = equilibria._solve_positive
         cases = []
         for p, tau in near_threshold_cases():
@@ -307,89 +314,129 @@ class TestWarmStart:
                         cases.append((p, tau, prev.Q))
                         break
         assert len(cases) > 50, len(cases)
-        for p, tau, hint in cases:
-            assert solve(p, tau, hint) is None, (p, tau, hint)
-        monkeypatch.setattr(equilibria, "_window", lambda p, residual, hint: (hint, 2.0 * hint))
-        for p, tau, hint in cases:
-            assert solve(p, tau, hint) is None, (p, tau, hint)
+        monkeypatch.setattr(equilibria, "_hill_window", lambda *args: (0.0, math.inf))
+        for p, tau, _ in cases:
+            assert solve(p, tau) is None, (p, tau)
+        for p, tau, q in cases:
+            monkeypatch.setattr(equilibria, "_hill_window", lambda *args, q=q: (q, 2.0 * q))
+            assert solve(p, tau) is None, (p, tau, q)
+
+    def test_rates_outside_their_contract_get_the_plain_solve(self):
+        # K < 0 makes the closed-form root complex: no window is taken, and
+        # the solve ends in the plain bisection's typed error
+        with pytest.raises(NumericalError, match="above tolerance"):
+            equilibria._solve_positive(with_rates(hill(K=-0.0382)), 1.0)
 
     @staticmethod
-    def counted_grid_walk():
-        """f calls of the reference grid walk with CountingRates, and the grid."""
-        rates = checks.CountingRates(**dataclasses.asdict(default_params().rates))
-        p = with_rates(rates)
-        positive_equilibrium(default_params(tau=1.0), 0.0)  # another set's table
-        grid = checks.make_grid(p)
-        for tau in grid:
-            positive_equilibrium(p, tau)
-        return rates.calls["f"], grid
-
-    def test_warm_solves_cost_at_most_25_rate_calls(self):
-        # a deterministic stand-in for a timing: each residual evaluation
-        # calls f once, and the plain bisection takes about 60 per solve
-        calls, grid = self.counted_grid_walk()
-        assert len(grid) <= calls <= 25 * len(grid), calls
-
-    def test_warm_solves_cost_at_most_18_rate_calls(self):
-        # the hint extrapolated through the last two solves lands closer to
-        # the root than the last root alone (about 19.2 calls a solve), so
-        # the secant walk settles in fewer steps: about 17.3 a solve
-        calls, grid = self.counted_grid_walk()
-        assert len(grid) <= calls <= 18 * len(grid), calls
-
-    def test_memoized_walks_return_the_unhinted_solve(self, monkeypatch):
-        # the hint depends on the order of the solves before it; the result
-        # must not: descending, shuffled, and a walk that crosses tau_max (a
-        # None entry between two roots) and comes back down; the Decimal
-        # past tau_max, which takes no part in float arithmetic, is None
-        rng = random.Random(20261019)
-        for p in (default_params(), with_rates(checks.DampedRates()), checks.perturbed_params(3)):
-            tm = tau_max(p)
-            grid = checks.make_grid(p, 0.01)
-            beyond = [decimal.Decimal(int(tm) + 1), tm * (1.0 - 1e-9), tm, 1.01 * tm]
-            crossing = grid[::3] + beyond + grid[-2::-5]
-            for walk in (grid[::-1], rng.sample(grid, len(grid)), crossing):
-                monkeypatch.setattr(equilibria, "_memo", equilibria.ParamsMemo())
-                for tau in walk:
-                    got = positive_equilibrium(p, tau)
-                    assert repr(got) == repr(equilibria._solve_positive(p, tau)), (p, tau)
+    def fresh_memo(monkeypatch, per_set=None):
+        memo = equilibria.ParamsMemo(per_set or equilibria._set_constants)
+        monkeypatch.setattr(equilibria, "_memo", memo)
+        return memo
 
     def test_residual_is_evaluated_only_inside_the_window(self, monkeypatch):
         # once a solve has its window (a, b), the bracket expansion and the
         # bisection decide every point outside it without the residual
-        make_residual, window = equilibria._residual_fn, equilibria._window
-        current = [None]  # the window of the solve under way, once it has one
-        inside, outside, windowed = [], [], []
+        make_residual, window = equilibria._residual_fn, equilibria._hill_window
+        events = []  # the pool sizes evaluated and the windows taken, in order
 
-        def residual_fn(p, alpha):
-            residual = make_residual(p, alpha)
-            current[0] = None
+        def residual_fn(p):
+            residual = make_residual(p)
 
-            def recorded(Q):
-                if current[0] is not None:
-                    a, b = current[0]
-                    (inside if a <= Q <= b else outside).append(Q)
-                return residual(Q)
+            def recorded(Q, alpha):
+                events.append(Q)
+                return residual(Q, alpha)
 
             return recorded
 
-        def recorded_window(p, residual, hint):
-            a, b = window(p, residual, hint)
-            if b < math.inf:
-                current[0] = a, b
-                windowed.append((a, b))
-            return a, b
+        def recorded_window(*args):
+            events.append(window(*args))
+            return events[-1]
 
         monkeypatch.setattr(equilibria, "_residual_fn", residual_fn)
-        monkeypatch.setattr(equilibria, "_window", recorded_window)
+        monkeypatch.setattr(equilibria, "_hill_window", recorded_window)
+        self.fresh_memo(monkeypatch)
         p = default_params()
-        positive_equilibrium(default_params(tau=1.0), 0.0)  # another set's table
+        grid = checks.make_grid(p)
+        windowed = inside = 0
+        for tau in grid:
+            events.clear()
+            positive_equilibrium(p, tau)
+            ends = [i for i, e in enumerate(events) if isinstance(e, tuple) and e[1] < math.inf]
+            if ends:
+                (a, b), after = events[ends[0]], events[ends[0] + 1:]
+                assert all(a <= Q <= b for Q in after), (tau, a, b, after)
+                windowed += 1
+                inside += len(after)
+        assert windowed >= 0.95 * len(grid), windowed
+        assert inside >= windowed, inside
+
+    def test_at_most_13_residual_evaluations_a_solve(self, monkeypatch):
+        # a deterministic stand-in for a timing, counted on the reference
+        # grid walk: the plain bisection makes about 58 a solve, and the
+        # windowed one about 12.1
+        make_residual, calls = equilibria._residual_fn, [0]
+
+        def residual_fn(p):
+            residual = make_residual(p)
+
+            def counted(Q, alpha):
+                calls[0] += 1
+                return residual(Q, alpha)
+
+            return counted
+
+        monkeypatch.setattr(equilibria, "_residual_fn", residual_fn)
+        self.fresh_memo(monkeypatch)
+        p = default_params()
         grid = checks.make_grid(p)
         for tau in grid:
             positive_equilibrium(p, tau)
-        assert len(windowed) >= 0.95 * len(grid), len(windowed)
-        assert len(inside) >= len(windowed), len(inside)
-        assert outside == [], len(outside)
+        assert len(grid) <= calls[0] <= 13 * len(grid), calls[0] / len(grid)
+
+    def test_walk_order_does_not_change_a_solve(self, monkeypatch):
+        # descending, shuffled, and a walk that crosses tau_max (None entries
+        # between two roots, an int delay among them) and comes back down
+        rng = random.Random(20261019)
+        for p in (default_params(), with_rates(checks.DampedRates()), checks.perturbed_params(3)):
+            tm = tau_max(p)
+            grid = checks.make_grid(p, 0.01)
+            beyond = [int(tm) + 1, tm * (1.0 - 1e-9), tm, 1.01 * tm]
+            crossing = grid[::3] + beyond + grid[-2::-5]
+            for walk in (grid[::-1], rng.sample(grid, len(grid)), crossing):
+                self.fresh_memo(monkeypatch)
+                for tau in walk:
+                    got = positive_equilibrium(p, tau)
+                    assert repr(got) == repr(equilibria._solve_positive(p, tau)), (p, tau)
+
+    def test_per_set_constants_follow_the_set(self, monkeypatch):
+        # built once per parameter set, kept when a full table empties (16
+        # points against a 60-point walk) and kept by a set whose own
+        # constants raise
+        sets = []
+
+        def counted(p):
+            constants = equilibria._set_constants(p)
+            sets.append(p)
+            return constants
+
+        monkeypatch.setattr(equilibria, "_MEMO_POINTS", 16)
+        memo = self.fresh_memo(monkeypatch, counted)
+        bad = with_rates(hill(beta0=1e300, a=1e300))  # tau_max raises
+        runs = [default_params(), checks.perturbed_params(3), with_rates(checks.DampedRates())]
+        for p in runs:
+            for tau in checks.make_grid(p, 0.05):
+                got = positive_equilibrium(p, tau)
+                assert len(memo.table) <= 16
+                assert repr(got) == repr(equilibria._solve_positive(p, tau)), (p, tau)
+                tm, residual, tol = memo.constants
+                assert tm == tau_max(p)
+                assert tol == 1e-12 * (p.delta + p.rates.g_prime(0.0) + 1.0)
+                alpha = 2.0 * math.exp(-p.gamma * tau) - 1.0
+                assert residual(got.Q, alpha) == equilibria._residual_fn(p)(got.Q, alpha)
+            with pytest.raises(NumericalError, match="not finite"):
+                positive_equilibrium(bad, 1.0)
+            assert memo.params is p
+        assert sets == runs
 
 
 class TestInlineHillResidual:
@@ -422,13 +469,13 @@ class TestInlineHillResidual:
                 return _method(self, *args)
 
             monkeypatch.setattr(HillRates, name, counted)
+        inline = equilibria._residual_fn(p)
+        generic = equilibria._residual_fn(dataclasses.replace(p, rates=counting))
+        assert inline.__code__ is not generic.__code__
         for tau in taus:
             alpha = 2.0 * math.exp(-p.gamma * tau) - 1.0
-            inline = equilibria._residual_fn(p, alpha)
-            generic = equilibria._residual_fn(dataclasses.replace(p, rates=counting), alpha)
-            assert inline.__code__ is not generic.__code__
             for Q in qs:
-                assert repr(inline(Q)) == repr(generic(Q)), (tau, Q)
+                assert repr(inline(Q, alpha)) == repr(generic(Q, alpha)), (tau, Q)
         assert counting.calls["f"] == 3 * len(qs)
         # CountingRates' own counter counts its calls, the class counter
         # counts them again through super(): exact HillRates added none
