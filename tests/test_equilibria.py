@@ -439,6 +439,50 @@ class TestHillWindow:
         assert sets == runs
 
 
+class TestWarmStart:
+    """The closed-form window is a solve's only warm start: it needs no earlier
+    solve, so a walk's cost, counted in residual evaluations (one f each),
+    depends on neither its order nor its parameter set's neighbours."""
+
+    @staticmethod
+    def counted_walk(monkeypatch, p, walk):
+        """Residual evaluations a solve over `walk` on a fresh memo."""
+        make_residual, calls = equilibria._residual_fn, [0]
+
+        def residual_fn(p):
+            residual = make_residual(p)
+
+            def counted(Q, alpha):
+                calls[0] += 1
+                return residual(Q, alpha)
+
+            return counted
+
+        monkeypatch.setattr(equilibria, "_residual_fn", residual_fn)
+        TestHillWindow.fresh_memo(monkeypatch)
+        for tau in walk:
+            positive_equilibrium(p, tau)
+        return calls[0] / len(walk)
+
+    def test_warm_solves_cost_at_most_25_rate_calls(self, monkeypatch):
+        # the descending and shuffled reference walks cost what the
+        # ascending one costs (about 12.1 a solve), far below the plain
+        # bisection's 58
+        p = default_params()
+        grid = checks.make_grid(p)
+        ascending = self.counted_walk(monkeypatch, p, grid)
+        assert 1.0 <= ascending <= 25.0, ascending
+        shuffled = random.Random(20261019).sample(grid, len(grid))
+        for walk in (grid[::-1], shuffled):
+            assert self.counted_walk(monkeypatch, p, walk) == ascending
+
+    def test_warm_solves_cost_at_most_18_rate_calls(self, monkeypatch):
+        # the eight +-20% Hill sets' grids: 11.9 to 12.3 a solve
+        for p in map(checks.perturbed_params, range(8)):
+            cost = self.counted_walk(monkeypatch, p, checks.make_grid(p))
+            assert 1.0 <= cost <= 18.0, (p, cost)
+
+
 class TestInlineHillResidual:
     """_residual_fn evaluates exact HillRates inline, bit for bit as the
     generic composition of beta, g and f that a subclass gets."""
