@@ -292,8 +292,12 @@ def _simulate_once(
 
 
 def _write_trajectory(path: Path, traj: Trajectory, stride: int = 1) -> Path:
+    """Every stride-th mesh row (t, Q, M, E), each float as its repr: _write_csv's bytes."""
     rows = islice(zip(traj.times, traj.Q, traj.M, traj.E), 0, None, stride)
-    return _write_csv(path, ["t", "Q", "M", "E"], rows)
+    with path.open("w") as fh:
+        fh.write("t,Q,M,E\n")
+        fh.writelines(f"{t!r},{q!r},{m!r},{e!r}\n" for t, q, m, e in rows)
+    return path
 
 
 def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:

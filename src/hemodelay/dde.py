@@ -16,15 +16,20 @@ The stepper appends each mesh point as a row (t, Q, M, E, dQ, dM, dE) to
 one flat float list.  It checks the new state once per step, with one
 chained comparison floor <= x < inf per component, and only when that
 fails sorts the failure into a DivergenceError (a component not finite)
-or an InvariantViolationError (one below the -1e-6 floor).  Every stage
-goes through model.vector_field, built once per run, which evaluates the
-exact HillRates inline and any other rates through their methods;
-model.rhs is the checked wrapper around the same field.  The field takes
-the delayed re-entry flux, computed once per read: stages 2 and 3 share
-the half-step one, and the full-step one serves stage 4 and the new mesh
-point's derivative, which doubles as the next step's first stage.  Both
-reads are inlined, so a delayed step with HillRates makes 6 calls: 4 of
-the field and 2 of the flux.
+or an InvariantViolationError (one below the -1e-6 floor).  Each delayed
+re-entry flux is computed once per read: stages 2 and 3 share the
+half-step one, and the full-step one serves stage 4 and the new mesh
+point's derivative, which doubles as the next step's first stage.
+
+For rates of exactly type HillRates the stepper is one straight-line loop
+with the Hill field written out at every stage, the operations of
+HillRates.beta, g and f in their order, branches included, and -delta,
+-mu, -k bound once: past the first delay a step makes no Python call
+(before it, the history's eval).  Any other rates, a HillRates
+subclass included, are stepped through model.vector_field's closures, 6
+calls a delayed step (4 of the field, 2 of the flux); that loop is the
+reference the Hill loop matches bit for bit.  model.rhs is the checked
+wrapper around the same closures.
 
 A Trajectory keeps that list packed once, at the end, into one read-only
 float64 buffer, and its columns (times, Q, M, E, dQ, dM, dE) are strided
@@ -54,7 +59,16 @@ from functools import cached_property
 from typing import Callable
 
 from .equilibria import Equilibrium
-from .model import InvalidStateError, ModelParams, NumericalError, SystemState, validate, vector_field
+from .model import (
+    HillRates,
+    InvalidStateError,
+    ModelParams,
+    NumericalError,
+    SystemState,
+    reward,
+    validate,
+    vector_field,
+)
 
 _DEFAULT_SUBSTEPS = 64
 # a mesh point keeps a row of 7 float64s, 56 bytes packed, and about 280 while
@@ -206,16 +220,128 @@ def integrate(
             f"at most {_MAX_STEPS} are allowed"
         )
     n_steps = max(1, math.ceil(steps - 1e-12))
-
-    field, reentry = vector_field(p)
     y0 = history.eval(0.0)
     d0 = history.eval(-tau) if tau > 0.0 else y0
+    stepper = _hill_rows if type(p.rates) is HillRates else _field_rows
+    rows = stepper(p, history, dt, n_steps, y0, d0)
+    return Trajectory(p, history, dt, memoryview(array("d", rows)).toreadonly())
+
+
+def _state_error(Qn: float, Mn: float, En: float, t_next: float, t: float) -> NumericalError:
+    """The error for a new state that failed the floor <= x < inf check."""
+    if not (math.isfinite(Qn) and math.isfinite(Mn) and math.isfinite(En)):
+        return DivergenceError(f"state non-finite at t={t_next!r}; last valid t={t!r}", t)
+    return InvariantViolationError(f"component reached {min(Qn, Mn, En)!r} at t={t_next!r}", t)
+
+
+def _hill_rows(
+    p: ModelParams, history: History, dt: float, n_steps: int, y0: SystemState, d0: SystemState
+) -> list[float]:
+    """The mesh rows for rates of exactly type HillRates, with the field written out.
+
+    Each evaluation takes the operations of HillRates.beta, g and f in their
+    order, branches included, so every float is that of _field_rows on the
+    composed rates; -delta, -mu and -k are bound once, which is exact.  The
+    derivative at a mesh point is computed at the top of the loop, so the
+    first one is no special case.
+    """
+    tau, rates = p.tau, p.rates
+    beta0, G, a, K, r = rates.beta0, rates.G, rates.a, rates.K, rates.r
+    nd, nmu, nk = -p.delta, -p.mu, -p.k
+    rw = reward(p, tau)
+    delayed = tau > 0.0
+    m = round(tau / dt)
+    inf, floor = math.inf, _NEG_FLOOR
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    Q, M, E = y0
+    Qf, _, Ef = d0
+    rf = rw * (beta0 * Ef / (1.0 + Ef)) * Qf  # the delayed flux of mesh point 0
+    t = 0.0
+    rows: list[float] = []
+    for j in range(n_steps + 1):
+        # mesh point j: with tau = 0 the delayed state is the current one,
+        # and the flux rw*b*Q reuses the field's b
+        gQ, b = G * Q, beta0 * E / (1.0 + E)
+        try:
+            fM = a if M <= 0.0 else a / (1.0 + K * M**r)
+        except OverflowError:
+            fM = 0.0
+        kQ1 = nd * Q - gQ - b * Q + (rf if delayed else rw * b * Q)
+        kM1, kE1 = nmu * M + gQ, nk * E + fM
+        rows += (t, Q, M, E, kQ1, kM1, kE1)
+        if j == n_steps:
+            break
+        if delayed:
+            # the reads of _field_rows: stages 2 and 3 at t + dt/2 - tau,
+            # stage 4 and mesh point j + 1 at t + dt - tau
+            tq = t + half - tau
+            i = j - m
+            if i >= 0:
+                ti, Q0, _, E0, dQ0, _, dE0, _, Q1, _, E1, dQ1, _, dE1 = rows[7 * i:7 * i + 14]
+                s = (tq - ti) / dt
+                s2, u2 = s * s, (1.0 - s) ** 2
+                w0, v0 = (1.0 + 2.0 * s) * u2, dt * (s * u2)
+                w1, v1 = s2 * (3.0 - 2.0 * s), dt * (s2 * (s - 1.0))
+                Qh = w0 * Q0 + v0 * dQ0 + w1 * Q1 + v1 * dQ1
+                Eh = w0 * E0 + v0 * dE0 + w1 * E1 + v1 * dE1
+            else:
+                Qh, _, Eh = history.eval(tq)
+            i = j + 1 - m
+            if i >= 0:
+                Qf, Ef = rows[7 * i + 1], rows[7 * i + 3]
+            else:
+                Qf, _, Ef = history.eval(i * dt)
+            rh = rw * (beta0 * Eh / (1.0 + Eh)) * Qh
+            rf = rw * (beta0 * Ef / (1.0 + Ef)) * Qf
+        Q2, M2, E2 = Q + half * kQ1, M + half * kM1, E + half * kE1
+        gQ, b = G * Q2, beta0 * E2 / (1.0 + E2)
+        try:
+            fM = a if M2 <= 0.0 else a / (1.0 + K * M2**r)
+        except OverflowError:
+            fM = 0.0
+        kQ2 = nd * Q2 - gQ - b * Q2 + (rh if delayed else rw * b * Q2)
+        kM2, kE2 = nmu * M2 + gQ, nk * E2 + fM
+        Q3, M3, E3 = Q + half * kQ2, M + half * kM2, E + half * kE2
+        gQ, b = G * Q3, beta0 * E3 / (1.0 + E3)
+        try:
+            fM = a if M3 <= 0.0 else a / (1.0 + K * M3**r)
+        except OverflowError:
+            fM = 0.0
+        kQ3 = nd * Q3 - gQ - b * Q3 + (rh if delayed else rw * b * Q3)
+        kM3, kE3 = nmu * M3 + gQ, nk * E3 + fM
+        Q4, M4, E4 = Q + dt * kQ3, M + dt * kM3, E + dt * kE3
+        gQ, b = G * Q4, beta0 * E4 / (1.0 + E4)
+        try:
+            fM = a if M4 <= 0.0 else a / (1.0 + K * M4**r)
+        except OverflowError:
+            fM = 0.0
+        kQ4 = nd * Q4 - gQ - b * Q4 + (rf if delayed else rw * b * Q4)
+        kM4, kE4 = nmu * M4 + gQ, nk * E4 + fM
+        Qn = Q + sixth * (kQ1 + 2.0 * (kQ2 + kQ3) + kQ4)
+        Mn = M + sixth * (kM1 + 2.0 * (kM2 + kM3) + kM4)
+        En = E + sixth * (kE1 + 2.0 * (kE2 + kE3) + kE4)
+        t_next = (j + 1) * dt
+        # a non-finite stage state propagates into the new state, and NaN
+        # fails every comparison
+        if not (floor <= Qn < inf and floor <= Mn < inf and floor <= En < inf):
+            raise _state_error(Qn, Mn, En, t_next, t)
+        t, Q, M, E = t_next, Qn, Mn, En
+    return rows
+
+
+def _field_rows(
+    p: ModelParams, history: History, dt: float, n_steps: int, y0: SystemState, d0: SystemState
+) -> list[float]:
+    """The mesh rows for any rates, each stage through model.vector_field."""
+    tau = p.tau
+    field, reentry = vector_field(p)
     Q, M, E = y0
     kQ1, kM1, kE1 = field(Q, M, E, reentry(d0.Q, d0.E))
     rows = [0.0, Q, M, E, kQ1, kM1, kE1]
     m = round(tau / dt)  # steps per delay: mesh point j - m sits at t_j - tau
 
-    isfinite, inf, floor = math.isfinite, math.inf, _NEG_FLOOR
+    inf, floor = math.inf, _NEG_FLOOR
     half = 0.5 * dt
     sixth = dt / 6.0
     t = 0.0
@@ -260,23 +386,14 @@ def integrate(
         Mn = M + sixth * (kM1 + 2.0 * (kM2 + kM3) + kM4)
         En = E + sixth * (kE1 + 2.0 * (kE2 + kE3) + kE4)
         t_next = (j + 1) * dt
-        # a non-finite stage state propagates into the new state, and NaN
-        # fails every comparison
         if not (floor <= Qn < inf and floor <= Mn < inf and floor <= En < inf):
-            if not (isfinite(Qn) and isfinite(Mn) and isfinite(En)):
-                raise DivergenceError(
-                    f"state non-finite at t={t_next!r}; last valid t={t!r}", t
-                )
-            raise InvariantViolationError(
-                f"component reached {min(Qn, Mn, En)!r} at t={t_next!r}", t
-            )
+            raise _state_error(Qn, Mn, En, t_next, t)
         if tau <= 0.0:
             rf = reentry(Qn, En)
         kQ1, kM1, kE1 = field(Qn, Mn, En, rf)
         t, Q, M, E = t_next, Qn, Mn, En
         rows += (t, Q, M, E, kQ1, kM1, kE1)
-
-    return Trajectory(p, history, dt, memoryview(array("d", rows)).toreadonly())
+    return rows
 
 
 @dataclass(frozen=True)

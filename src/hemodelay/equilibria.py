@@ -32,7 +32,7 @@ again on every call.  The memo is module state meant for one thread of
 calls; a solve depends on (params, tau) alone.
 
 For rates of exactly type HillRates the residual is written out, as
-model.vector_field writes out the vector field, and the bisection is
+dde.integrate's stepper writes out the vector field, and the bisection is
 centred on the closed-form root x: the window [x - w, x + w],
 w = max(1e-14*x, 64*eps*S/|s|) with s the residual's slope at x and S the
 summed magnitude of its terms, is used only if the residual is positive at
@@ -146,8 +146,8 @@ def _residual_fn(p: ModelParams) -> Callable[[float, float], float]:
     """The balance residual (Q, alpha) -> alpha*beta(Q, E(Q)) - delta - g(Q)/Q of p.
 
     Rates of exactly type HillRates are evaluated inline, as in
-    model.vector_field, with the same floats as the composition of beta, g
-    and f that every other RateFunctions gets.
+    dde.integrate's stepper, with the same floats as the composition of
+    beta, g and f that every other RateFunctions gets.
     """
     delta, mu, k, rates = p.delta, p.mu, p.k, p.rates
     if type(rates) is HillRates:
@@ -195,8 +195,7 @@ def positive_equilibrium(p: ModelParams, tau: float) -> Equilibrium | None:
     depends on (p, tau) alone; it is memoized for the most recent parameter
     set (see the module docstring).
     """
-    if not (isinstance(tau, float) or isinstance(tau, int) and tau <= sys.float_info.max):
-        raise ValueError(f"tau must be a float or an int within float range, got {type(tau).__name__}")
+    _check_delay_type(tau)
     if not tau >= 0.0:  # NaN fails too
         raise ValueError("tau must be nonnegative")
     eq = _memo.get(p, tau)
@@ -204,6 +203,12 @@ def positive_equilibrium(p: ModelParams, tau: float) -> Equilibrium | None:
         eq = _solve_positive(p, tau, _memo.constants)
         _memo.put(p, tau, eq)
     return eq
+
+
+def _check_delay_type(tau) -> None:
+    """Raise ValueError unless tau is a float or an int within float range."""
+    if not (isinstance(tau, float) or isinstance(tau, int) and tau <= sys.float_info.max):
+        raise ValueError(f"tau must be a float or an int within float range, got {type(tau).__name__}")
 
 
 def _solve_positive(p: ModelParams, tau: float, constants: tuple | None = None) -> Equilibrium | None:
@@ -294,10 +299,10 @@ def hill_equilibrium_closed_form(p: ModelParams, tau: float) -> Equilibrium:
         M* = (G/mu) * Q*
 
     Q* is the centre of positive_equilibrium's window; the float it returns
-    still comes from the residual's signs.  Raises ValueError outside
-    [0, tau_max), when no positive steady state exists, or when the
-    numerator above rounds to <= 0 (a few ulps below tau_max); TypeError for
-    non-Hill rates.
+    still comes from the residual's signs.  Raises ValueError for a delay
+    positive_equilibrium refuses by type, outside [0, tau_max), when no
+    positive steady state exists, or when the numerator above rounds to <= 0
+    (a few ulps below tau_max); TypeError for non-Hill rates.
     """
     hr = p.rates
     if not isinstance(hr, HillRates):
@@ -305,6 +310,7 @@ def hill_equilibrium_closed_form(p: ModelParams, tau: float) -> Equilibrium:
     tm = tau_max(p)
     if tm is None:
         raise ValueError("no positive steady state for any delay")
+    _check_delay_type(tau)
     if not 0.0 <= tau < tm:
         raise ValueError(f"tau={tau} outside [0, tau_max={tm})")
     Q, E = _hill_root(p, tau, reward(p, tau) - 1.0)

@@ -52,11 +52,12 @@ class RateFunctions(ABC):
     is in use: equilibria.positive_equilibrium memoizes its solves, and
     switch its characteristic coefficients, per parameter set.
 
-    vector_field and the equilibrium solve's balance residual compose beta,
-    g and f for every implementation except HillRates itself, whose formulas
-    they evaluate inline, and whose equilibrium solve alone bisects inside a
-    window around its closed-form root; a subclass of HillRates, which may
-    override a rate, is composed and solved like any other.
+    dde.integrate's stepper and the equilibrium solve's balance residual
+    compose beta, g and f for every implementation except HillRates itself,
+    whose formulas they write out, and whose equilibrium solve alone bisects
+    inside a window around its closed-form root; a subclass of HillRates,
+    which may override a rate, is composed and solved like any other.
+    vector_field and rhs compose the rates of every implementation.
     """
 
     @abstractmethod
@@ -207,17 +208,12 @@ def vector_field(
     En, returned) to (dQ, dM, dE) given that flux; the delayed M never enters
     the field.  A caller that reads one delayed state for several stages
     computes its flux once.  Neither does a finiteness check: rhs is the
-    checked form.
-
-    Rates of exactly type HillRates are evaluated inline, with the operations
-    of HillRates.beta, g and f in their order, so both closures return the
-    same floats as the generic composition of beta, g and f, which every
-    other RateFunctions, a HillRates subclass included, gets.
+    checked form.  Both compose the rates' beta, g and f, for every
+    RateFunctions; dde.integrate steps exact HillRates without them, with the
+    same floats.
     """
     delta, mu, k = p.delta, p.mu, p.k
     rw = reward(p, p.tau)
-    if type(p.rates) is HillRates:
-        return _hill_field(p.rates, delta, mu, k, rw)
     beta, g, f = p.rates.beta, p.rates.g, p.rates.f
 
     def field(Qn: float, Mn: float, En: float, returned: float) -> tuple[float, float, float]:
@@ -226,27 +222,6 @@ def vector_field(
 
     def reentry(Qd: float, Ed: float) -> float:
         return rw * beta(Qd, Ed) * Qd
-
-    return field, reentry
-
-
-def _hill_field(rates: HillRates, delta: float, mu: float, k: float, rw: float):
-    """vector_field's closures with HillRates.beta, g and f written out."""
-    beta0, G, a, K, r = rates.beta0, rates.G, rates.a, rates.K, rates.r
-
-    def field(Qn: float, Mn: float, En: float, returned: float) -> tuple[float, float, float]:
-        gQ = G * Qn
-        if Mn <= 0.0:  # the branches of HillRates.f
-            fM = a
-        else:
-            try:
-                fM = a / (1.0 + K * Mn**r)
-            except OverflowError:
-                fM = 0.0
-        return (-delta * Qn - gQ - beta0 * En / (1.0 + En) * Qn + returned, -mu * Mn + gQ, -k * En + fM)
-
-    def reentry(Qd: float, Ed: float) -> float:
-        return rw * (beta0 * Ed / (1.0 + Ed)) * Qd
 
     return field, reentry
 

@@ -15,6 +15,7 @@ from hemodelay import (
     InvalidStateError,
     InvariantViolationError,
     ModelParams,
+    NumericalError,
     RateFunctions,
     SystemState,
     Trajectory,
@@ -29,7 +30,7 @@ from hemodelay import (
     routh_hurwitz_tau0,
     scaled_equilibrium_history,
 )
-from hemodelay.model import vector_field
+from hemodelay.dde import mesh_step
 
 import checks
 
@@ -409,8 +410,8 @@ class TestTrajectoryBits:
 
 
 class TestInlineHillField:
-    """vector_field evaluates exact HillRates inline, bit for bit as the
-    generic composition of beta, g and f that a subclass gets."""
+    """integrate steps exact HillRates with the field written out, bit for bit
+    as the generic composition of beta, g and f that a subclass gets."""
 
     @staticmethod
     def hill_params(seed, tau):
@@ -424,24 +425,66 @@ class TestInlineHillField:
     def test_rows_match_the_generic_path(self, tau, seed):
         p = self.hill_params(seed, tau)
         history = History.constant(SystemState(3.6, 7.3, 0.12))
-        inline = integrate(p, history, 12.0)
-        generic = integrate(plain_hill(p), history, 12.0)
-        assert inline.rows.tobytes() == generic.rows.tobytes()
+        # the default tau/64, the sweep's 0.05 and one step per delay
+        for max_step in (None, 0.05) + ((tau,) if tau > 0.0 else ()):
+            inline = integrate(p, history, 12.0, max_step=max_step)
+            generic = integrate(plain_hill(p), history, 12.0, max_step=max_step)
+            assert inline.rows.tobytes() == generic.rows.tobytes(), max_step
 
     @pytest.mark.parametrize("seed", [None, 5])
-    def test_field_matches_the_generic_path_at_the_edges(self, seed):
-        p = self.hill_params(seed, 1.4)
-        (field, reentry), (field_g, reentry_g) = vector_field(p), vector_field(plain_hill(p))
-        assert field.__code__ is not field_g.__code__
-        # M < 0 and M = +-0 take f's no-feedback branch; K*M**r underflows
-        # for a tiny M and overflows for a huge one; E = 0 and a huge E
-        # push beta to its ends
-        for Q, E in ((0.0, 0.0), (2.9, 0.24), (1e-300, 1e300), (3.3, 1.7e308)):
-            assert repr(reentry(Q, E)) == repr(reentry_g(Q, E)), (Q, E)
-            for M in (-3.0, -0.0, 0.0, 5e-324, 1e-300, 1e-3, 6.6, 1e60, 1e300, math.inf):
-                assert repr(field(Q, M, E, 0.7)) == repr(field_g(Q, M, E, 0.7)), (Q, M, E)
-        with pytest.raises(OverflowError):
-            p.rates.K * 1e60**p.rates.r  # the overflow case is reached
+    def test_runs_match_the_generic_path_from_edge_histories(self, seed):
+        # M = 0, 5e-324 (K*M**r underflows) and 1e300 (M**r overflows); E = 0
+        # and a huge E push beta to its ends, and 1.7e308 overflows -k*E and
+        # ends the run; a clearance mu of 2.4/dt drives the stage M below 0,
+        # f's no-feedback branch.  Rows, or the error, must be the same
+        branches = set()
+
+        @dataclasses.dataclass(frozen=True)
+        class BranchHill(HillRates):
+            """HillRates under another type, noting which branches f and beta take."""
+
+            def beta(self, Q, E):
+                branches.add("E = 0" if E == 0.0 else "E huge" if E > 1e300 else "E")
+                return super().beta(Q, E)
+
+            def f(self, M):
+                if M <= 0.0:
+                    branches.add("M <= 0")
+                elif M > 1e100:
+                    branches.add("M**r overflows")
+                elif self.K * M**self.r == 0.0:
+                    branches.add("K*M**r underflows")
+                return super().f(M)
+
+        def outcome(p, history):
+            try:
+                return integrate(p, history, 12.0).rows.tobytes()
+            except NumericalError as err:
+                return type(err), str(err), err.last_time
+
+        errors = 0
+        for tau in (0.0, 1.4):
+            p = self.hill_params(seed, tau)
+            fast_mu = dataclasses.replace(p, mu=2.4 / mesh_step(tau, None))
+            for q, state in (
+                (p, (2.9, 0.0, 0.24)),
+                (p, (2.9, 5e-324, 0.24)),
+                (p, (2.9, 1e300, 0.24)),
+                (p, (2.9, 6.6, 0.0)),
+                (p, (1e-300, 6.6, 1e300)),
+                (p, (3.3, 6.6, 1.7e308)),
+                (p, (0.0, 0.0, 0.0)),
+                (fast_mu, (2.9, 6.6, 0.24)),
+            ):
+                history = History.constant(SystemState(*state))
+                inline = outcome(q, history)
+                generic = outcome(
+                    dataclasses.replace(q, rates=BranchHill(**dataclasses.asdict(q.rates))), history
+                )
+                assert inline == generic, (tau, q.mu, state)
+                errors += not isinstance(inline, bytes)
+        assert branches == {"E = 0", "E huge", "E", "M <= 0", "M**r overflows", "K*M**r underflows"}
+        assert 0 < errors < 16  # some runs end in an error, and some run to the end
 
     def test_exact_hill_rates_call_no_rate_method(self, monkeypatch):
         # counted on the class, so the generic path's calls show (6n + 2

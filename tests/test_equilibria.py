@@ -559,6 +559,17 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             hill_equilibrium_closed_form(with_rates(hill(beta0=0.01)), 0.0)
 
+    def test_delay_types(self, params):
+        # positive_equilibrium's rule: an int within float range or a float
+        # gets an answer or ValueError, any other type gets ValueError
+        assert hill_equilibrium_closed_form(params, 1).state == (
+            hill_equilibrium_closed_form(params, 1.0).state
+        )
+        for tau in (10**400, -(10**400), 2**1024, -1, decimal.Decimal("1"), "1.0", 1 + 0j,
+                    fractions.Fraction(1, 2), None):
+            with pytest.raises(ValueError):
+                hill_equilibrium_closed_form(params, tau)
+
 
     def test_real_and_positive_or_refused_below_threshold(self):
         for p, tau in near_threshold_cases():
