@@ -15,8 +15,9 @@ benchmark's result; the line before it carries the environment block.
 For each workload and side the file holds the median and quartiles
 (statistics.quantiles, n=4, exclusive method) of every end-to-end metric
 named in BENCHMARK.json, the raw runs, and the pairs the working tree won
-(ties count for neither side), together with both commits, the sha256 of
-each side's `src/hemodelay`, the seeds, the Python version and `nproc`.
+(ties count for neither side), together with both commits, the sha256 and
+line count of each side's `src/hemodelay`, the seeds, the Python version and
+`nproc`.
 Stdlib only.
 """
 
@@ -49,6 +50,11 @@ def extract(rev: str, dest: Path) -> None:
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
+
+
+def src_lines(tree: Path) -> int:
+    """Lines in the tree's src/hemodelay/*.py, the package's size."""
+    return sum(len(f.read_text().splitlines()) for f in (tree / "src" / "hemodelay").glob("*.py"))
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -131,6 +137,7 @@ def main(argv: list[str] | None = None) -> int:
         report["workloads"][workload] = {
             side: {
                 "src_sha256": sorted({r["src_sha256"] for r in side_runs}),
+                "src_lines": src_lines(parent_tree if side == "parent" else ROOT),
                 "failed": sum(r["failed"] for r in side_runs),
                 "attempted": sum(r["attempted"] for r in side_runs),
                 "summary": summary(side_runs, metrics),

@@ -26,10 +26,10 @@ with the Hill field written out at every stage, the operations of
 HillRates.beta, g and f in their order, branches included, and -delta,
 -mu, -k bound once: past the first delay a step makes no Python call
 (before it, the history's eval).  Any other rates, a HillRates
-subclass included, are stepped through model.vector_field's closures, 6
-calls a delayed step (4 of the field, 2 of the flux); that loop is the
-reference the Hill loop matches bit for bit.  model.rhs is the checked
-wrapper around the same closures.
+subclass included, are stepped by the same loop with each rate a bound
+method call, 6 of beta and 4 each of g and f a delayed step; that loop is
+the reference the Hill loop matches bit for bit.  model.rhs is the
+checked field at one state, composed from the same rates.
 
 A Trajectory keeps that list packed once, at the end, into one read-only
 float64 buffer, and its columns (times, Q, M, E, dQ, dM, dE) are strided
@@ -67,7 +67,6 @@ from .model import (
     SystemState,
     reward,
     validate,
-    vector_field,
 )
 
 _DEFAULT_SUBSTEPS = 64
@@ -333,23 +332,37 @@ def _hill_rows(
 def _field_rows(
     p: ModelParams, history: History, dt: float, n_steps: int, y0: SystemState, d0: SystemState
 ) -> list[float]:
-    """The mesh rows for any rates, each stage through model.vector_field."""
-    tau = p.tau
-    field, reentry = vector_field(p)
-    Q, M, E = y0
-    kQ1, kM1, kE1 = field(Q, M, E, reentry(d0.Q, d0.E))
-    rows = [0.0, Q, M, E, kQ1, kM1, kE1]
-    m = round(tau / dt)  # steps per delay: mesh point j - m sits at t_j - tau
+    """The mesh rows for any rates: _hill_rows' loop with each rate a method call.
 
+    beta, g and f are bound once and called where the Hill loop writes out
+    their operations, so the two loops differ only in set-up and rate lines.
+    """
+    tau, rates = p.tau, p.rates
+    beta, g, f = rates.beta, rates.g, rates.f
+    nd, nmu, nk = -p.delta, -p.mu, -p.k
+    rw = reward(p, tau)
+    delayed = tau > 0.0
+    m = round(tau / dt)
     inf, floor = math.inf, _NEG_FLOOR
     half = 0.5 * dt
     sixth = dt / 6.0
+    Q, M, E = y0
+    Qf, _, Ef = d0
+    rf = rw * beta(Qf, Ef) * Qf  # the delayed flux of mesh point 0
     t = 0.0
-    for j in range(n_steps):
-        Q2, M2, E2 = Q + half * kQ1, M + half * kM1, E + half * kE1
-        if tau > 0.0:
-            # stages 2 and 3 read at t + dt/2 - tau: inside segment j - m,
-            # with the Hermite arithmetic of Trajectory.state, or in the history
+    rows: list[float] = []
+    for j in range(n_steps + 1):
+        # mesh point j: with tau = 0 the delayed state is the current one,
+        # and the flux rw*b*Q reuses the field's b
+        gQ, b = g(Q), beta(Q, E)
+        kQ1 = nd * Q - gQ - b * Q + (rf if delayed else rw * b * Q)
+        kM1, kE1 = nmu * M + gQ, nk * E + f(M)
+        rows += (t, Q, M, E, kQ1, kM1, kE1)
+        if j == n_steps:
+            break
+        if delayed:
+            # stages 2 and 3 read at t + dt/2 - tau (segment j - m), stage 4
+            # and mesh point j + 1 at t + dt - tau (mesh point j + 1 - m)
             tq = t + half - tau
             i = j - m
             if i >= 0:
@@ -362,37 +375,34 @@ def _field_rows(
                 Eh = w0 * E0 + v0 * dE0 + w1 * E1 + v1 * dE1
             else:
                 Qh, _, Eh = history.eval(tq)
-            # stage 4 reads at t + dt - tau, mesh point j + 1 - m (the
-            # current one with one step per delay), or the history
             i = j + 1 - m
             if i >= 0:
                 Qf, Ef = rows[7 * i + 1], rows[7 * i + 3]
             else:
                 Qf, _, Ef = history.eval(i * dt)
-            rh = reentry(Qh, Eh)  # stages 2 and 3 share this read
-            kQ2, kM2, kE2 = field(Q2, M2, E2, rh)
-            Q3, M3, E3 = Q + half * kQ2, M + half * kM2, E + half * kE2
-            kQ3, kM3, kE3 = field(Q3, M3, E3, rh)
-            Q4, M4, E4 = Q + dt * kQ3, M + dt * kM3, E + dt * kE3
-            rf = reentry(Qf, Ef)  # also the delayed flux of mesh point j + 1
-            kQ4, kM4, kE4 = field(Q4, M4, E4, rf)
-        else:
-            kQ2, kM2, kE2 = field(Q2, M2, E2, reentry(Q2, E2))
-            Q3, M3, E3 = Q + half * kQ2, M + half * kM2, E + half * kE2
-            kQ3, kM3, kE3 = field(Q3, M3, E3, reentry(Q3, E3))
-            Q4, M4, E4 = Q + dt * kQ3, M + dt * kM3, E + dt * kE3
-            kQ4, kM4, kE4 = field(Q4, M4, E4, reentry(Q4, E4))
+            rh = rw * beta(Qh, Eh) * Qh
+            rf = rw * beta(Qf, Ef) * Qf
+        Q2, M2, E2 = Q + half * kQ1, M + half * kM1, E + half * kE1
+        gQ, b = g(Q2), beta(Q2, E2)
+        kQ2 = nd * Q2 - gQ - b * Q2 + (rh if delayed else rw * b * Q2)
+        kM2, kE2 = nmu * M2 + gQ, nk * E2 + f(M2)
+        Q3, M3, E3 = Q + half * kQ2, M + half * kM2, E + half * kE2
+        gQ, b = g(Q3), beta(Q3, E3)
+        kQ3 = nd * Q3 - gQ - b * Q3 + (rh if delayed else rw * b * Q3)
+        kM3, kE3 = nmu * M3 + gQ, nk * E3 + f(M3)
+        Q4, M4, E4 = Q + dt * kQ3, M + dt * kM3, E + dt * kE3
+        gQ, b = g(Q4), beta(Q4, E4)
+        kQ4 = nd * Q4 - gQ - b * Q4 + (rf if delayed else rw * b * Q4)
+        kM4, kE4 = nmu * M4 + gQ, nk * E4 + f(M4)
         Qn = Q + sixth * (kQ1 + 2.0 * (kQ2 + kQ3) + kQ4)
         Mn = M + sixth * (kM1 + 2.0 * (kM2 + kM3) + kM4)
         En = E + sixth * (kE1 + 2.0 * (kE2 + kE3) + kE4)
         t_next = (j + 1) * dt
+        # a non-finite stage state propagates into the new state, and NaN
+        # fails every comparison
         if not (floor <= Qn < inf and floor <= Mn < inf and floor <= En < inf):
             raise _state_error(Qn, Mn, En, t_next, t)
-        if tau <= 0.0:
-            rf = reentry(Qn, En)
-        kQ1, kM1, kE1 = field(Qn, Mn, En, rf)
         t, Q, M, E = t_next, Qn, Mn, En
-        rows += (t, Q, M, E, kQ1, kM1, kE1)
     return rows
 
 

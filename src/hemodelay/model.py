@@ -53,11 +53,11 @@ class RateFunctions(ABC):
     switch its characteristic coefficients, per parameter set.
 
     dde.integrate's stepper and the equilibrium solve's balance residual
-    compose beta, g and f for every implementation except HillRates itself,
+    call beta, g and f for every implementation except HillRates itself,
     whose formulas they write out, and whose equilibrium solve alone bisects
     inside a window around its closed-form root; a subclass of HillRates,
-    which may override a rate, is composed and solved like any other.
-    vector_field and rhs compose the rates of every implementation.
+    which may override a rate, is stepped and solved like any other.  rhs
+    calls the rates of every implementation.
     """
 
     @abstractmethod
@@ -195,37 +195,6 @@ def reward(p: ModelParams, tau: float) -> float:
     return 2.0 * math.exp(-p.gamma * tau)
 
 
-def vector_field(
-    p: ModelParams,
-) -> tuple[
-    Callable[[float, float, float, float], tuple[float, float, float]],
-    Callable[[float, float], float],
-]:
-    """The vector field of `p` as closures over its constants, built once per run.
-
-    Returns (field, reentry).  reentry maps a delayed (Qd, Ed) to the delayed
-    re-entry flux 2*exp(-gamma*tau)*beta(Qd, Ed)*Qd, and field maps (Qn, Mn,
-    En, returned) to (dQ, dM, dE) given that flux; the delayed M never enters
-    the field.  A caller that reads one delayed state for several stages
-    computes its flux once.  Neither does a finiteness check: rhs is the
-    checked form.  Both compose the rates' beta, g and f, for every
-    RateFunctions; dde.integrate steps exact HillRates without them, with the
-    same floats.
-    """
-    delta, mu, k = p.delta, p.mu, p.k
-    rw = reward(p, p.tau)
-    beta, g, f = p.rates.beta, p.rates.g, p.rates.f
-
-    def field(Qn: float, Mn: float, En: float, returned: float) -> tuple[float, float, float]:
-        gQ = g(Qn)
-        return (-delta * Qn - gQ - beta(Qn, En) * Qn + returned, -mu * Mn + gQ, -k * En + f(Mn))
-
-    def reentry(Qd: float, Ed: float) -> float:
-        return rw * beta(Qd, Ed) * Qd
-
-    return field, reentry
-
-
 def rhs(now, delayed, p: ModelParams) -> SystemState:
     """Vector field at state `now` with delayed state `delayed`.
 
@@ -239,8 +208,10 @@ def rhs(now, delayed, p: ModelParams) -> SystemState:
     Qd, Md, Ed = delayed
     if not all(map(math.isfinite, (Qn, Mn, En, Qd, Md, Ed))):
         raise InvalidStateError(f"non-finite state: now={tuple(now)} delayed={tuple(delayed)}")
-    field, reentry = vector_field(p)
-    return SystemState(*field(Qn, Mn, En, reentry(Qd, Ed)))
+    rates = p.rates
+    gQ = rates.g(Qn)
+    dQ = -p.delta * Qn - gQ - rates.beta(Qn, En) * Qn + reward(p, p.tau) * rates.beta(Qd, Ed) * Qd
+    return SystemState(dQ, -p.mu * Mn + gQ, -p.k * En + rates.f(Mn))
 
 
 def bisect_flip(

@@ -98,7 +98,7 @@ class BigSource(RateFunctions):
 
 @dataclasses.dataclass(frozen=True)
 class PlainHill(HillRates):
-    """HillRates under another type: vector_field composes its beta, g and f."""
+    """HillRates under another type: integrate's generic loop calls its beta, g and f."""
 
 
 def plain_hill(p: ModelParams) -> ModelParams:
@@ -217,15 +217,21 @@ class TestIntegrateMesh:
             assert rates.calls["beta"] == 6 * n + 2, tau
             assert rates.calls["g"] == rates.calls["f"] == 4 * n + 1, tau
 
-    @pytest.mark.parametrize("tau, max_step", [(1.4, None), (2.9, None), (1.4, 1.4)])
+    @pytest.mark.parametrize("tau, max_step", [(0.0, None), (1.4, None), (2.9, None), (1.4, 1.4)])
     def test_derivative_reads_the_mesh_state_one_delay_back(self, tau, max_step):
         # dt = tau/m, so mesh point j's delayed state is mesh point j - m,
-        # bit for bit, however (j * dt) - tau rounds
-        p, _, traj = perturbed_run(tau, 30.0, max_step=max_step)
-        m = round(tau / traj.dt)
-        stored, states = derivs(traj), traj.states
-        for j in range(m, len(states)):
-            assert stored[j] == rhs(states[j], states[j - m], p), j
+        # bit for bit, however (j * dt) - tau rounds; at tau = 0, m = 0 and
+        # it is the current state.  Exact HillRates take the inline loop, a
+        # subclass and DampedRates (beta falls with Q) the generic one, and
+        # each stores the floats of rhs
+        hill = default_params(tau=tau)
+        for p in (hill, plain_hill(hill), dataclasses.replace(hill, rates=checks.DampedRates())):
+            history = scaled_equilibrium_history(positive_equilibrium(p, tau))
+            traj = integrate(p, history, 30.0, max_step=max_step)
+            m = round(tau / traj.dt)
+            stored, states = derivs(traj), traj.states
+            for j in range(m, len(states)):
+                assert stored[j] == rhs(states[j], states[j - m], p), (type(p.rates).__name__, j)
 
     def test_mesh_arrays_are_consistent(self):
         _, _, traj = perturbed_run(0.5, 20.0)
@@ -634,13 +640,13 @@ class TestStorage:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            traj = integrate(p, history, 200.0)
+            traj = integrate(p, history, 20.0)
             gc.collect()
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         points = len(traj.times)
-        assert points == 25601
+        assert points == 2561
         assert kept <= 1.25 * 56 * points, kept
 
 
