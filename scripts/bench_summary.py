@@ -1,20 +1,28 @@
-"""Run the benchmark on a parent commit and on the working tree, in alternating
-pairs, and write a summary of every end-to-end metric to a JSON file.
+"""Run the benchmark on a parent commit and on HEAD, in alternating pairs, and
+write a summary of every end-to-end metric to a JSON file.
 
 Usage:
     python scripts/bench_summary.py --out BENCH_21.json \\
         --workloads stability_map --seeds 301 302 303 --seconds 30
 
-The parent commit (--parent, default HEAD) is extracted with `git archive`
-into a fresh directory under --scratch (default: a new temporary
-directory), so both sides run `perfbench/run.py` from their own checkout
-with identical settings.  Pair i runs the parent first when i is even and
-the working tree first when i is odd.  Each run's last stdout line is the
-benchmark's result; the line before it carries the environment block.
+The parent commit (--parent, default HEAD) and HEAD are each extracted with
+`git archive` into a directory under --scratch (default: a new temporary
+directory), so both sides run `perfbench/run.py` from like checkouts with
+identical settings.  The script refuses to start while tracked files differ
+from HEAD, since the extract would not hold those changes.  Pair i runs the
+parent first when i is even and the change first when i is odd.  Each run's
+last stdout line is the benchmark's result; the line before it carries the
+environment block.
+
+Before the pairs, each side runs `python -m hemodelay reproduce` once from
+its extract into its own directory under --scratch; the file records the
+exit code, the manifest's checks and every CSV's sha256 of each side, and
+`reproduce_bytes_identical`: both sides wrote the same CSV names with the
+same digests.
 
 For each workload and side the file holds the median and quartiles
 (statistics.quantiles, n=4, exclusive method) of every end-to-end metric
-named in BENCHMARK.json, the raw runs, and the pairs the working tree won
+named in BENCHMARK.json, the raw runs, and the pairs the change won
 (ties count for neither side), together with both commits, the sha256 and
 line count of each side's `src/hemodelay`, the seeds, the Python version and
 `nproc`.
@@ -24,10 +32,12 @@ Stdlib only.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -55,6 +65,24 @@ def extract(rev: str, dest: Path) -> None:
 def src_lines(tree: Path) -> int:
     """Lines in the tree's src/hemodelay/*.py, the package's size."""
     return sum(len(f.read_text().splitlines()) for f in (tree / "src" / "hemodelay").glob("*.py"))
+
+
+def reproduce_record(tree: Path, out_dir: Path) -> dict:
+    """One `python -m hemodelay reproduce` from the tree: exit code, checks, CSV digests."""
+    if out_dir.exists():
+        shutil.rmtree(out_dir)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hemodelay", "reproduce", "--out-dir", str(out_dir)],
+        cwd=tree, env=env, capture_output=True,
+    )
+    manifest = out_dir / "manifest.json"
+    return {
+        "exit_code": proc.returncode,
+        "checks": json.loads(manifest.read_text())["checks"] if manifest.exists() else None,
+        "csv_sha256": {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                       for f in sorted(out_dir.glob("*.csv"))},
+    }
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -106,18 +134,26 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--scratch", type=Path, default=None)
     args = ap.parse_args(argv)
 
+    dirty = git("status", "--porcelain", "--untracked-files=no")
+    if dirty:
+        raise SystemExit(f"tracked files differ from HEAD; commit them first:\n{dirty}")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    parent_commit = git("rev-parse", args.parent)
+    commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", "HEAD")}
     scratch = Path(args.scratch or tempfile.mkdtemp(prefix="bench_summary-"))
-    parent_tree = scratch / f"parent-{parent_commit[:12]}"
-    if not parent_tree.exists():
-        parent_tree.mkdir(parents=True)
-        extract(parent_commit, parent_tree)
+    trees = {side: scratch / f"{side}-{commit[:12]}" for side, commit in commits.items()}
+    for side, tree in trees.items():
+        if not tree.exists():
+            tree.mkdir(parents=True)
+            extract(commits[side], tree)
+    reproduce = {side: reproduce_record(tree, scratch / f"reproduce-{side}")
+                 for side, tree in trees.items()}
 
     report = {
-        "parent": {"commit": parent_commit},
-        "change": {"commit": git("rev-parse", "HEAD"),
-                   "uncommitted_changes": bool(git("status", "--porcelain"))},
+        "parent": {"commit": commits["parent"]},
+        "change": {"commit": commits["change"]},
+        "reproduce": reproduce,
+        "reproduce_bytes_identical": bool(reproduce["parent"]["csv_sha256"])
+        and reproduce["parent"]["csv_sha256"] == reproduce["change"]["csv_sha256"],
         "seeds": args.seeds,
         "seconds": args.seconds,
         "python": platform.python_version(),
@@ -130,14 +166,13 @@ def main(argv: list[str] | None = None) -> int:
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                tree = parent_tree if side == "parent" else ROOT
-                runs[side].append(run_once(tree, workload, seed, args.seconds))
+                runs[side].append(run_once(trees[side], workload, seed, args.seconds))
                 print(f"{workload} seed {seed} {side}: cpu_s "
                       f"{runs[side][-1]['metrics'].get('cpu_s')}", file=sys.stderr)
         report["workloads"][workload] = {
             side: {
                 "src_sha256": sorted({r["src_sha256"] for r in side_runs}),
-                "src_lines": src_lines(parent_tree if side == "parent" else ROOT),
+                "src_lines": src_lines(trees[side]),
                 "failed": sum(r["failed"] for r in side_runs),
                 "attempted": sum(r["attempted"] for r in side_runs),
                 "summary": summary(side_runs, metrics),

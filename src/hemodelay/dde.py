@@ -26,10 +26,12 @@ with the Hill field written out at every stage, the operations of
 HillRates.beta, g and f in their order, branches included, and -delta,
 -mu, -k bound once: past the first delay a step makes no Python call
 (before it, the history's eval).  Any other rates, a HillRates
-subclass included, are stepped by the same loop with each rate a bound
-method call, 6 of beta and 4 each of g and f a delayed step; that loop is
-the reference the Hill loop matches bit for bit.  model.rhs is the
-checked field at one state, composed from the same rates.
+subclass included, take the same reads and RK4 steps with the field one
+local function that composes the bound rate methods in the Hill loop's
+operation order, 6 calls of beta and 4 each of g and f a delayed step.
+Its rows are the reference the Hill loop matches bit for bit, and the
+tests hold the two loops together.  model.rhs is the checked field at one
+state, composed from the same rates.
 
 A Trajectory keeps that list packed once, at the end, into one read-only
 float64 buffer, and its columns (times, Q, M, E, dQ, dM, dE) are strided
@@ -332,10 +334,8 @@ def _hill_rows(
 def _field_rows(
     p: ModelParams, history: History, dt: float, n_steps: int, y0: SystemState, d0: SystemState
 ) -> list[float]:
-    """The mesh rows for any rates: _hill_rows' loop with each rate a method call.
-
-    beta, g and f are bound once and called where the Hill loop writes out
-    their operations, so the two loops differ only in set-up and rate lines.
+    """The mesh rows for any rates: _hill_rows' reads and RK4 steps, with one
+    local field composing the rate methods in the Hill loop's operation order.
     """
     tau, rates = p.tau, p.rates
     beta, g, f = rates.beta, rates.g, rates.f
@@ -346,17 +346,20 @@ def _field_rows(
     inf, floor = math.inf, _NEG_FLOOR
     half = 0.5 * dt
     sixth = dt / 6.0
+
+    def field(Q: float, M: float, E: float, flux: float) -> tuple[float, float, float]:
+        # with tau = 0 the delayed state is the current one, and the flux
+        # rw*b*Q reuses the field's b
+        gQ, b = g(Q), beta(Q, E)
+        return nd * Q - gQ - b * Q + (flux if delayed else rw * b * Q), nmu * M + gQ, nk * E + f(M)
+
     Q, M, E = y0
     Qf, _, Ef = d0
-    rf = rw * beta(Qf, Ef) * Qf  # the delayed flux of mesh point 0
+    rh = rf = rw * beta(Qf, Ef) * Qf  # the delayed flux of mesh point 0
     t = 0.0
     rows: list[float] = []
     for j in range(n_steps + 1):
-        # mesh point j: with tau = 0 the delayed state is the current one,
-        # and the flux rw*b*Q reuses the field's b
-        gQ, b = g(Q), beta(Q, E)
-        kQ1 = nd * Q - gQ - b * Q + (rf if delayed else rw * b * Q)
-        kM1, kE1 = nmu * M + gQ, nk * E + f(M)
+        kQ1, kM1, kE1 = field(Q, M, E, rf)
         rows += (t, Q, M, E, kQ1, kM1, kE1)
         if j == n_steps:
             break
@@ -382,18 +385,9 @@ def _field_rows(
                 Qf, _, Ef = history.eval(i * dt)
             rh = rw * beta(Qh, Eh) * Qh
             rf = rw * beta(Qf, Ef) * Qf
-        Q2, M2, E2 = Q + half * kQ1, M + half * kM1, E + half * kE1
-        gQ, b = g(Q2), beta(Q2, E2)
-        kQ2 = nd * Q2 - gQ - b * Q2 + (rh if delayed else rw * b * Q2)
-        kM2, kE2 = nmu * M2 + gQ, nk * E2 + f(M2)
-        Q3, M3, E3 = Q + half * kQ2, M + half * kM2, E + half * kE2
-        gQ, b = g(Q3), beta(Q3, E3)
-        kQ3 = nd * Q3 - gQ - b * Q3 + (rh if delayed else rw * b * Q3)
-        kM3, kE3 = nmu * M3 + gQ, nk * E3 + f(M3)
-        Q4, M4, E4 = Q + dt * kQ3, M + dt * kM3, E + dt * kE3
-        gQ, b = g(Q4), beta(Q4, E4)
-        kQ4 = nd * Q4 - gQ - b * Q4 + (rf if delayed else rw * b * Q4)
-        kM4, kE4 = nmu * M4 + gQ, nk * E4 + f(M4)
+        kQ2, kM2, kE2 = field(Q + half * kQ1, M + half * kM1, E + half * kE1, rh)
+        kQ3, kM3, kE3 = field(Q + half * kQ2, M + half * kM2, E + half * kE2, rh)
+        kQ4, kM4, kE4 = field(Q + dt * kQ3, M + dt * kM3, E + dt * kE3, rf)
         Qn = Q + sixth * (kQ1 + 2.0 * (kQ2 + kQ3) + kQ4)
         Mn = M + sixth * (kM1 + 2.0 * (kM2 + kM3) + kM4)
         En = E + sixth * (kE1 + 2.0 * (kE2 + kE3) + kE4)

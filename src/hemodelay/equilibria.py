@@ -64,13 +64,14 @@ class ParamsMemo:
     A nonzero float delay is its own key, and any other delay's key is
     (tau, copysign(1.0, tau), type(tau)): two delays share a key exactly
     when they are the same number of the same type, so 0, 0.0 and -0.0 stay
-    apart.  A NaN delay is never stored.  get and put skip the == check for
-    the stored parameter object itself.  A parameter set that is
-    neither the stored object nor == to it starts a new table, and so does
-    storing into a full one (_MEMO_POINTS).  A table is replaced together
-    with its parameter set, so it only ever holds that set's values.  With
-    per_set, a new set also gets per_set(p) in `constants`, kept when a full
-    table empties; if per_set raises, the memo keeps its old set.
+    apart; its users refuse a NaN delay before they put.  get and put skip
+    the == check for the stored parameter object itself.  A parameter set
+    that is neither the stored object nor == to it starts a new table, and
+    so does storing into a full one (_MEMO_POINTS).  A table is replaced
+    together with its parameter set, so it only ever holds that set's
+    values.  With per_set, a new set also gets per_set(p) in `constants`,
+    kept when a full table empties; if per_set raises, the memo keeps its
+    old set.
     """
 
     MISSING = object()  # what get returns for a delay not stored
@@ -92,8 +93,6 @@ class ParamsMemo:
         return table.get(_delay_key(tau), self.MISSING)
 
     def put(self, p: ModelParams, tau: float, value: object) -> None:
-        if tau != tau:
-            return  # a NaN key would never be found again
         table = self.table if p is self.params else self.table_for(p)
         if len(table) >= _MEMO_POINTS:
             self.table = table = {}

@@ -50,14 +50,14 @@ class RateFunctions(ABC):
 
     The rates must not change their outputs once a ModelParams holding them
     is in use: equilibria.positive_equilibrium memoizes its solves, and
-    switch its characteristic coefficients, per parameter set.
+    switch every characteristic coefficient build, per parameter set.
 
-    dde.integrate's stepper and the equilibrium solve's balance residual
-    call beta, g and f for every implementation except HillRates itself,
-    whose formulas they write out, and whose equilibrium solve alone bisects
-    inside a window around its closed-form root; a subclass of HillRates,
-    which may override a rate, is stepped and solved like any other.  rhs
-    calls the rates of every implementation.
+    dde.integrate's stepper, in one local field function, and the
+    equilibrium solve's residual compose beta, g and f for every
+    implementation but HillRates itself, whose formulas they write out and
+    whose solve alone bisects in a window around its closed-form root; a
+    HillRates subclass, which may override a rate, is stepped and solved
+    like any other.  rhs calls the rates of every implementation.
     """
 
     @abstractmethod

@@ -21,10 +21,10 @@ geometry:
 
 Evaluations at distinct tau are independent; everything is deterministic
 for a fixed grid.  The coefficients of each delay are built once:
-linear_coeffs keeps them per parameter set and delay, with the
-equilibrium memo's rule (equilibria.ParamsMemo), so the CLI's rows, the
-root window, the grid samples, the S_n refinement and the crossing reports
-share one build.  A NumericalError is not cached.
+linear_coeffs keeps every build, refused or not, per parameter set and
+delay, with the equilibrium memo's rule (equilibria.ParamsMemo), so the
+CLI's rows, the root window, the grid samples, the S_n refinement and the
+crossing reports share one build.  A NumericalError is not cached.
 """
 
 from __future__ import annotations
@@ -152,20 +152,20 @@ def char_residual(cc: CharCoeffs, lam: complex, tau: float) -> complex:
 
 def linear_coeffs(p: ModelParams, tau: float) -> tuple[LinCoeffs, CharCoeffs] | None:
     """The linearization and coefficients at the positive equilibrium, built
-    once per delay; a build that _coeffs_at refuses is returned, not kept."""
+    once per delay and kept, a build that _coeffs_at refuses included."""
     built = _coeff_memo.get(p, tau)
     if built is not _coeff_memo.MISSING:
         return built
     eq = positive_equilibrium(p, tau)
     lc = None if eq is None else linearize(p, eq, tau)
     built = None if lc is None else (lc, char_coeffs(lc, p.mu, p.k))
-    if built is None or built[1].a3 + built[1].a6 > 0.0:
-        _coeff_memo.put(p, tau, built)
+    _coeff_memo.put(p, tau, built)
     return built
 
 
 def _coeffs_at(p: ModelParams, tau: float) -> CharCoeffs | None:
-    """The coefficients at the positive equilibrium, built once per delay."""
+    """The coefficients at the positive equilibrium, built once per delay;
+    a root at the origin raises NumericalError on every call."""
     built = linear_coeffs(p, tau)
     cc = built and built[1]
     # no root may sit at the origin, else crossings through 0 would go unseen
@@ -284,7 +284,7 @@ def _refine_crossing(
             lo, s_lo = mid, s_mid
         else:
             hi = mid
-    return best_tau, best_abs < _S_TOL
+    return best_tau, False  # every |S| < _S_TOL returned above
 
 
 def scan(p: ModelParams, tau_grid: list[float], n_max: int) -> ScanResult:

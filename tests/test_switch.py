@@ -33,7 +33,7 @@ from hemodelay import (
     theta,
     trivial_equilibrium,
 )
-from hemodelay import cli, switch
+from hemodelay import cli, equilibria, switch
 from hemodelay.switch import (
     SwitchReport,
     _assemble_partition,
@@ -458,13 +458,47 @@ class TestCoefficientMemo:
         for _ in range(2):
             with pytest.raises(NumericalError, match=r"a3\+a6"):
                 sn_value(p, 1.0, 0, 0)
-        assert seen["char_coeffs"] == ["1.0", "1.0"]
+        assert seen["char_coeffs"] == ["1.0"]
         # the coeffs command still writes the row: only _coeffs_at refuses it
         (row,) = cli._coeff_rows(p, [1.0])
         assert row[0] == 1.0 and not row[9] + row[12] > 0.0  # a3 + a6
         with pytest.raises(NumericalError, match=r"a3\+a6"):
             sn_value(p, 1.0, 0, 0)
-        assert seen["char_coeffs"] == ["1.0"] * 4
+        assert seen["char_coeffs"] == ["1.0"]
+
+    @pytest.mark.parametrize("r", [7.0, 5.0])
+    def test_refused_build_is_kept_once_per_set(self, monkeypatch, r):
+        # a root at the origin is refused by _coeffs_at on every call, while
+        # linear_coeffs keeps the one build it refuses
+        @dataclasses.dataclass(frozen=True)
+        class RisingFeedback(HillRates):
+            def f_prime(self, M):
+                return -super().f_prime(M)
+
+        rates = dataclasses.replace(default_params().rates, r=r)
+        p = dataclasses.replace(
+            default_params(), rates=RisingFeedback(**dataclasses.asdict(rates))
+        )
+        seen = self.count_builds(monkeypatch)
+        for _ in range(3):
+            with pytest.raises(NumericalError, match=r"a3\+a6"):
+                sn_value(p, 1.0, 0, 0)
+        built = switch.linear_coeffs(p, 1.0)
+        assert switch.linear_coeffs(p, 1.0) is built
+        assert not built[1].a3 + built[1].a6 > 0.0
+        assert seen["char_coeffs"] == seen["positive_equilibrium"] == ["1.0"]
+
+    def test_nan_delay_is_never_stored(self, params):
+        # both users of ParamsMemo refuse a NaN delay before they put
+        sn_value(params, 1.0, 0, 0)  # params' tables
+        with pytest.raises(ValueError, match="nonnegative"):
+            switch.linear_coeffs(params, math.nan)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sn_value(params, math.nan, 0, 0)
+        for memo in (equilibria._memo, switch._coeff_memo):
+            assert memo.params == params and memo.table
+            delays = [k if isinstance(k, float) else k[0] for k in memo.table]
+            assert not any(math.isnan(t) for t in delays), delays
 
     def test_coefficient_rows_share_the_build(self, params, default_grid, monkeypatch):
         # the CLI's coeffs.csv rows fill the memo that the root window reads,
