@@ -355,7 +355,7 @@ def _field_rows(
 
     Q, M, E = y0
     Qf, _, Ef = d0
-    rh = rf = rw * beta(Qf, Ef) * Qf  # the delayed flux of mesh point 0
+    rh = rf = rw * beta(Qf, Ef) * Qf  # mesh point 0's delayed flux; at tau = 0 field ignores both
     t = 0.0
     rows: list[float] = []
     for j in range(n_steps + 1):
