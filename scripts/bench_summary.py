@@ -18,7 +18,11 @@ Before the pairs, each side runs `python -m hemodelay reproduce` once from
 its extract into its own directory under --scratch; the file records the
 exit code, the manifest's checks and every CSV's sha256 of each side, and
 `reproduce_bytes_identical`: both sides wrote the same CSV names with the
-same digests.
+same digests.  It also records the child's peak RSS (`ru_maxrss` from
+`os.wait4`) and this script's own, which on Linux a spawned child's
+`ru_maxrss` cannot read below; the script hashes the CSVs in 1 MB chunks to
+keep its own mark under the child's.  That standalone peak is not a
+BENCHMARK.json metric.
 
 For each workload and side the file holds the median and quartiles
 (statistics.quantiles, n=4, exclusive method) of every end-to-end metric
@@ -37,6 +41,7 @@ import io
 import json
 import os
 import platform
+import resource
 import shutil
 import statistics
 import subprocess
@@ -67,21 +72,36 @@ def src_lines(tree: Path) -> int:
     return sum(len(f.read_text().splitlines()) for f in (tree / "src" / "hemodelay").glob("*.py"))
 
 
+def max_rss_mb(usage: resource.struct_rusage) -> float:
+    return usage.ru_maxrss / 1024.0  # kilobytes on Linux
+
+
+def sha256_file(path: Path) -> str:
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def reproduce_record(tree: Path, out_dir: Path) -> dict:
-    """One `python -m hemodelay reproduce` from the tree: exit code, checks, CSV digests."""
+    """One `python -m hemodelay reproduce` from the tree: exit code, checks,
+    CSV digests and the child's peak RSS."""
     if out_dir.exists():
         shutil.rmtree(out_dir)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run(
+    proc = subprocess.Popen(
         [sys.executable, "-m", "hemodelay", "reproduce", "--out-dir", str(out_dir)],
-        cwd=tree, env=env, capture_output=True,
+        cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
     manifest = out_dir / "manifest.json"
     return {
         "exit_code": proc.returncode,
         "checks": json.loads(manifest.read_text())["checks"] if manifest.exists() else None,
-        "csv_sha256": {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-                       for f in sorted(out_dir.glob("*.csv"))},
+        "csv_sha256": {f.name: sha256_file(f) for f in sorted(out_dir.glob("*.csv"))},
+        "child_peak_rss_mb": max_rss_mb(usage),
     }
 
 
@@ -147,6 +167,7 @@ def main(argv: list[str] | None = None) -> int:
             extract(commits[side], tree)
     reproduce = {side: reproduce_record(tree, scratch / f"reproduce-{side}")
                  for side, tree in trees.items()}
+    runner_peak_rss_mb = max_rss_mb(resource.getrusage(resource.RUSAGE_SELF))
 
     report = {
         "parent": {"commit": commits["parent"]},
@@ -154,6 +175,11 @@ def main(argv: list[str] | None = None) -> int:
         "reproduce": reproduce,
         "reproduce_bytes_identical": bool(reproduce["parent"]["csv_sha256"])
         and reproduce["parent"]["csv_sha256"] == reproduce["change"]["csv_sha256"],
+        "reproduce_runner_peak_rss_mb": runner_peak_rss_mb,
+        "reproduce_peak_rss_note": (
+            "child_peak_rss_mb is the standalone reproduce child's ru_maxrss, read with "
+            "os.wait4 by this script; not a BENCHMARK.json metric"
+        ),
         "seeds": args.seeds,
         "seconds": args.seconds,
         "python": platform.python_version(),

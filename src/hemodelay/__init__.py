@@ -39,7 +39,6 @@ from .model import (
     InvalidStateError,
     ModelParams,
     NumericalError,
-    RateFunctions,
     SystemState,
     rhs,
     validate,

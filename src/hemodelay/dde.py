@@ -12,31 +12,25 @@ or the history at (j + 1 - m)*dt while that index is negative.  The
 half-step read at t + dt/2 - tau lies inside segment j - m and comes from
 its cubic Hermite interpolant, or from the history before the first delay.
 
-The stepper appends each mesh point as a row (t, Q, M, E, dQ, dM, dE) to
-one flat float list.  It checks the new state once per step, with one
-chained comparison floor <= x < inf per component, and only when that
-fails sorts the failure into a DivergenceError (a component not finite)
-or an InvariantViolationError (one below the -1e-6 floor).  Each delayed
-re-entry flux is computed once per read: stages 2 and 3 share the
-half-step one, and the full-step one serves stage 4 and the new mesh
-point's derivative, which doubles as the next step's first stage.
-
-For rates of exactly type HillRates the stepper is one straight-line loop
-with the Hill field written out at every stage, the operations of
-HillRates.beta, g and f in their order, branches included, and -delta,
+The field is the Hill field written out at every stage, the operations of
+HillRates.beta, g and f in their order, branches included, with -delta,
 -mu, -k bound once: past the first delay a step makes no Python call
-(before it, the history's eval).  Any other rates, a HillRates
-subclass included, take the same reads and RK4 steps with the field one
-local function that composes the bound rate methods in the Hill loop's
-operation order, 6 calls of beta and 4 each of g and f a delayed step.
-Its rows are the reference the Hill loop matches bit for bit, and the
-tests hold the two loops together.  model.rhs is the checked field at one
-state, composed from the same rates.
+(before it, the history's eval).  model.rhs is the checked field at one
+state, composed from the same rates.  Each delayed re-entry flux is
+computed once per read: stages 2 and 3 share the half-step one, and the
+full-step one serves stage 4 and the new mesh point's derivative, which
+doubles as the next step's first stage.  The stepper checks the new state
+once per step, with one chained comparison floor <= x < inf per component,
+and only when that fails sorts the failure into a DivergenceError (a
+component not finite) or an InvariantViolationError (one below the -1e-6
+floor).
 
-A Trajectory keeps that list packed once, at the end, into one read-only
-float64 buffer, and its columns (times, Q, M, E, dQ, dM, dE) are strided
-views of it.  Its one dense-output entry is Trajectory.state(t); `states`
-is a SystemState view of the mesh states, built on first use.
+The stepper writes each mesh point as a row (t, Q, M, E, dQ, dM, dE) of
+float64s into one buffer allocated up front, 56 bytes a point, and reads
+its delayed states back from it.  A Trajectory keeps that buffer as one
+read-only float64 view, and its columns (times, Q, M, E, dQ, dM, dE) are
+strided views of it.  Its one dense-output entry is Trajectory.state(t);
+`states` is a SystemState view of the mesh states, built on first use.
 
 With tau = 0 the same stepper runs as a plain ODE integrator, the delayed
 state being the current stage state, so the no-delay limit stays
@@ -54,7 +48,6 @@ from __future__ import annotations
 import math
 import statistics
 import struct
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -62,7 +55,6 @@ from typing import Callable
 
 from .equilibria import Equilibrium
 from .model import (
-    HillRates,
     InvalidStateError,
     ModelParams,
     NumericalError,
@@ -72,12 +64,14 @@ from .model import (
 )
 
 _DEFAULT_SUBSTEPS = 64
-# a mesh point keeps a row of 7 float64s, 56 bytes packed, and about 280 while
-# stepping: 10M steps, 78 times the 128k of the tau = 0.5 run, peak near 2.8 GB
+# a mesh point keeps a row of 7 float64s, 56 bytes, also while stepping:
+# 10M steps, 78 times the 128k of the tau = 0.5 run, peak near 0.56 GB
 _MAX_STEPS = 10_000_000
 _NEG_FLOOR = -1e-6
 _COMPONENTS = ("Q", "M", "E")
+_pack_row = struct.Struct("7d").pack_into  # one row of 7 float64s
 _unpack_two_rows = struct.Struct("14d").unpack_from  # two rows of 7 float64s
+_unpack_QE = struct.Struct("d8xd").unpack_from  # Q and E of a row, from its byte 8
 
 
 class DivergenceError(NumericalError):
@@ -223,9 +217,8 @@ def integrate(
     n_steps = max(1, math.ceil(steps - 1e-12))
     y0 = history.eval(0.0)
     d0 = history.eval(-tau) if tau > 0.0 else y0
-    stepper = _hill_rows if type(p.rates) is HillRates else _field_rows
-    rows = stepper(p, history, dt, n_steps, y0, d0)
-    return Trajectory(p, history, dt, memoryview(array("d", rows)).toreadonly())
+    buf = _hill_rows(p, history, dt, n_steps, y0, d0)
+    return Trajectory(p, history, dt, memoryview(buf).cast("d").toreadonly())
 
 
 def _state_error(Qn: float, Mn: float, En: float, t_next: float, t: float) -> NumericalError:
@@ -237,14 +230,15 @@ def _state_error(Qn: float, Mn: float, En: float, t_next: float, t: float) -> Nu
 
 def _hill_rows(
     p: ModelParams, history: History, dt: float, n_steps: int, y0: SystemState, d0: SystemState
-) -> list[float]:
-    """The mesh rows for rates of exactly type HillRates, with the field written out.
+) -> bytearray:
+    """The n_steps + 1 packed mesh rows, with the Hill field written out.
 
     Each evaluation takes the operations of HillRates.beta, g and f in their
-    order, branches included, so every float is that of _field_rows on the
-    composed rates; -delta, -mu and -k are bound once, which is exact.  The
-    derivative at a mesh point is computed at the top of the loop, so the
-    first one is no special case.
+    order, branches included, so every float is that of the composed rates
+    (the tests hold it to a composed stepper of their own); -delta, -mu and
+    -k are bound once, which is exact.  The derivative at a
+    mesh point is computed at the top of the loop, so the first one is no
+    special case.
     """
     tau, rates = p.tau, p.rates
     beta0, G, a, K, r = rates.beta0, rates.G, rates.a, rates.K, rates.r
@@ -259,7 +253,8 @@ def _hill_rows(
     Qf, _, Ef = d0
     rf = rw * (beta0 * Ef / (1.0 + Ef)) * Qf  # the delayed flux of mesh point 0
     t = 0.0
-    rows: list[float] = []
+    buf = bytearray(56 * (n_steps + 1))
+    pack, unpack_two, unpack_QE = _pack_row, _unpack_two_rows, _unpack_QE
     for j in range(n_steps + 1):
         # mesh point j: with tau = 0 the delayed state is the current one,
         # and the flux rw*b*Q reuses the field's b
@@ -270,16 +265,16 @@ def _hill_rows(
             fM = 0.0
         kQ1 = nd * Q - gQ - b * Q + (rf if delayed else rw * b * Q)
         kM1, kE1 = nmu * M + gQ, nk * E + fM
-        rows += (t, Q, M, E, kQ1, kM1, kE1)
+        pack(buf, 56 * j, t, Q, M, E, kQ1, kM1, kE1)
         if j == n_steps:
             break
         if delayed:
-            # the reads of _field_rows: stages 2 and 3 at t + dt/2 - tau,
-            # stage 4 and mesh point j + 1 at t + dt - tau
+            # stages 2 and 3 read at t + dt/2 - tau (segment j - m), stage 4
+            # and mesh point j + 1 at t + dt - tau (mesh point j + 1 - m)
             tq = t + half - tau
             i = j - m
             if i >= 0:
-                ti, Q0, _, E0, dQ0, _, dE0, _, Q1, _, E1, dQ1, _, dE1 = rows[7 * i:7 * i + 14]
+                ti, Q0, _, E0, dQ0, _, dE0, _, Q1, _, E1, dQ1, _, dE1 = unpack_two(buf, 56 * i)
                 s = (tq - ti) / dt
                 s2, u2 = s * s, (1.0 - s) ** 2
                 w0, v0 = (1.0 + 2.0 * s) * u2, dt * (s * u2)
@@ -290,7 +285,7 @@ def _hill_rows(
                 Qh, _, Eh = history.eval(tq)
             i = j + 1 - m
             if i >= 0:
-                Qf, Ef = rows[7 * i + 1], rows[7 * i + 3]
+                Qf, Ef = unpack_QE(buf, 56 * i + 8)
             else:
                 Qf, _, Ef = history.eval(i * dt)
             rh = rw * (beta0 * Eh / (1.0 + Eh)) * Qh
@@ -328,76 +323,7 @@ def _hill_rows(
         if not (floor <= Qn < inf and floor <= Mn < inf and floor <= En < inf):
             raise _state_error(Qn, Mn, En, t_next, t)
         t, Q, M, E = t_next, Qn, Mn, En
-    return rows
-
-
-def _field_rows(
-    p: ModelParams, history: History, dt: float, n_steps: int, y0: SystemState, d0: SystemState
-) -> list[float]:
-    """The mesh rows for any rates: _hill_rows' reads and RK4 steps, with one
-    local field composing the rate methods in the Hill loop's operation order.
-    """
-    tau, rates = p.tau, p.rates
-    beta, g, f = rates.beta, rates.g, rates.f
-    nd, nmu, nk = -p.delta, -p.mu, -p.k
-    rw = reward(p, tau)
-    delayed = tau > 0.0
-    m = round(tau / dt)
-    inf, floor = math.inf, _NEG_FLOOR
-    half = 0.5 * dt
-    sixth = dt / 6.0
-
-    def field(Q: float, M: float, E: float, flux: float) -> tuple[float, float, float]:
-        # with tau = 0 the delayed state is the current one, and the flux
-        # rw*b*Q reuses the field's b
-        gQ, b = g(Q), beta(Q, E)
-        return nd * Q - gQ - b * Q + (flux if delayed else rw * b * Q), nmu * M + gQ, nk * E + f(M)
-
-    Q, M, E = y0
-    Qf, _, Ef = d0
-    rh = rf = rw * beta(Qf, Ef) * Qf  # mesh point 0's delayed flux; at tau = 0 field ignores both
-    t = 0.0
-    rows: list[float] = []
-    for j in range(n_steps + 1):
-        kQ1, kM1, kE1 = field(Q, M, E, rf)
-        rows += (t, Q, M, E, kQ1, kM1, kE1)
-        if j == n_steps:
-            break
-        if delayed:
-            # stages 2 and 3 read at t + dt/2 - tau (segment j - m), stage 4
-            # and mesh point j + 1 at t + dt - tau (mesh point j + 1 - m)
-            tq = t + half - tau
-            i = j - m
-            if i >= 0:
-                ti, Q0, _, E0, dQ0, _, dE0, _, Q1, _, E1, dQ1, _, dE1 = rows[7 * i:7 * i + 14]
-                s = (tq - ti) / dt
-                s2, u2 = s * s, (1.0 - s) ** 2
-                w0, v0 = (1.0 + 2.0 * s) * u2, dt * (s * u2)
-                w1, v1 = s2 * (3.0 - 2.0 * s), dt * (s2 * (s - 1.0))
-                Qh = w0 * Q0 + v0 * dQ0 + w1 * Q1 + v1 * dQ1
-                Eh = w0 * E0 + v0 * dE0 + w1 * E1 + v1 * dE1
-            else:
-                Qh, _, Eh = history.eval(tq)
-            i = j + 1 - m
-            if i >= 0:
-                Qf, Ef = rows[7 * i + 1], rows[7 * i + 3]
-            else:
-                Qf, _, Ef = history.eval(i * dt)
-            rh = rw * beta(Qh, Eh) * Qh
-            rf = rw * beta(Qf, Ef) * Qf
-        kQ2, kM2, kE2 = field(Q + half * kQ1, M + half * kM1, E + half * kE1, rh)
-        kQ3, kM3, kE3 = field(Q + half * kQ2, M + half * kM2, E + half * kE2, rh)
-        kQ4, kM4, kE4 = field(Q + dt * kQ3, M + dt * kM3, E + dt * kE3, rf)
-        Qn = Q + sixth * (kQ1 + 2.0 * (kQ2 + kQ3) + kQ4)
-        Mn = M + sixth * (kM1 + 2.0 * (kM2 + kM3) + kM4)
-        En = E + sixth * (kE1 + 2.0 * (kE2 + kE3) + kE4)
-        t_next = (j + 1) * dt
-        # a non-finite stage state propagates into the new state, and NaN
-        # fails every comparison
-        if not (floor <= Qn < inf and floor <= Mn < inf and floor <= En < inf):
-            raise _state_error(Qn, Mn, En, t_next, t)
-        t, Q, M, E = t_next, Qn, Mn, En
-    return rows
+    return buf
 
 
 @dataclass(frozen=True)

@@ -31,19 +31,19 @@ the residual closure, the tolerance), and a miss that finds the table full
 again on every call.  The memo is module state meant for one thread of
 calls; a solve depends on (params, tau) alone.
 
-For rates of exactly type HillRates the residual is written out, as
-dde.integrate's stepper writes out the vector field, and the bisection is
-centred on the closed-form root x: the window [x - w, x + w],
-w = max(1e-14*x, 64*eps*S/|s|) with s the residual's slope at x and S the
-summed magnitude of its terms, is used only if the residual is positive at
-its left end and not at its right end.  The bisection takes the same
-midpoints with or without the window, but evaluates the residual only at
-those inside it; the side of the others is known.  Without a usable window,
-and for any other rates, the window is the whole axis (0, inf): the plain
-bisection.  The equality needs the float Hill residual's sign to be
-monotone outside the window, which tests/test_equilibria.py::TestHillWindow
-checks against the plain bisection; the residual at the bracket's low end,
-which decides whether there is a root at all, is evaluated either way.
+The residual is the Hill residual written out, as dde.integrate's stepper
+writes out the vector field, and the bisection is centred on the
+closed-form root x: the window [x - w, x + w], w = max(1e-14*x,
+64*eps*S/|s|) with s the residual's slope at x and S the summed magnitude
+of its terms, is used only if the residual is positive at its left end and
+not at its right end.  The bisection takes the same midpoints with or
+without the window, but evaluates the residual only at those inside it;
+the side of the others is known.  Without a usable window the window is
+the whole axis (0, inf): the plain bisection.  The equality needs the float
+Hill residual's sign to be monotone outside the window, which
+tests/test_equilibria.py::TestHillWindow checks against the plain
+bisection; the residual at the bracket's low end, which decides whether
+there is a root at all, is evaluated either way.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import math
 import sys
 from typing import Callable, NamedTuple
 
-from .model import HillRates, ModelParams, NumericalError, SystemState, reward
+from .model import ModelParams, NumericalError, SystemState, reward
 
 _BRACKET_LO = 1e-12  # lower end of the pool-size bracket
 _MEMO_POINTS = 4096  # entries kept for one parameter set; the reference grid has 598
@@ -142,37 +142,25 @@ def trivial_equilibrium(p: ModelParams) -> Equilibrium:
 
 
 def _residual_fn(p: ModelParams) -> Callable[[float, float], float]:
-    """The balance residual (Q, alpha) -> alpha*beta(Q, E(Q)) - delta - g(Q)/Q of p.
-
-    Rates of exactly type HillRates are evaluated inline, as in
-    dde.integrate's stepper, with the same floats as the composition of
-    beta, g and f that every other RateFunctions gets.
-    """
+    """The balance residual (Q, alpha) -> alpha*beta(Q, E(Q)) - delta - g(Q)/Q of p,
+    with the operations of HillRates.beta, g and f written out in their order."""
     delta, mu, k, rates = p.delta, p.mu, p.k, p.rates
-    if type(rates) is HillRates:
-        beta0, G, a, K, r = rates.beta0, rates.G, rates.a, rates.K, rates.r
+    beta0, G, a, K, r = rates.beta0, rates.G, rates.a, rates.K, rates.r
 
-        def hill_residual(Q: float, alpha: float) -> float:
-            gQ = G * Q
-            M = gQ / mu
-            if M <= 0.0:  # the branches of HillRates.f
-                fM = a
-            else:
-                try:
-                    fM = a / (1.0 + K * M**r)
-                except OverflowError:
-                    fM = 0.0
-            E = fM / k
-            return alpha * (beta0 * E / (1.0 + E)) - delta - gQ / Q
+    def hill_residual(Q: float, alpha: float) -> float:
+        gQ = G * Q
+        M = gQ / mu
+        if M <= 0.0:  # the branches of HillRates.f
+            fM = a
+        else:
+            try:
+                fM = a / (1.0 + K * M**r)
+            except OverflowError:
+                fM = 0.0
+        E = fM / k
+        return alpha * (beta0 * E / (1.0 + E)) - delta - gQ / Q
 
-        return hill_residual
-    beta, g, f = rates.beta, rates.g, rates.f
-
-    def residual(Q: float, alpha: float) -> float:
-        gQ = g(Q)
-        return alpha * beta(Q, f(gQ / mu) / k) - delta - gQ / Q
-
-    return residual
+    return hill_residual
 
 
 def _set_constants(p: ModelParams) -> tuple:
@@ -226,7 +214,7 @@ def _solve_positive(p: ModelParams, tau: float, constants: tuple | None = None) 
     # Evaluated with or without a window, so a window cannot turn None into a root.
     if not residual(_BRACKET_LO, alpha) > 0.0:
         return None
-    a, b = _hill_window(p, tau, alpha, residual) if type(p.rates) is HillRates else (0.0, math.inf)
+    a, b = _hill_window(p, tau, alpha, residual)
     hi = 1.0
     while hi <= a or (hi < b and residual(hi, alpha) > 0.0):
         hi *= 2.0
@@ -301,11 +289,9 @@ def hill_equilibrium_closed_form(p: ModelParams, tau: float) -> Equilibrium:
     still comes from the residual's signs.  Raises ValueError for a delay
     positive_equilibrium refuses by type, outside [0, tau_max), when no
     positive steady state exists, or when the numerator above rounds to <= 0
-    (a few ulps below tau_max); TypeError for non-Hill rates.
+    (a few ulps below tau_max).
     """
     hr = p.rates
-    if not isinstance(hr, HillRates):
-        raise TypeError("closed form requires HillRates")
     tm = tau_max(p)
     if tm is None:
         raise ValueError("no positive steady state for any delay")

@@ -63,13 +63,10 @@ def linearize(p: ModelParams, eq: Equilibrium, tau: float) -> LinCoeffs:
     Q, M, E = eq.Q, eq.M, eq.E
     surv = reward(p, tau)
     b = r.beta(Q, E)
-    bQ = r.beta_dQ(Q, E)
     bE = r.beta_dE(Q, E)
     G = r.g_prime(Q)
-    # A, B, C, D, G, H, tau
-    return LinCoeffs(
-        p.delta + G + b + bQ * Q, surv * (b + bQ * Q), bE * Q, surv * bE * Q, G, -r.f_prime(M), tau
-    )
+    # A, B, C, D, G, H, tau; beta does not depend on Q, so A and B carry no beta_Q*Q
+    return LinCoeffs(p.delta + G + b, surv * b, bE * Q, surv * bE * Q, G, -r.f_prime(M), tau)
 
 
 def char_coeffs(c: LinCoeffs, mu: float, k: float) -> CharCoeffs:

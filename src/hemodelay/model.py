@@ -20,7 +20,6 @@ where (Q_d, E_d) is the state one delay in the past.
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -39,67 +38,18 @@ class SystemState(NamedTuple):
     E: float
 
 
-class RateFunctions(ABC):
-    """Nonlinear rates of the model and their first derivatives.
-
-    Implementations must satisfy, on the positive axis: g(0) = 0 and
-    0 <= g'(0) <= g(Q)/Q <= g'(Q); f positive and decreasing; beta
-    nonnegative, increasing in E, nonincreasing in Q, with beta(Q, 0) = 0;
-    and beta(Q, f(g(Q)/mu)/k) -> 0 as Q -> infinity so that large pools
-    shut re-entry down.
-
-    The rates must not change their outputs once a ModelParams holding them
-    is in use: equilibria.positive_equilibrium memoizes its solves, and
-    switch every characteristic coefficient build, per parameter set.
-
-    dde.integrate's stepper, in one local field function, and the
-    equilibrium solve's residual compose beta, g and f for every
-    implementation but HillRates itself, whose formulas they write out and
-    whose solve alone bisects in a window around its closed-form root; a
-    HillRates subclass, which may override a rate, is stepped and solved
-    like any other.  rhs calls the rates of every implementation.
-    """
-
-    @abstractmethod
-    def beta(self, Q: float, E: float) -> float:
-        """Cell-cycle re-entry rate."""
-
-    @abstractmethod
-    def beta_dQ(self, Q: float, E: float) -> float:
-        """Partial derivative of beta with respect to Q."""
-
-    @abstractmethod
-    def beta_dE(self, Q: float, E: float) -> float:
-        """Partial derivative of beta with respect to E."""
-
-    @abstractmethod
-    def g(self, Q: float) -> float:
-        """Differentiation rate out of the quiescent pool."""
-
-    @abstractmethod
-    def g_prime(self, Q: float) -> float:
-        """Derivative of g."""
-
-    @abstractmethod
-    def f(self, M: float) -> float:
-        """Growth-factor production driven by the mature-cell count."""
-
-    @abstractmethod
-    def f_prime(self, M: float) -> float:
-        """Derivative of f."""
-
-    def param_violations(self) -> list[str]:
-        """Human-readable constraint violations of the rate parameters."""
-        return []
-
-
 @dataclass(frozen=True)
-class HillRates(RateFunctions):
-    """Saturating re-entry, linear differentiation, Hill feedback.
+class HillRates:
+    """Saturating re-entry, linear differentiation, Hill feedback: the model's
+    one rates family.
 
     beta(Q, E) = beta0*E/(1+E)   (independent of Q)
     g(Q)       = G*Q
     f(M)       = a/(1 + K*M**r)   (a for M <= 0)
+
+    dde.integrate's stepper and the equilibrium solve's residual write these
+    formulas out, with the operations of beta, g and f below in their order,
+    branches included; rhs, linearize and tau_max call the methods.
     """
 
     beta0: float
@@ -110,9 +60,6 @@ class HillRates(RateFunctions):
 
     def beta(self, Q: float, E: float) -> float:
         return self.beta0 * E / (1.0 + E)
-
-    def beta_dQ(self, Q: float, E: float) -> float:
-        return 0.0
 
     def beta_dE(self, Q: float, E: float) -> float:
         return self.beta0 / (1.0 + E) ** 2
@@ -147,6 +94,7 @@ class HillRates(RateFunctions):
         return -self.a * self.K * self.r * (mr / M) / den
 
     def param_violations(self) -> list[str]:
+        """Human-readable constraint violations of the rate parameters."""
         out = []
         for name in ("beta0", "G", "a", "K"):
             if not getattr(self, name) > 0.0:
@@ -158,14 +106,23 @@ class HillRates(RateFunctions):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Clearance rates, in-cycle apoptosis rate, delay and rate functions."""
+    """Clearance rates, in-cycle apoptosis rate, delay and rate functions.
+
+    rates must be of exactly type HillRates, else ValueError: a subclass
+    that overrides a rate would be computed with the written-out Hill
+    formulas silently.
+    """
 
     delta: float
     gamma: float
     tau: float
     mu: float
     k: float
-    rates: RateFunctions
+    rates: HillRates
+
+    def __post_init__(self) -> None:
+        if type(self.rates) is not HillRates:
+            raise ValueError(f"rates must be HillRates, got {type(self.rates).__name__}")
 
 
 def validate(p: ModelParams) -> list[str]:

@@ -392,9 +392,9 @@ def _assemble_partition(
 
     # At tau = 0 the roots solve lambda^3 + (a1+a4) lambda^2 + (a2+a5) lambda
     # + (a3+a6) = 0, with a3+a6 > 0 (enforced) and a1+a4 = mu + k + g' - g/Q
-    # - beta_Q*Q > 0 (the RateFunctions contract).  Their product -(a3+a6) < 0
-    # leaves 0 or 2 in the right half-plane, and those can leave only across
-    # the imaginary axis, so the pair count starts at 0 or 1.
+    # = mu + k > 0 (g is linear).  Their product -(a3+a6) < 0 leaves 0 or 2
+    # in the right half-plane, and those can leave only across the imaginary
+    # axis, so the pair count starts at 0 or 1.
     pieces = []
     lo = 0.0
     pairs = 0 if routh_hurwitz_tau0(cc0) else 1

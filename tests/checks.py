@@ -15,6 +15,7 @@ import json
 import math
 import random
 import time
+from array import array
 from pathlib import Path
 from typing import NamedTuple
 
@@ -24,7 +25,6 @@ from hemodelay import (
     HillRates,
     LinCoeffs,
     ModelParams,
-    RateFunctions,
     ScanResult,
     Trajectory,
     char_coeffs,
@@ -40,61 +40,22 @@ from hemodelay import (
     tau_max,
 )
 from hemodelay.cubic import cubic_value
+from hemodelay.dde import _state_error, mesh_step
+from hemodelay.model import reward
 
 
-class ConstantRates(RateFunctions):
-    """Non-Hill family: constant re-entry and feedback, linear differentiation."""
-
-    def __init__(self, b0: float, G: float = 0.0, fc: float = 1.0):
-        self.b0 = b0
-        self.G = G
-        self.fc = fc
-
-    def beta(self, Q: float, E: float) -> float:
-        return self.b0
-
-    def beta_dQ(self, Q: float, E: float) -> float:
-        return 0.0
-
-    def beta_dE(self, Q: float, E: float) -> float:
-        return 0.0
-
-    def g(self, Q: float) -> float:
-        return self.G * Q
-
-    def g_prime(self, Q: float) -> float:
-        return self.G
-
-    def f(self, M: float) -> float:
-        return self.fc
-
-    def f_prime(self, M: float) -> float:
-        return 0.0
-
-
-class DampedRates(RateFunctions):
-    """Re-entry damped by the quiescent pool, Hill feedback with r = 4."""
+class DampedRates:
+    """Re-entry damped by the quiescent pool, Hill feedback with r = 4: rates
+    that only the composed stepper below can step."""
 
     def beta(self, Q, E):
         return 0.5 * E / (1.0 + E) / (1.0 + 0.01 * Q)
 
-    def beta_dQ(self, Q, E):
-        return -0.005 * E / (1.0 + E) / (1.0 + 0.01 * Q) ** 2
-
-    def beta_dE(self, Q, E):
-        return 0.5 / (1.0 + E) ** 2 / (1.0 + 0.01 * Q)
-
     def g(self, Q):
         return 0.04 * Q
 
-    def g_prime(self, Q):
-        return 0.04
-
     def f(self, M):
         return 6570.0 / (1.0 + 0.0382 * M**4)
-
-    def f_prime(self, M):
-        return -6570.0 * 0.0382 * 4.0 * M**3 / (1.0 + 0.0382 * M**4) ** 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,6 +77,90 @@ class CountingRates(HillRates):
     def f(self, M):
         self.calls["f"] += 1
         return super().f(M)
+
+
+def composed_trajectory(p, history, t_end: float, max_step: float | None = None,
+                        rates=None) -> Trajectory:
+    """integrate(p, history, t_end, max_step=max_step) with the field composed
+    from the bound beta, g and f of `rates` (p.rates by default).
+
+    The reference that dde._hill_rows, which writes the Hill field out,
+    matches bit for bit: the same mesh, delayed reads, fluxes and RK4
+    combination, and the same error for a state that fails the floor <= x <
+    inf check.  With tau = 0 the delayed state is the current one, and the
+    flux rw*b*Q reuses the field's b.  The delayed step calls beta 6 times
+    (once per stage and once per read) and g and f 4 times each.
+    """
+    rates = p.rates if rates is None else rates
+    beta, g, f = rates.beta, rates.g, rates.f
+    tau, nd, nmu, nk = p.tau, -p.delta, -p.mu, -p.k
+    rw = reward(p, tau)
+    delayed = tau > 0.0
+    dt = mesh_step(tau, max_step)
+    n_steps = max(1, math.ceil(t_end / dt - 1e-12))
+    m = round(tau / dt)
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def field(Q, M, E, flux):
+        gQ, b = g(Q), beta(Q, E)
+        return nd * Q - gQ - b * Q + (flux if delayed else rw * b * Q), nmu * M + gQ, nk * E + f(M)
+
+    Q, M, E = history.eval(0.0)
+    Qf, _, Ef = history.eval(-tau) if delayed else (Q, M, E)
+    rh = rf = rw * beta(Qf, Ef) * Qf
+    t = 0.0
+    rows: list[float] = []
+    for j in range(n_steps + 1):
+        kQ1, kM1, kE1 = field(Q, M, E, rf)
+        rows += (t, Q, M, E, kQ1, kM1, kE1)
+        if j == n_steps:
+            break
+        if delayed:
+            # stages 2 and 3 read at t + dt/2 - tau (segment j - m), stage 4
+            # and mesh point j + 1 at t + dt - tau (mesh point j + 1 - m)
+            tq = t + half - tau
+            i = j - m
+            if i >= 0:
+                ti, Q0, _, E0, dQ0, _, dE0, _, Q1, _, E1, dQ1, _, dE1 = rows[7 * i:7 * i + 14]
+                s = (tq - ti) / dt
+                s2, u2 = s * s, (1.0 - s) ** 2
+                w0, v0 = (1.0 + 2.0 * s) * u2, dt * (s * u2)
+                w1, v1 = s2 * (3.0 - 2.0 * s), dt * (s2 * (s - 1.0))
+                Qh = w0 * Q0 + v0 * dQ0 + w1 * Q1 + v1 * dQ1
+                Eh = w0 * E0 + v0 * dE0 + w1 * E1 + v1 * dE1
+            else:
+                Qh, _, Eh = history.eval(tq)
+            i = j + 1 - m
+            if i >= 0:
+                Qf, Ef = rows[7 * i + 1], rows[7 * i + 3]
+            else:
+                Qf, _, Ef = history.eval(i * dt)
+            rh = rw * beta(Qh, Eh) * Qh
+            rf = rw * beta(Qf, Ef) * Qf
+        kQ2, kM2, kE2 = field(Q + half * kQ1, M + half * kM1, E + half * kE1, rh)
+        kQ3, kM3, kE3 = field(Q + half * kQ2, M + half * kM2, E + half * kE2, rh)
+        kQ4, kM4, kE4 = field(Q + dt * kQ3, M + dt * kM3, E + dt * kE3, rf)
+        Qn = Q + sixth * (kQ1 + 2.0 * (kQ2 + kQ3) + kQ4)
+        Mn = M + sixth * (kM1 + 2.0 * (kM2 + kM3) + kM4)
+        En = E + sixth * (kE1 + 2.0 * (kE2 + kE3) + kE4)
+        t_next = (j + 1) * dt
+        if not all(-1e-6 <= x < math.inf for x in (Qn, Mn, En)):
+            raise _state_error(Qn, Mn, En, t_next, t)
+        t, Q, M, E = t_next, Qn, Mn, En
+    return Trajectory(p, history, dt, memoryview(array("d", rows)).toreadonly())
+
+
+def composed_residual(p, rates=None):
+    """The balance residual (Q, alpha) -> alpha*beta(Q, E(Q)) - delta - g(Q)/Q,
+    composed from the beta, g and f of `rates` (p.rates by default): the
+    reference that equilibria._residual_fn, which writes them out, matches."""
+    rates = p.rates if rates is None else rates
+
+    def residual(Q, alpha):
+        gQ = rates.g(Q)
+        return alpha * rates.beta(Q, rates.f(gQ / p.mu) / p.k) - p.delta - gQ / Q
+
+    return residual
 
 
 # existence threshold and trivial state

@@ -14,9 +14,7 @@ from hemodelay import (
     History,
     InvalidStateError,
     InvariantViolationError,
-    ModelParams,
     NumericalError,
-    RateFunctions,
     SystemState,
     Trajectory,
     char_coeffs,
@@ -44,69 +42,6 @@ def perturbed_run(tau: float, t_end: float, **kw):
 def derivs(traj: Trajectory) -> tuple[SystemState, ...]:
     """The stored derivatives as SystemState tuples, from the dQ, dM, dE columns."""
     return tuple(map(SystemState, traj.dQ, traj.dM, traj.dE))
-
-
-class QuadSink(RateFunctions):
-    """Cell loss growing like Q^2; drives the state below the floor."""
-
-    def beta(self, Q, E):
-        return 0.0
-
-    def beta_dQ(self, Q, E):
-        return 0.0
-
-    def beta_dE(self, Q, E):
-        return 0.0
-
-    def g(self, Q):
-        return 200.0 * Q * Q
-
-    def g_prime(self, Q):
-        return 400.0 * Q
-
-    def f(self, M):
-        return 0.0
-
-    def f_prime(self, M):
-        return 0.0
-
-
-class BigSource(RateFunctions):
-    """Growth-factor source near the float ceiling; overflows the E update."""
-
-    def beta(self, Q, E):
-        return 0.0
-
-    def beta_dQ(self, Q, E):
-        return 0.0
-
-    def beta_dE(self, Q, E):
-        return 0.0
-
-    def g(self, Q):
-        return 0.0
-
-    def g_prime(self, Q):
-        return 0.0
-
-    def f(self, M):
-        return 1e308
-
-    def f_prime(self, M):
-        return 0.0
-
-
-@dataclasses.dataclass(frozen=True)
-class PlainHill(HillRates):
-    """HillRates under another type: integrate's generic loop calls its beta, g and f."""
-
-
-def plain_hill(p: ModelParams) -> ModelParams:
-    return dataclasses.replace(p, rates=PlainHill(**dataclasses.asdict(p.rates)))
-
-
-def custom_params(rates: RateFunctions, tau: float = 1.0) -> ModelParams:
-    return ModelParams(delta=0.01, gamma=0.2, tau=tau, mu=0.02, k=2.8, rates=rates)
 
 
 def packed_trajectory(p, history, dt, times, states, derivs) -> Trajectory:
@@ -205,13 +140,13 @@ class TestIntegrateMesh:
         # at t + dt/2 - tau, and the one at t + dt - tau serves stage 4 and
         # the next step's first stage.  At 1.4 and 2.9, t + dt is not always
         # the float (j + 1) * dt, and the count must not depend on that.
-        # CountingRates is a HillRates subclass, so it takes the generic path
+        # Counted on the composed stepper, which integrate matches bit for bit
         rates = checks.CountingRates(**dataclasses.asdict(default_params().rates))
         for tau in (0.5, 1.4, 2.9):
-            p = dataclasses.replace(default_params(tau=tau), rates=rates)
+            p = default_params(tau=tau)
             history = scaled_equilibrium_history(positive_equilibrium(p, tau))
             rates.calls.update(beta=0, g=0, f=0)
-            traj = integrate(p, history, 20.0)
+            traj = checks.composed_trajectory(p, history, 20.0, rates=rates)
             n = len(traj.times) - 1
             # the first stage of step 0 is one full field evaluation
             assert rates.calls["beta"] == 6 * n + 2, tau
@@ -221,17 +156,14 @@ class TestIntegrateMesh:
     def test_derivative_reads_the_mesh_state_one_delay_back(self, tau, max_step):
         # dt = tau/m, so mesh point j's delayed state is mesh point j - m,
         # bit for bit, however (j * dt) - tau rounds; at tau = 0, m = 0 and
-        # it is the current state.  Exact HillRates take the inline loop, a
-        # subclass and DampedRates (beta falls with Q) the generic one, and
-        # each stores the floats of rhs
-        hill = default_params(tau=tau)
-        for p in (hill, plain_hill(hill), dataclasses.replace(hill, rates=checks.DampedRates())):
-            history = scaled_equilibrium_history(positive_equilibrium(p, tau))
-            traj = integrate(p, history, 30.0, max_step=max_step)
-            m = round(tau / traj.dt)
-            stored, states = derivs(traj), traj.states
-            for j in range(m, len(states)):
-                assert stored[j] == rhs(states[j], states[j - m], p), (type(p.rates).__name__, j)
+        # it is the current state.  The stored floats are those of rhs
+        p = default_params(tau=tau)
+        history = scaled_equilibrium_history(positive_equilibrium(p, tau))
+        traj = integrate(p, history, 30.0, max_step=max_step)
+        m = round(tau / traj.dt)
+        stored, states = derivs(traj), traj.states
+        for j in range(m, len(states)):
+            assert stored[j] == rhs(states[j], states[j - m], p), j
 
     def test_mesh_arrays_are_consistent(self):
         _, _, traj = perturbed_run(0.5, 20.0)
@@ -344,15 +276,19 @@ class TestIntegrateErrors:
             integrate(p, h, 5.0)
 
     def test_negative_overshoot_raises_invariant_violation(self):
-        p = custom_params(QuadSink())
-        h = History.constant(SystemState(1.0, 1.0, 1.0))
+        # k*dt = 4.004 with f(M) = 0 (M**r overflows) puts stage 2's E just
+        # below -1, where beta is about 250: Q overshoots below the floor
+        p = dataclasses.replace(default_params(tau=1.0), k=4.004 * 64.0)
+        h = History.constant(SystemState(1.0, 1e300, 1.0))
         with pytest.raises(InvariantViolationError) as exc:
             integrate(p, h, 10.0)
         assert exc.value.last_time == 0.0
         assert "component reached" in str(exc.value)
 
     def test_overflow_raises_divergence(self):
-        p = custom_params(BigSource())
+        # with M = 0 the feedback is a = 1e308, and the E update overflows
+        rates = dataclasses.replace(default_params().rates, a=1e308)
+        p = dataclasses.replace(default_params(tau=1.0), rates=rates)
         h = History.constant(SystemState(0.0, 0.0, 0.0))
         with pytest.raises(DivergenceError) as exc:
             integrate(p, h, 10.0)
@@ -408,16 +344,19 @@ class TestTrajectoryBits:
         )
 
     def test_generic_rate_functions(self):
+        # the composed stepper that integrate is held to, on rates whose beta
+        # falls with Q
         h = History.constant(SystemState(1.0, 2.0, 3.0))
-        traj = integrate(custom_params(checks.DampedRates(), tau=1.4), h, 30.0)
+        p = default_params(tau=1.4)
+        traj = checks.composed_trajectory(p, h, 30.0, rates=checks.DampedRates())
         assert trajectory_digest(traj) == (
             "d3f30193fce965c14a032d45128a99f5f457c2d201c38a29264cbd2435030b86"
         )
 
 
 class TestInlineHillField:
-    """integrate steps exact HillRates with the field written out, bit for bit
-    as the generic composition of beta, g and f that a subclass gets."""
+    """integrate steps HillRates with the field written out, bit for bit as
+    checks.composed_trajectory, which composes beta, g and f."""
 
     @staticmethod
     def hill_params(seed, tau):
@@ -434,7 +373,7 @@ class TestInlineHillField:
         # the default tau/64, the sweep's 0.05 and one step per delay
         for max_step in (None, 0.05) + ((tau,) if tau > 0.0 else ()):
             inline = integrate(p, history, 12.0, max_step=max_step)
-            generic = integrate(plain_hill(p), history, 12.0, max_step=max_step)
+            generic = checks.composed_trajectory(p, history, 12.0, max_step)
             assert inline.rows.tobytes() == generic.rows.tobytes(), max_step
 
     @pytest.mark.parametrize("seed", [None, 5])
@@ -447,7 +386,7 @@ class TestInlineHillField:
 
         @dataclasses.dataclass(frozen=True)
         class BranchHill(HillRates):
-            """HillRates under another type, noting which branches f and beta take."""
+            """HillRates noting which branches f and beta take."""
 
             def beta(self, Q, E):
                 branches.add("E = 0" if E == 0.0 else "E huge" if E > 1e300 else "E")
@@ -462,9 +401,9 @@ class TestInlineHillField:
                     branches.add("K*M**r underflows")
                 return super().f(M)
 
-        def outcome(p, history):
+        def outcome(run, *args, **kw):
             try:
-                return integrate(p, history, 12.0).rows.tobytes()
+                return run(*args, **kw).rows.tobytes()
             except NumericalError as err:
                 return type(err), str(err), err.last_time
 
@@ -483,9 +422,10 @@ class TestInlineHillField:
                 (fast_mu, (2.9, 6.6, 0.24)),
             ):
                 history = History.constant(SystemState(*state))
-                inline = outcome(q, history)
+                inline = outcome(integrate, q, history, 12.0)
                 generic = outcome(
-                    dataclasses.replace(q, rates=BranchHill(**dataclasses.asdict(q.rates))), history
+                    checks.composed_trajectory, q, history, 12.0,
+                    rates=BranchHill(**dataclasses.asdict(q.rates)),
                 )
                 assert inline == generic, (tau, q.mu, state)
                 errors += not isinstance(inline, bytes)
@@ -493,8 +433,8 @@ class TestInlineHillField:
         assert 0 < errors < 16  # some runs end in an error, and some run to the end
 
     def test_exact_hill_rates_call_no_rate_method(self, monkeypatch):
-        # counted on the class, so the generic path's calls show (6n + 2
-        # beta calls per 20-day run) and the inline path's absence does too
+        # counted on the class, so the composed stepper's calls show (6n + 2
+        # beta calls per 20-day run) and integrate's absence does too
         calls = dict.fromkeys(("beta", "g", "f"), 0)
         for name in calls:
             def counted(self, *args, _name=name, _method=getattr(HillRates, name)):
@@ -506,9 +446,9 @@ class TestInlineHillField:
             p = default_params(tau=tau)
             assert type(p.rates) is HillRates
             history = scaled_equilibrium_history(positive_equilibrium(p, tau))
-            for params, generic in ((p, False), (plain_hill(p), True)):
+            for run, generic in ((integrate, False), (checks.composed_trajectory, True)):
                 calls.update(beta=0, g=0, f=0)
-                n = len(integrate(params, history, 20.0).times) - 1
+                n = len(run(p, history, 20.0).times) - 1
                 want = (6 * n + 2, 4 * n + 1, 4 * n + 1) if generic else (0, 0, 0)
                 assert tuple(calls.values()) == want, (tau, generic)
 
@@ -632,15 +572,19 @@ class TestStorage:
         assert tail[0] == traj.times[100] and len(tail) == len(traj.times) - 100
 
     def test_kept_bytes_per_mesh_point(self):
-        # seven float64 columns keep 56 bytes a mesh point; the margin leaves
-        # no room for a boxed float (24 bytes) per mesh point and column
+        # seven float64 columns keep 56 bytes a mesh point, and the stepper
+        # writes each row into the buffer it returns, so the peak while
+        # stepping is that buffer too; the margins leave no room for a boxed
+        # float (24 bytes) per mesh point and column
         p, eq, _ = perturbed_run(0.5, 1.0)
         history = scaled_equilibrium_history(eq)
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             traj = integrate(p, history, 20.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
             gc.collect()
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -648,6 +592,7 @@ class TestStorage:
         points = len(traj.times)
         assert points == 2561
         assert kept <= 1.25 * 56 * points, kept
+        assert peak <= 80 * points, peak / points
 
 
 class TestDetectPeriod:

@@ -62,9 +62,10 @@ class TestTauMax:
         # beta(0, f(0)/k) about 0.025, half of delta + g'(0) = 0.05
         weak = hill(beta0=0.025 * (1.0 + checks.TRIVIAL_E) / checks.TRIVIAL_E)
         assert tau_max(with_rates(weak)) is None
-        # equality is also non-existence (strict inequality required)
-        eq_rates = checks.ConstantRates(b0=0.5, G=0.25)
-        assert tau_max(with_rates(eq_rates, delta=0.25)) is None
+        # equality is also non-existence (strict inequality required): a = k
+        # puts beta(0, f(0)/k) at beta0/2 = 0.25 = delta + G, all exact
+        eq_rates = hill(beta0=0.5, G=0.125, a=2.8)
+        assert tau_max(with_rates(eq_rates, delta=0.125, k=2.8)) is None
 
     def test_overflowing_reentry_rate_is_a_numerical_error(self):
         # beta(0, f(0)/k) overflows to inf, and log(inf/inf) would be nan
@@ -83,7 +84,8 @@ class TestTrivialEquilibrium:
         assert eq.E == checks.TRIVIAL_E
 
     def test_constant_feedback_ratio(self):
-        p = with_rates(checks.ConstantRates(b0=0.5, fc=7.0), k=2.0)
+        # with M = 0 the feedback is a, so E = a/k
+        p = with_rates(hill(a=7.0), k=2.0)
         assert trivial_equilibrium(p).E == 3.5
 
     def test_a_equals_k_gives_unit_level(self):
@@ -113,11 +115,10 @@ class TestPositiveEquilibrium:
         assert positive_equilibrium(params, tm - 1e-9) is not None
 
     def test_exact_bits(self, params):
-        # sha256 of repr of every solve on the reference 0.005 grid, on a 0.01
-        # grid with a non-Hill rate family and at 50 delays of 20 sets drawn
-        # from a +-20% box, recorded before the memo and the one-closure
-        # residual were added: any change to a solved bit moves them
-        damped = with_rates(checks.DampedRates())
+        # sha256 of repr of every solve on the reference 0.005 grid and at 50
+        # delays of 20 sets drawn from a +-20% box, recorded before the memo
+        # and the one-closure residual were added: any change to a solved
+        # bit moves them
         rng = random.Random(20261018)
         box = []
         for _ in range(20):
@@ -129,8 +130,6 @@ class TestPositiveEquilibrium:
         cases = {
             "hill": ([(params, checks.make_grid(params))],
                      "b3fbab79ba53dec0f0c7d407c5b678b6d3f823631ea05fa800c750e707b6bbc7"),
-            "damped": ([(damped, checks.make_grid(damped, 0.01))],
-                       "f216b6fc1c0028ba9dff82396642444f7906b88a003e823e77fc1e6e3b5bdb07"),
             "box": ([(p, [tau_max(p) * i / 50 for i in range(50)]) for p in box],
                     "89354c1a13d477a9a6dad41444c0520bfa9f65308d1728b8a2b867ba8e0a09be"),
         }
@@ -138,12 +137,14 @@ class TestPositiveEquilibrium:
             eqs = [positive_equilibrium(p, t) for p, taus in runs for t in taus]
             assert hashlib.sha256(repr(eqs).encode()).hexdigest() == digest, name
 
-    def test_numerical_error_is_raised_on_every_call(self):
-        # constant re-entry keeps the balance residual positive for every Q
-        p = with_rates(checks.ConstantRates(0.5, 0.04, 1.0))
+    def test_numerical_error_is_raised_on_every_call(self, monkeypatch):
+        # a balance residual positive for every Q, which no Hill set has,
+        # fails the window's check and leaves the bracket no sign change
+        monkeypatch.setattr(equilibria, "_residual_fn", lambda p: lambda Q, alpha: 1.0)
+        TestHillWindow.fresh_memo(monkeypatch)
         for _ in range(2):
             with pytest.raises(NumericalError, match="no sign change"):
-                positive_equilibrium(p, 1.0)
+                positive_equilibrium(default_params(), 1.0)
 
     def test_a_few_ulps_below_threshold(self):
         # the existence test passes, but the residual at 0+ can round to <= 0;
@@ -264,11 +265,10 @@ class TestHillWindow:
 
     @staticmethod
     def walks():
-        """(params, delays): the reference and DampedRates grids and every 7th
-        point of eight +-20% Hill sets, each followed by tau_max*(1 - 10**-k)."""
+        """(params, delays): the reference grid and every 7th point of eight
+        +-20% Hill sets, each followed by tau_max*(1 - 10**-k)."""
         ref = default_params()
-        damped = with_rates(checks.DampedRates())
-        runs = [(ref, checks.make_grid(ref)), (damped, checks.make_grid(damped, 0.01))]
+        runs = [(ref, checks.make_grid(ref))]
         runs += [(p, checks.make_grid(p)[::7]) for p in map(checks.perturbed_params, range(8))]
         return [
             (p, taus + [tau_max(p) * (1.0 - 10.0**-k) for k in (3, 6, 9, 12, 14)])
@@ -397,7 +397,7 @@ class TestHillWindow:
         # descending, shuffled, and a walk that crosses tau_max (None entries
         # between two roots, an int delay among them) and comes back down
         rng = random.Random(20261019)
-        for p in (default_params(), with_rates(checks.DampedRates()), checks.perturbed_params(3)):
+        for p in (default_params(), checks.perturbed_params(5), checks.perturbed_params(3)):
             tm = tau_max(p)
             grid = checks.make_grid(p, 0.01)
             beyond = [int(tm) + 1, tm * (1.0 - 1e-9), tm, 1.01 * tm]
@@ -422,7 +422,7 @@ class TestHillWindow:
         monkeypatch.setattr(equilibria, "_MEMO_POINTS", 16)
         memo = self.fresh_memo(monkeypatch, counted)
         bad = with_rates(hill(beta0=1e300, a=1e300))  # tau_max raises
-        runs = [default_params(), checks.perturbed_params(3), with_rates(checks.DampedRates())]
+        runs = [default_params(), checks.perturbed_params(3), checks.perturbed_params(5)]
         for p in runs:
             for tau in checks.make_grid(p, 0.05):
                 got = positive_equilibrium(p, tau)
@@ -484,8 +484,8 @@ class TestWarmStart:
 
 
 class TestInlineHillResidual:
-    """_residual_fn evaluates exact HillRates inline, bit for bit as the
-    generic composition of beta, g and f that a subclass gets."""
+    """_residual_fn evaluates HillRates inline, bit for bit as
+    checks.composed_residual, which composes beta, g and f."""
 
     @staticmethod
     def pool_sizes(p):
@@ -514,8 +514,7 @@ class TestInlineHillResidual:
 
             monkeypatch.setattr(HillRates, name, counted)
         inline = equilibria._residual_fn(p)
-        generic = equilibria._residual_fn(dataclasses.replace(p, rates=counting))
-        assert inline.__code__ is not generic.__code__
+        generic = checks.composed_residual(p, counting)
         for tau in taus:
             alpha = 2.0 * math.exp(-p.gamma * tau) - 1.0
             for Q in qs:
@@ -552,10 +551,6 @@ class TestClosedForm:
             hill_equilibrium_closed_form(params, tm)
         with pytest.raises(ValueError):
             hill_equilibrium_closed_form(params, -0.5)
-        with pytest.raises(TypeError):
-            hill_equilibrium_closed_form(
-                with_rates(checks.ConstantRates(b0=0.5)), 0.0
-            )
         with pytest.raises(ValueError):
             hill_equilibrium_closed_form(with_rates(hill(beta0=0.01)), 0.0)
 

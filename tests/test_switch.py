@@ -429,31 +429,42 @@ class TestCoefficientMemo:
         assert scan(same, default_grid, 1) == result
         assert seen["char_coeffs"] == []
 
-    def test_second_scan_calls_beta_at_most_twice(self, default_grid):
+    def test_second_scan_calls_beta_at_most_twice(self, default_grid, monkeypatch):
         # a deterministic stand-in for a timing: the second scan reads every
-        # coefficient from the memo, and only tau_max evaluates beta (twice)
-        rates = checks.CountingRates(**dataclasses.asdict(default_params().rates))
-        p = dataclasses.replace(default_params(), rates=rates)
+        # coefficient from the memo, and only tau_max evaluates beta (twice);
+        # counted on the class
+        calls = [0]
+
+        def counted(self, Q, E, _beta=HillRates.beta):
+            calls[0] += 1
+            return _beta(self, Q, E)
+
+        monkeypatch.setattr(HillRates, "beta", counted)
+        p = default_params()
         first = scan(p, default_grid, 1)
-        before = rates.calls["beta"]
+        before = calls[0]
         assert scan(p, default_grid, 1) == first
-        assert rates.calls["beta"] - before <= 2, rates.calls["beta"] - before
+        assert calls[0] - before <= 2, calls[0] - before
 
     def test_signed_zeros_stay_apart(self, params):
         for tau in (0.0, -0.0, 0):
             assert repr(_coeffs_at(params, tau).tau) == repr(tau)
 
-    def test_numerical_error_is_raised_on_every_call(self, monkeypatch):
-        # f' reported with the wrong sign flips the sign of H, and with it
-        # a3 + a6 = alpha*G*H*beta_E*Q for Hill rates: a root at the origin
-        @dataclasses.dataclass(frozen=True)
-        class RisingFeedback(HillRates):
-            def f_prime(self, M):
-                return -super().f_prime(M)
+    @staticmethod
+    def rising_feedback(monkeypatch):
+        """A fresh coefficient memo whose builds flip the sign of H, as an f'
+        with the wrong sign would, and with it a3 + a6 = alpha*G*H*beta_E*Q:
+        a root at the origin."""
+        def flipped(p, eq, tau, _linearize=switch.linearize):
+            lc = _linearize(p, eq, tau)
+            return lc._replace(H=-lc.H)
 
-        p = dataclasses.replace(
-            default_params(), rates=RisingFeedback(**dataclasses.asdict(default_params().rates))
-        )
+        monkeypatch.setattr(switch, "_coeff_memo", equilibria.ParamsMemo())
+        monkeypatch.setattr(switch, "linearize", flipped)
+
+    def test_numerical_error_is_raised_on_every_call(self, monkeypatch):
+        p = default_params()
+        self.rising_feedback(monkeypatch)
         seen = self.count_builds(monkeypatch)
         for _ in range(2):
             with pytest.raises(NumericalError, match=r"a3\+a6"):
@@ -470,15 +481,9 @@ class TestCoefficientMemo:
     def test_refused_build_is_kept_once_per_set(self, monkeypatch, r):
         # a root at the origin is refused by _coeffs_at on every call, while
         # linear_coeffs keeps the one build it refuses
-        @dataclasses.dataclass(frozen=True)
-        class RisingFeedback(HillRates):
-            def f_prime(self, M):
-                return -super().f_prime(M)
-
         rates = dataclasses.replace(default_params().rates, r=r)
-        p = dataclasses.replace(
-            default_params(), rates=RisingFeedback(**dataclasses.asdict(rates))
-        )
+        p = dataclasses.replace(default_params(), rates=rates)
+        self.rising_feedback(monkeypatch)
         seen = self.count_builds(monkeypatch)
         for _ in range(3):
             with pytest.raises(NumericalError, match=r"a3\+a6"):
