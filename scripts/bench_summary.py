@@ -28,8 +28,8 @@ For each workload and side the file holds the median and quartiles
 (statistics.quantiles, n=4, exclusive method) of every end-to-end metric
 named in BENCHMARK.json, the raw runs, and the pairs the change won
 (ties count for neither side), together with both commits, the sha256 and
-line count of each side's `src/hemodelay`, the seeds, the Python version and
-`nproc`.
+line count of each side's `src/hemodelay` (in total and per module), the
+seeds, the Python version and `nproc`.
 Stdlib only.
 """
 
@@ -67,9 +67,10 @@ def extract(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def src_lines(tree: Path) -> int:
-    """Lines in the tree's src/hemodelay/*.py, the package's size."""
-    return sum(len(f.read_text().splitlines()) for f in (tree / "src" / "hemodelay").glob("*.py"))
+def module_lines(tree: Path) -> dict[str, int]:
+    """Lines in each of the tree's src/hemodelay/*.py, by module name."""
+    return {f.stem: len(f.read_text().splitlines())
+            for f in sorted((tree / "src" / "hemodelay").glob("*.py"))}
 
 
 def max_rss_mb(usage: resource.struct_rusage) -> float:
@@ -198,7 +199,8 @@ def main(argv: list[str] | None = None) -> int:
         report["workloads"][workload] = {
             side: {
                 "src_sha256": sorted({r["src_sha256"] for r in side_runs}),
-                "src_lines": src_lines(trees[side]),
+                "src_lines": sum(module_lines(trees[side]).values()),
+                "src_module_lines": module_lines(trees[side]),
                 "failed": sum(r["failed"] for r in side_runs),
                 "attempted": sum(r["attempted"] for r in side_runs),
                 "summary": summary(side_runs, metrics),

@@ -41,7 +41,6 @@ from .model import (
     NumericalError,
     SystemState,
     rhs,
-    validate,
 )
 from .switch import (
     DegenerateDenominatorError,

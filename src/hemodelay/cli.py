@@ -39,7 +39,7 @@ from .dde import (
 from .equilibria import Equilibrium, positive_equilibrium, tau_max, trivial_equilibrium
 from .linearization import CharCoeffs, LinCoeffs
 from .linearization import char_coeffs, linearize  # noqa: F401 (traced by name in perfbench)
-from .model import InvalidStateError, ModelParams, NumericalError, SystemState, validate
+from .model import InvalidStateError, ModelParams, NumericalError, SystemState
 from .switch import ScanResult, linear_coeffs, positive_root_intervals
 from .switch import scan as run_scan
 
@@ -276,9 +276,6 @@ def _simulate_once(
             f"need t_end > transient >= 0, got t_end={t_end!r}, transient={transient!r}"
         )
     p = replace(params, tau=tau)
-    bad = validate(p)  # a bad --tau is named before any step is worked out
-    if bad:
-        raise ConfigError("; ".join(bad))
     history = _make_history(p, tau, history_spec)
     dt = mesh_step(tau, max_step)
     if dt * max(p.k, p.mu) > _RK4_STABILITY_LIMIT:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
-from .model import HillRates, ModelParams, validate
+from .model import HillRates, ModelParams
 
 
 class ConfigError(Exception):
@@ -65,7 +65,7 @@ def default_config_path() -> Path:
 
 
 def parse_config(path: str | Path) -> tuple[ModelParams, RunOptions]:
-    """Read, type and validate a config file.
+    """Read and type a config file; ModelParams checks the values.
 
     The returned ModelParams carries tau from run.tau when present, else 0;
     subcommands overlay their --tau flag on top.
@@ -116,14 +116,14 @@ def parse_config(path: str | Path) -> tuple[ModelParams, RunOptions]:
             raise ConfigError(f"line {line_no}: {full} {exc}, got {raw_value!r}") from None
 
     opts = RunOptions(**typed["run"])
-    params = ModelParams(
-        **typed["model"],
-        tau=opts.tau if opts.tau is not None else 0.0,
-        rates=HillRates(**typed["rates.hill"]),
-    )
-    bad = validate(params)
-    if bad:
-        raise ConfigError("; ".join(bad))
+    try:
+        params = ModelParams(
+            **typed["model"],
+            tau=opts.tau if opts.tau is not None else 0.0,
+            rates=HillRates(**typed["rates.hill"]),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return params, opts
 
 

@@ -60,7 +60,6 @@ from .model import (
     NumericalError,
     SystemState,
     reward,
-    validate,
 )
 
 _DEFAULT_SUBSTEPS = 64
@@ -201,9 +200,6 @@ def integrate(
     max_step: float | None = None,
 ) -> Trajectory:
     """Integrate from the history up to (the next mesh point at or past) t_end."""
-    bad = validate(p)
-    if bad:
-        raise ValueError("; ".join(bad))
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise ValueError("t_end must be positive and finite")
     tau = p.tau
@@ -238,7 +234,9 @@ def _hill_rows(
     (the tests hold it to a composed stepper of their own); -delta, -mu and
     -k are bound once, which is exact.  The derivative at a
     mesh point is computed at the top of the loop, so the first one is no
-    special case.
+    special case.  A stage E of exactly -1, where beta divides by zero, lies
+    below the floor: it raises InvariantViolationError at the last accepted
+    mesh time.
     """
     tau, rates = p.tau, p.rates
     beta0, G, a, K, r = rates.beta0, rates.G, rates.a, rates.K, rates.r
@@ -255,74 +253,77 @@ def _hill_rows(
     t = 0.0
     buf = bytearray(56 * (n_steps + 1))
     pack, unpack_two, unpack_QE = _pack_row, _unpack_two_rows, _unpack_QE
-    for j in range(n_steps + 1):
-        # mesh point j: with tau = 0 the delayed state is the current one,
-        # and the flux rw*b*Q reuses the field's b
-        gQ, b = G * Q, beta0 * E / (1.0 + E)
-        try:
-            fM = a if M <= 0.0 else a / (1.0 + K * M**r)
-        except OverflowError:
-            fM = 0.0
-        kQ1 = nd * Q - gQ - b * Q + (rf if delayed else rw * b * Q)
-        kM1, kE1 = nmu * M + gQ, nk * E + fM
-        pack(buf, 56 * j, t, Q, M, E, kQ1, kM1, kE1)
-        if j == n_steps:
-            break
-        if delayed:
-            # stages 2 and 3 read at t + dt/2 - tau (segment j - m), stage 4
-            # and mesh point j + 1 at t + dt - tau (mesh point j + 1 - m)
-            tq = t + half - tau
-            i = j - m
-            if i >= 0:
-                ti, Q0, _, E0, dQ0, _, dE0, _, Q1, _, E1, dQ1, _, dE1 = unpack_two(buf, 56 * i)
-                s = (tq - ti) / dt
-                s2, u2 = s * s, (1.0 - s) ** 2
-                w0, v0 = (1.0 + 2.0 * s) * u2, dt * (s * u2)
-                w1, v1 = s2 * (3.0 - 2.0 * s), dt * (s2 * (s - 1.0))
-                Qh = w0 * Q0 + v0 * dQ0 + w1 * Q1 + v1 * dQ1
-                Eh = w0 * E0 + v0 * dE0 + w1 * E1 + v1 * dE1
-            else:
-                Qh, _, Eh = history.eval(tq)
-            i = j + 1 - m
-            if i >= 0:
-                Qf, Ef = unpack_QE(buf, 56 * i + 8)
-            else:
-                Qf, _, Ef = history.eval(i * dt)
-            rh = rw * (beta0 * Eh / (1.0 + Eh)) * Qh
-            rf = rw * (beta0 * Ef / (1.0 + Ef)) * Qf
-        Q2, M2, E2 = Q + half * kQ1, M + half * kM1, E + half * kE1
-        gQ, b = G * Q2, beta0 * E2 / (1.0 + E2)
-        try:
-            fM = a if M2 <= 0.0 else a / (1.0 + K * M2**r)
-        except OverflowError:
-            fM = 0.0
-        kQ2 = nd * Q2 - gQ - b * Q2 + (rh if delayed else rw * b * Q2)
-        kM2, kE2 = nmu * M2 + gQ, nk * E2 + fM
-        Q3, M3, E3 = Q + half * kQ2, M + half * kM2, E + half * kE2
-        gQ, b = G * Q3, beta0 * E3 / (1.0 + E3)
-        try:
-            fM = a if M3 <= 0.0 else a / (1.0 + K * M3**r)
-        except OverflowError:
-            fM = 0.0
-        kQ3 = nd * Q3 - gQ - b * Q3 + (rh if delayed else rw * b * Q3)
-        kM3, kE3 = nmu * M3 + gQ, nk * E3 + fM
-        Q4, M4, E4 = Q + dt * kQ3, M + dt * kM3, E + dt * kE3
-        gQ, b = G * Q4, beta0 * E4 / (1.0 + E4)
-        try:
-            fM = a if M4 <= 0.0 else a / (1.0 + K * M4**r)
-        except OverflowError:
-            fM = 0.0
-        kQ4 = nd * Q4 - gQ - b * Q4 + (rf if delayed else rw * b * Q4)
-        kM4, kE4 = nmu * M4 + gQ, nk * E4 + fM
-        Qn = Q + sixth * (kQ1 + 2.0 * (kQ2 + kQ3) + kQ4)
-        Mn = M + sixth * (kM1 + 2.0 * (kM2 + kM3) + kM4)
-        En = E + sixth * (kE1 + 2.0 * (kE2 + kE3) + kE4)
-        t_next = (j + 1) * dt
-        # a non-finite stage state propagates into the new state, and NaN
-        # fails every comparison
-        if not (floor <= Qn < inf and floor <= Mn < inf and floor <= En < inf):
-            raise _state_error(Qn, Mn, En, t_next, t)
-        t, Q, M, E = t_next, Qn, Mn, En
+    try:
+        for j in range(n_steps + 1):
+            # mesh point j: with tau = 0 the delayed state is the current one,
+            # and the flux rw*b*Q reuses the field's b
+            gQ, b = G * Q, beta0 * E / (1.0 + E)
+            try:
+                fM = a if M <= 0.0 else a / (1.0 + K * M**r)
+            except OverflowError:
+                fM = 0.0
+            kQ1 = nd * Q - gQ - b * Q + (rf if delayed else rw * b * Q)
+            kM1, kE1 = nmu * M + gQ, nk * E + fM
+            pack(buf, 56 * j, t, Q, M, E, kQ1, kM1, kE1)
+            if j == n_steps:
+                break
+            if delayed:
+                # stages 2 and 3 read at t + dt/2 - tau (segment j - m), stage 4
+                # and mesh point j + 1 at t + dt - tau (mesh point j + 1 - m)
+                tq = t + half - tau
+                i = j - m
+                if i >= 0:
+                    ti, Q0, _, E0, dQ0, _, dE0, _, Q1, _, E1, dQ1, _, dE1 = unpack_two(buf, 56 * i)
+                    s = (tq - ti) / dt
+                    s2, u2 = s * s, (1.0 - s) ** 2
+                    w0, v0 = (1.0 + 2.0 * s) * u2, dt * (s * u2)
+                    w1, v1 = s2 * (3.0 - 2.0 * s), dt * (s2 * (s - 1.0))
+                    Qh = w0 * Q0 + v0 * dQ0 + w1 * Q1 + v1 * dQ1
+                    Eh = w0 * E0 + v0 * dE0 + w1 * E1 + v1 * dE1
+                else:
+                    Qh, _, Eh = history.eval(tq)
+                i = j + 1 - m
+                if i >= 0:
+                    Qf, Ef = unpack_QE(buf, 56 * i + 8)
+                else:
+                    Qf, _, Ef = history.eval(i * dt)
+                rh = rw * (beta0 * Eh / (1.0 + Eh)) * Qh
+                rf = rw * (beta0 * Ef / (1.0 + Ef)) * Qf
+            Q2, M2, E2 = Q + half * kQ1, M + half * kM1, E + half * kE1
+            gQ, b = G * Q2, beta0 * E2 / (1.0 + E2)
+            try:
+                fM = a if M2 <= 0.0 else a / (1.0 + K * M2**r)
+            except OverflowError:
+                fM = 0.0
+            kQ2 = nd * Q2 - gQ - b * Q2 + (rh if delayed else rw * b * Q2)
+            kM2, kE2 = nmu * M2 + gQ, nk * E2 + fM
+            Q3, M3, E3 = Q + half * kQ2, M + half * kM2, E + half * kE2
+            gQ, b = G * Q3, beta0 * E3 / (1.0 + E3)
+            try:
+                fM = a if M3 <= 0.0 else a / (1.0 + K * M3**r)
+            except OverflowError:
+                fM = 0.0
+            kQ3 = nd * Q3 - gQ - b * Q3 + (rh if delayed else rw * b * Q3)
+            kM3, kE3 = nmu * M3 + gQ, nk * E3 + fM
+            Q4, M4, E4 = Q + dt * kQ3, M + dt * kM3, E + dt * kE3
+            gQ, b = G * Q4, beta0 * E4 / (1.0 + E4)
+            try:
+                fM = a if M4 <= 0.0 else a / (1.0 + K * M4**r)
+            except OverflowError:
+                fM = 0.0
+            kQ4 = nd * Q4 - gQ - b * Q4 + (rf if delayed else rw * b * Q4)
+            kM4, kE4 = nmu * M4 + gQ, nk * E4 + fM
+            Qn = Q + sixth * (kQ1 + 2.0 * (kQ2 + kQ3) + kQ4)
+            Mn = M + sixth * (kM1 + 2.0 * (kM2 + kM3) + kM4)
+            En = E + sixth * (kE1 + 2.0 * (kE2 + kE3) + kE4)
+            t_next = (j + 1) * dt
+            # a non-finite stage state propagates into the new state, and NaN
+            # fails every comparison
+            if not (floor <= Qn < inf and floor <= Mn < inf and floor <= En < inf):
+                raise _state_error(Qn, Mn, En, t_next, t)
+            t, Q, M, E = t_next, Qn, Mn, En
+    except ZeroDivisionError:
+        raise InvariantViolationError(f"E reached -1 in the step from t={t!r}", t) from None
     return buf
 
 

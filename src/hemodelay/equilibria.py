@@ -255,8 +255,7 @@ def _hill_window(
         s = dg * hr.r * (1.0 - p.k * E / hr.a) / (x * (1.0 + E))
     except (ValueError, ArithmeticError):
         return 0.0, math.inf
-    # s is complex for rates outside their contract (K < 0 makes x complex)
-    if isinstance(s, float) and s > 0.0:
+    if s > 0.0:
         w = max(1e-14 * x, 64.0 * sys.float_info.epsilon * (2.0 * dg) / s)
         if x - w > 0.0 and residual(x - w, alpha) > 0.0 >= residual(x + w, alpha):
             return x - w, x + w

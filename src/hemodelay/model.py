@@ -82,10 +82,8 @@ class HillRates:
         return self.a / den
 
     def f_prime(self, M: float) -> float:
-        if M < 0.0:
-            return 0.0  # no feedback, as in f
-        if M == 0.0:
-            return 0.0 if self.r > 1.0 else -self.a * self.K
+        if M <= 0.0:
+            return 0.0  # no feedback below 0, as in f; r > 1 flattens f at 0
         try:
             mr = M**self.r
             den = (1.0 + self.K * mr) ** 2
@@ -93,24 +91,17 @@ class HillRates:
             return 0.0
         return -self.a * self.K * self.r * (mr / M) / den
 
-    def param_violations(self) -> list[str]:
-        """Human-readable constraint violations of the rate parameters."""
-        out = []
-        for name in ("beta0", "G", "a", "K"):
-            if not getattr(self, name) > 0.0:
-                out.append(f"rate parameter {name} must be positive")
-        if not self.r > 1.0:
-            out.append("rate parameter r must exceed 1")
-        return out
-
 
 @dataclass(frozen=True)
 class ModelParams:
     """Clearance rates, in-cycle apoptosis rate, delay and rate functions.
 
-    rates must be of exactly type HillRates, else ValueError: a subclass
-    that overrides a rate would be computed with the written-out Hill
-    formulas silently.
+    Every set is checked when it is built (dataclasses.replace included)
+    against the model's box: delta, mu, k, beta0, G, a, K > 0, gamma,
+    tau >= 0, the scalars finite and r > 1; one ValueError names each
+    violation.  rates must be of exactly type HillRates: a subclass that
+    overrides a rate would be computed with the written-out Hill formulas
+    silently.
     """
 
     delta: float
@@ -121,29 +112,23 @@ class ModelParams:
     rates: HillRates
 
     def __post_init__(self) -> None:
-        if type(self.rates) is not HillRates:
-            raise ValueError(f"rates must be HillRates, got {type(self.rates).__name__}")
-
-
-def validate(p: ModelParams) -> list[str]:
-    """Return a list of parameter-constraint violations (empty when valid)."""
-    out = []
-    if not p.delta > 0.0:
-        out.append("delta must be positive")
-    if not p.gamma >= 0.0:
-        out.append("gamma must be nonnegative")
-    if not p.mu > 0.0:
-        out.append("mu must be positive")
-    if not p.k > 0.0:
-        out.append("k must be positive")
-    if not p.tau >= 0.0:
-        out.append("tau must be nonnegative")
-    for v in (p.delta, p.gamma, p.tau, p.mu, p.k):
-        if not math.isfinite(v):
-            out.append("scalar parameters must be finite")
-            break
-    out.extend(p.rates.param_violations())
-    return out
+        hr = self.rates
+        if type(hr) is not HillRates:
+            raise ValueError(f"rates must be HillRates, got {type(hr).__name__}")
+        scalars = (self.delta, self.gamma, self.tau, self.mu, self.k)
+        bad = [msg for ok, msg in (
+            (self.delta > 0.0, "delta must be positive"),
+            (self.gamma >= 0.0, "gamma must be nonnegative"),
+            (self.mu > 0.0, "mu must be positive"),
+            (self.k > 0.0, "k must be positive"),
+            (self.tau >= 0.0, "tau must be nonnegative"),
+            (all(map(math.isfinite, scalars)), "scalar parameters must be finite"),
+            *((getattr(hr, n) > 0.0, f"rate parameter {n} must be positive")
+              for n in ("beta0", "G", "a", "K")),
+            (hr.r > 1.0, "rate parameter r must exceed 1"),
+        ) if not ok]
+        if bad:
+            raise ValueError("; ".join(bad))
 
 
 def reward(p: ModelParams, tau: float) -> float:

@@ -317,6 +317,14 @@ class TestScanCommand:
         assert "crossing: tau*=1.373422" in printed
         assert "crossing: tau*=2.823997" in printed
 
+    def test_no_positive_equilibrium_skips_the_scan(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, NO_EQ_CFG)
+        out = tmp_path / "out"
+        assert main(["scan", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert "no positive equilibrium at any delay; scan skipped" in capsys.readouterr().out
+        assert not list(out.glob("*.csv"))
+        assert load_manifest(out)["outputs"] == []
+
     def test_spacing_beyond_runtime_cap(self, tmp_path):
         assert main(["scan", "--out-dir", str(tmp_path), "--grid-step", "0.2"]) == 2
 
@@ -368,8 +376,17 @@ class TestSimulateCommand:
         assert main(["simulate", "--out-dir", str(tmp_path)]) == 2
 
     def test_negative_tau_is_named(self, tmp_path, capsys):
+        # refused when the delay is put into the parameter set
         assert main(["simulate", "--out-dir", str(tmp_path), "--tau", "-1"]) == 2
-        assert "tau must be nonnegative" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: tau must be nonnegative\n"
+
+    def test_period_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--out-dir", str(out), "--tau", "1.4", "--t-end", "1200",
+                     "--transient", "400", "--max-step", "0.1"]) == 0
+        period = load_manifest(out)["resolved"]["period"]
+        assert 85.0 < period < 115.0  # the reference band, 100 +- 15
+        assert f"period: {period:.3f} +- " in capsys.readouterr().out
 
     def test_trajectory_csv(self, tmp_path):
         out = self.run(tmp_path, "--tau", "0.5")

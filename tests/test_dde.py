@@ -255,14 +255,6 @@ class TestIntegrateErrors:
             integrate(default_params(tau=tau), h, t_end, max_step=max_step)
         assert "at most 10000000 are allowed" in str(exc.value)
 
-    def test_rejects_invalid_params(self):
-        import dataclasses
-
-        p = dataclasses.replace(default_params(), mu=0.0)
-        h = History.constant(SystemState(1.0, 1.0, 1.0))
-        with pytest.raises(ValueError, match="mu must be positive"):
-            integrate(p, h, 1.0)
-
     def test_bad_history_raises_invalid_state(self, params):
         h = History.constant(SystemState(-1.0, 1.0, 1.0))
         with pytest.raises(InvalidStateError):
@@ -284,6 +276,16 @@ class TestIntegrateErrors:
             integrate(p, h, 10.0)
         assert exc.value.last_time == 0.0
         assert "component reached" in str(exc.value)
+
+    @pytest.mark.parametrize("tau", [1.0, 0.0])
+    def test_stage_growth_factor_at_minus_one_raises_invariant_violation(self, tau):
+        # k*dt = 4 with f(M) = 0 puts stage 2's E at exactly 1 - 2 = -1, where
+        # beta divides by zero
+        p = dataclasses.replace(default_params(tau=tau), k=256.0)
+        h = History.constant(SystemState(1.0, 1e300, 1.0))
+        with pytest.raises(InvariantViolationError, match="E reached -1") as exc:
+            integrate(p, h, 1.0)
+        assert exc.value.last_time == 0.0
 
     def test_overflow_raises_divergence(self):
         # with M = 0 the feedback is a = 1e308, and the E update overflows

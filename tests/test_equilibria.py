@@ -321,12 +321,6 @@ class TestHillWindow:
             monkeypatch.setattr(equilibria, "_hill_window", lambda *args, q=q: (q, 2.0 * q))
             assert solve(p, tau) is None, (p, tau, q)
 
-    def test_rates_outside_their_contract_get_the_plain_solve(self):
-        # K < 0 makes the closed-form root complex: no window is taken, and
-        # the solve ends in the plain bisection's typed error
-        with pytest.raises(NumericalError, match="above tolerance"):
-            equilibria._solve_positive(with_rates(hill(K=-0.0382)), 1.0)
-
     @staticmethod
     def fresh_memo(monkeypatch, per_set=None):
         memo = equilibria.ParamsMemo(per_set or equilibria._set_constants)

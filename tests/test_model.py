@@ -14,7 +14,6 @@ from hemodelay import (
     positive_equilibrium,
     rhs,
     trivial_equilibrium,
-    validate,
 )
 from hemodelay.model import bisect_flip
 
@@ -22,8 +21,9 @@ import checks
 
 
 def test_default_params_valid():
-    assert validate(default_params()) == []
-    assert validate(default_params(1.4)) == []
+    # a set is checked when it is built, so building it again must pass
+    for p in (default_params(), default_params(1.4)):
+        assert dataclasses.replace(p) == p
 
 
 def test_default_params_are_the_reference_set():
@@ -32,6 +32,26 @@ def test_default_params_are_the_reference_set():
     )
 
 
+def assert_refused_when_built(word, **changes):
+    """The reference set with `changes` (ModelParams or HillRates fields) is
+    refused with a ValueError naming `word`, whether it is built through the
+    constructor or through dataclasses.replace."""
+    ref = default_params(1.4)
+    rate_names = {f.name for f in dataclasses.fields(HillRates)}
+    rates = dataclasses.replace(ref.rates, **{n: v for n, v in changes.items() if n in rate_names})
+    scalars = {n: v for n, v in changes.items() if n not in rate_names}
+    for build in (
+        lambda: ModelParams(**{**vars(ref), **scalars, "rates": rates}),
+        lambda: dataclasses.replace(ref, **scalars, rates=rates),
+    ):
+        with pytest.raises(ValueError, match=rf"\b{word}\b"):
+            build()
+
+
+# every scalar outside the model's box, one at a time; the rate fields are in
+# the tests below.  Unrefused, such a set reaches entry points that divide by
+# zero (mu = 0, k = -1), return a negative tau_max (gamma = -0.1), an empty
+# stability partition (mu = NaN) or a full answer off the box (delta = 0).
 @pytest.mark.parametrize(
     "field, value, word",
     [
@@ -41,22 +61,20 @@ def test_default_params_are_the_reference_set():
         ("gamma", -0.1, "gamma"),
         ("tau", -1.0, "tau"),
         ("mu", math.nan, "finite"),
+        ("delta", -math.inf, "delta"),
+        ("gamma", math.inf, "finite"),
+        ("k", 0.0, "k"),
+        ("tau", math.inf, "finite"),
     ],
 )
 def test_validate_names_offending_scalar(field, value, word):
-    p = dataclasses.replace(default_params(), **{field: value})
-    bad = validate(p)
-    assert bad, f"{field}={value} accepted"
-    assert any(word in msg for msg in bad)
+    assert_refused_when_built(word, **{field: value})
 
 
 @pytest.mark.parametrize("r", [1.0, 0.5, 0.0])
 def test_validate_rejects_shallow_hill_exponent(r):
-    p = dataclasses.replace(
-        default_params(),
-        rates=HillRates(beta0=0.5, G=0.04, a=6570.0, K=0.0382, r=r),
-    )
-    assert any("r" in msg for msg in validate(p))
+    # unrefused, r = 1 and r = 0.5 get a full scan off the box
+    assert_refused_when_built("r", r=r)
 
 
 @pytest.mark.parametrize(
@@ -75,12 +93,27 @@ def test_only_exact_hill_rates_are_accepted(rates):
 
 
 def test_validate_rejects_nonpositive_hill_scales():
+    # K < 0 would make the equilibrium's closed-form root complex
     for field in ("beta0", "G", "a", "K"):
-        rates = HillRates(
-            **{**dict(beta0=0.5, G=0.04, a=6570.0, K=0.0382, r=7.0), field: 0.0}
-        )
-        p = dataclasses.replace(default_params(), rates=rates)
-        assert any(field in msg for msg in validate(p))
+        assert_refused_when_built(field, **{field: 0.0})
+    for field, value in (("beta0", -1.0), ("K", -0.0382), ("a", math.nan)):
+        assert_refused_when_built(field, **{field: value})
+
+
+def test_every_violation_is_named_in_order():
+    # delta, gamma, tau, mu, k and every rate field out of the box at once
+    with pytest.raises(ValueError) as exc:
+        ModelParams(0.0, -1.0, math.nan, 0.0, 0.0, HillRates(0.0, 0.0, 0.0, 0.0, 1.0))
+    assert str(exc.value).split("; ") == [
+        "delta must be positive",
+        "gamma must be nonnegative",
+        "mu must be positive",
+        "k must be positive",
+        "tau must be nonnegative",
+        "scalar parameters must be finite",
+        *(f"rate parameter {n} must be positive" for n in ("beta0", "G", "a", "K")),
+        "rate parameter r must exceed 1",
+    ]
 
 
 def test_rhs_reference_value():
@@ -117,6 +150,7 @@ def test_hill_overflow_guards():
     assert r.f(1e60) == 0.0
     assert r.f_prime(1e60) == 0.0
     assert r.f_prime(0.0) == 0.0  # r > 1 kills the slope at the origin
+    assert r.f_prime(-1.0) == 0.0  # no feedback below 0, as in f
     assert r.beta(5.0, 0.0) == 0.0
 
 

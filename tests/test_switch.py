@@ -110,6 +110,12 @@ class TestPositiveRootsH:
             assert r.z > 0.0
             assert math.isclose(r.omega, math.sqrt(r.z), rel_tol=1e-15)
 
+    def test_criterion_and_extraction_must_agree(self, monkeypatch):
+        # b3 < 0 means a positive root; an extraction that finds none is refused
+        monkeypatch.setattr(switch, "real_cubic_roots", lambda b1, b2, b3: [])
+        with pytest.raises(NumericalError, match="root criterion says True but extraction found 0"):
+            positive_roots_h(checks.synthetic_b_coeffs(0.0, 0.0, -8.0))
+
 
 class TestTheta:
     @pytest.mark.parametrize("tau", [0.2, 1.0, 2.0, 2.8])
@@ -331,6 +337,13 @@ class TestScan:
         with pytest.raises(ValueError):
             scan(params, [0.01 * i for i in range(302)], 1)  # passes tau_max
 
+    def test_grid_refusals_name_their_cause(self, params):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            scan(params, [0.0, 0.01, 0.01, 0.02], 1)
+        rootless = dataclasses.replace(params, rates=dataclasses.replace(params.rates, beta0=0.01))
+        with pytest.raises(ValueError, match="no positive steady state exists at any delay"):
+            scan(rootless, [0.0, 0.01], 1)
+
 
 def _report(tau_star: float, transversality: int) -> SwitchReport:
     direction = "destabilizing" if transversality > 0 else "stabilizing"
@@ -389,6 +402,12 @@ class TestRefineCrossing:
         # rounds to an end, and no sample came within 1e-10 of zero
         self.fake_sn(monkeypatch, lambda t: -1.0 if t < 0.3 else 1.0, 0.4)
         assert _refine_crossing(params, 0, 0, 0.0, 1.0, -1.0) == (0.0, False)
+
+    def test_low_end_within_tolerance_is_the_crossing(self, params, monkeypatch):
+        # S at the low end is already within 1e-10 of zero: no sample is taken,
+        # where bisecting this S, which never nears zero, would end unrefined
+        self.fake_sn(monkeypatch, lambda t: 1.0, 2.0)
+        assert _refine_crossing(params, 0, 0, 0.3, 1.0, 1e-11) == (0.3, True)
 
 
 class TestCoefficientMemo:
