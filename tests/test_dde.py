@@ -255,6 +255,12 @@ class TestIntegrateErrors:
             integrate(default_params(tau=tau), h, t_end, max_step=max_step)
         assert "at most 10000000 are allowed" in str(exc.value)
 
+    def test_rejects_invalid_params(self):
+        # a set with mu = 0 is refused when it is built, before integrate runs
+        h = History.constant(SystemState(1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="mu must be positive"):
+            integrate(dataclasses.replace(default_params(), mu=0.0), h, 1.0)
+
     def test_bad_history_raises_invalid_state(self, params):
         h = History.constant(SystemState(-1.0, 1.0, 1.0))
         with pytest.raises(InvalidStateError):

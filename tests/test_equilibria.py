@@ -321,6 +321,12 @@ class TestHillWindow:
             monkeypatch.setattr(equilibria, "_hill_window", lambda *args, q=q: (q, 2.0 * q))
             assert solve(p, tau) is None, (p, tau, q)
 
+    def test_rates_outside_their_contract_get_the_plain_solve(self):
+        # K < 0 would make the closed-form root complex; such a set is refused
+        # when it is built, so no solve ever sees it
+        with pytest.raises(ValueError, match="rate parameter K must be positive"):
+            equilibria._solve_positive(with_rates(hill(K=-0.0382)), 1.0)
+
     @staticmethod
     def fresh_memo(monkeypatch, per_set=None):
         memo = equilibria.ParamsMemo(per_set or equilibria._set_constants)
