@@ -26,10 +26,18 @@ BENCHMARK.json metric.
 
 For each workload and side the file holds the median and quartiles
 (statistics.quantiles, n=4, exclusive method) of every end-to-end metric
-named in BENCHMARK.json, the raw runs, and the pairs the change won
-(ties count for neither side), together with both commits, the sha256 and
-line count of each side's `src/hemodelay` (in total and per module), the
-seeds, the Python version and `nproc`.
+named in BENCHMARK.json, the raw runs, the pairs the change won (ties
+count for neither side) and a verdict per metric, together with both
+commits, the sha256 and line count of each side's `src/hemodelay` (in total
+and per module), the seeds, the Python version and `nproc`.  The verdicts,
+with a metric's bound taken relative to the parent's median:
+- `gain`: the change won at least 9 in 10 pairs, and the medians differ in
+  the better direction by more than the parent's q3 - q1;
+- `regression`: the change's median is worse than the parent's by more
+  than the bound;
+- `unresolved`: the parent's q3 - q1 is wider than the bound, unless every
+  run of the change reads better than every run of the parent;
+- `within bound` otherwise.
 Stdlib only.
 """
 
@@ -145,6 +153,31 @@ def pairs_won(parent: list[dict], change: list[dict], metrics: list[dict]) -> di
     return won
 
 
+def verdicts(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict:
+    """The verdict on the change for each metric, by the rules above."""
+    stats = {"parent": summary(parent, metrics), "change": summary(change, metrics)}
+    won = pairs_won(parent, change, metrics)
+    out = {}
+    for m in metrics:
+        name = m["name"]
+        sign = 1.0 if m["better"] == "lower" else -1.0
+        p, c = stats["parent"][name], stats["change"][name]
+        better_by = sign * (p["median"] - c["median"])
+        spread, bound = p["q3"] - p["q1"], m["bound"] * abs(p["median"])
+        change_beats_all = max(sign * r["metrics"][name] for r in change) < min(
+            sign * r["metrics"][name] for r in parent
+        )
+        if 10 * won[name] >= 9 * len(parent) and better_by > spread:
+            out[name] = "gain"
+        elif -better_by > bound:
+            out[name] = "regression"
+        elif spread > bound and not change_beats_all:
+            out[name] = "unresolved"
+        else:
+            out[name] = "within bound"
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, required=True)
@@ -212,6 +245,9 @@ def main(argv: list[str] | None = None) -> int:
             runs["parent"], runs["change"], metrics
         )
         report["workloads"][workload]["pairs"] = len(args.seeds)
+        report["workloads"][workload]["verdict"] = verdicts(
+            runs["parent"], runs["change"], metrics
+        )
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     return 0
 

@@ -11,7 +11,6 @@ from .config import ConfigError, RunOptions, default_config_path, default_params
 from .cubic import real_cubic_roots
 from .dde import (
     DivergenceError,
-    History,
     InvariantViolationError,
     PeriodEstimate,
     Trajectory,

@@ -27,7 +27,6 @@ from typing import Iterable
 
 from .config import ConfigError, RunOptions, default_config_path, parse_config
 from .dde import (
-    History,
     PeriodEstimate,
     Trajectory,
     classify_asymptotics,
@@ -130,7 +129,7 @@ def _reference_equilibrium(params: ModelParams, tau: float) -> Equilibrium:
     return eq if eq is not None else trivial_equilibrium(params)
 
 
-def _make_history(params: ModelParams, tau: float, spec: str | None) -> History:
+def _make_history(params: ModelParams, tau: float, spec: str | None) -> SystemState:
     spec = spec if spec is not None else "equilibrium*1.1"
     if spec.startswith("equilibrium"):
         rest = spec[len("equilibrium"):]
@@ -153,7 +152,7 @@ def _make_history(params: ModelParams, tau: float, spec: str | None) -> History:
         q, m, e = (float(x) for x in parts)
     except ValueError:
         raise ConfigError(f"bad history triple {spec!r}") from None
-    return History.constant(SystemState(q, m, e))
+    return SystemState(q, m, e)
 
 
 def _write_equilibria(out_dir: Path, params: ModelParams, grid: list[float]) -> Path:

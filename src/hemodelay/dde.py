@@ -1,29 +1,30 @@
 """Method-of-steps integration of the delayed system, with post-processing.
 
-The delay is constant, so derivative discontinuities inherited from the
-initial history sit exactly at multiples of tau.  The stepper exploits
-that: the mesh spacing is dt = tau/m (m chosen so the step stays at or
-below max_step, default tau/64), which pins every multiple of tau to a
-mesh point and keeps the classical fourth-order Runge-Kutta scheme at full
-order between them.  It also turns the delayed reads of step j into mesh
-reads.  The full-step read at t + dt - tau is mesh point j + 1 - m, the
-stored state (the current one with one step per delay, max_step >= tau),
-or the history at (j + 1 - m)*dt while that index is negative.  The
-half-step read at t + dt/2 - tau lies inside segment j - m and comes from
-its cubic Hermite interpolant, or from the history before the first delay.
+The history, the initial data on [-tau, 0], is one constant SystemState,
+checked once by integrate to be finite and nonnegative.  The delay is
+constant, so derivative discontinuities inherited from the history sit
+exactly at multiples of tau.  The stepper exploits that: the mesh spacing
+is dt = tau/m (m chosen so the step stays at or below max_step, default
+tau/64), which pins every multiple of tau to a mesh point and keeps the
+classical fourth-order Runge-Kutta scheme at full order between them.  It
+also turns the delayed reads of step j into mesh reads.  The full-step
+read at t + dt - tau is mesh point j + 1 - m, the stored state (the
+current one with one step per delay, max_step >= tau).  The half-step read
+at t + dt/2 - tau lies inside segment j - m and comes from its cubic
+Hermite interpolant.  Before the first delay both reads are the history,
+and so is their re-entry flux, computed once.
 
 The field is the Hill field written out at every stage, the operations of
 HillRates.beta, g and f in their order, branches included, with -delta,
--mu, -k bound once: past the first delay a step makes no Python call
-(before it, the history's eval).  model.rhs is the checked field at one
-state, composed from the same rates.  Each delayed re-entry flux is
-computed once per read: stages 2 and 3 share the half-step one, and the
-full-step one serves stage 4 and the new mesh point's derivative, which
-doubles as the next step's first stage.  The stepper checks the new state
-once per step, with one chained comparison floor <= x < inf per component,
-and only when that fails sorts the failure into a DivergenceError (a
-component not finite) or an InvariantViolationError (one below the -1e-6
-floor).
+-mu, -k bound once: a step makes no Python call.  model.rhs is the checked
+field at one state, composed from the same rates.  Each delayed re-entry
+flux is computed once per read: stages 2 and 3 share the half-step one,
+and the full-step one serves stage 4 and the new mesh point's derivative,
+which doubles as the next step's first stage.  The stepper checks the new
+state once per step, with one chained comparison floor <= x < inf per
+component, and only when that fails sorts the failure into a
+DivergenceError (a component not finite) or an InvariantViolationError
+(one below the -1e-6 floor).
 
 The stepper writes each mesh point as a row (t, Q, M, E, dQ, dM, dE) of
 float64s into one buffer allocated up front, 56 bytes a point, and reads
@@ -51,7 +52,6 @@ import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 from .equilibria import Equilibrium
 from .model import (
@@ -89,32 +89,11 @@ class InvariantViolationError(NumericalError):
         self.last_time = last_time
 
 
-class History:
-    """Initial data on [-tau, 0]: a constant state or an arbitrary evaluator.
-
-    Every evaluation is checked to be finite and nonnegative.
-    """
-
-    def __init__(self, fn: Callable[[float], SystemState]):
-        self._fn = fn
-
-    @classmethod
-    def constant(cls, state: SystemState) -> "History":
-        return cls(lambda _t: state)
-
-    def eval(self, t: float) -> SystemState:
-        s = SystemState(*self._fn(t))
-        for name, v in zip(("Q", "M", "E"), s):
-            if not (math.isfinite(v) and v >= 0.0):
-                raise InvalidStateError(f"history {name}({t}) = {v!r}")
-        return s
-
-
-def scaled_equilibrium_history(eq: Equilibrium, factor: float = 1.1) -> History:
-    """Constant history at the equilibrium scaled componentwise by `factor`."""
+def scaled_equilibrium_history(eq: Equilibrium, factor: float = 1.1) -> SystemState:
+    """The history at the equilibrium scaled componentwise by `factor`."""
     if not (math.isfinite(factor) and factor >= 0.0):
         raise ValueError(f"factor must be finite and nonnegative, got {factor!r}")
-    return History.constant(SystemState(factor * eq.Q, factor * eq.M, factor * eq.E))
+    return SystemState(factor * eq.Q, factor * eq.M, factor * eq.E)
 
 
 @dataclass(frozen=True)
@@ -126,10 +105,11 @@ class Trajectory:
     E, dQ, dM, dE are read-only strided views of it, built on first use;
     their slices are views too.  `states` holds the mesh states as
     SystemState tuples, built on first use.  `state(t)` is the dense output.
+    `history` is the constant state on [-tau, 0].
     """
 
     params: ModelParams
-    history: History
+    history: SystemState
     dt: float
     rows: memoryview
 
@@ -156,7 +136,7 @@ class Trajectory:
         if not (lo <= t <= hi):  # NaN fails too
             raise ValueError(f"t={t!r} outside [{t0!r}, {self.t_end!r}]")
         if t <= 0.0:
-            return self.history.eval(max(t, t0))
+            return self.history
         i = int(t / dt)
         if i > last:
             i = last
@@ -194,12 +174,16 @@ def mesh_step(tau: float, max_step: float | None) -> float:
 
 def integrate(
     p: ModelParams,
-    history: History,
+    history: SystemState,
     t_end: float,
     *,
     max_step: float | None = None,
 ) -> Trajectory:
-    """Integrate from the history up to (the next mesh point at or past) t_end."""
+    """Integrate from the constant history up to (the next mesh point at or past) t_end.
+
+    Raises InvalidStateError if a component of the history is not finite
+    and nonnegative.
+    """
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise ValueError("t_end must be positive and finite")
     tau = p.tau
@@ -211,9 +195,10 @@ def integrate(
             f"at most {_MAX_STEPS} are allowed"
         )
     n_steps = max(1, math.ceil(steps - 1e-12))
-    y0 = history.eval(0.0)
-    d0 = history.eval(-tau) if tau > 0.0 else y0
-    buf = _hill_rows(p, history, dt, n_steps, y0, d0)
+    for name, v in zip(_COMPONENTS, history):
+        if not (math.isfinite(v) and v >= 0.0):
+            raise InvalidStateError(f"history {name} = {v!r}")
+    buf = _hill_rows(p, history, dt, n_steps)
     return Trajectory(p, history, dt, memoryview(buf).cast("d").toreadonly())
 
 
@@ -224,17 +209,16 @@ def _state_error(Qn: float, Mn: float, En: float, t_next: float, t: float) -> Nu
     return InvariantViolationError(f"component reached {min(Qn, Mn, En)!r} at t={t_next!r}", t)
 
 
-def _hill_rows(
-    p: ModelParams, history: History, dt: float, n_steps: int, y0: SystemState, d0: SystemState
-) -> bytearray:
+def _hill_rows(p: ModelParams, history: SystemState, dt: float, n_steps: int) -> bytearray:
     """The n_steps + 1 packed mesh rows, with the Hill field written out.
 
     Each evaluation takes the operations of HillRates.beta, g and f in their
     order, branches included, so every float is that of the composed rates
     (the tests hold it to a composed stepper of their own); -delta, -mu and
-    -k are bound once, which is exact.  The derivative at a
-    mesh point is computed at the top of the loop, so the first one is no
-    special case.  A stage E of exactly -1, where beta divides by zero, lies
+    -k are bound once, which is exact.  Before the first delay both delayed
+    fluxes are the history's, computed once.  The derivative at a mesh
+    point is computed at the top of the loop, so the first one is no special
+    case.  A stage E of exactly -1, where beta divides by zero, lies
     below the floor: it raises InvariantViolationError at the last accepted
     mesh time.
     """
@@ -247,9 +231,8 @@ def _hill_rows(
     inf, floor = math.inf, _NEG_FLOOR
     half = 0.5 * dt
     sixth = dt / 6.0
-    Q, M, E = y0
-    Qf, _, Ef = d0
-    rf = rw * (beta0 * Ef / (1.0 + Ef)) * Qf  # the delayed flux of mesh point 0
+    Q, M, E = history
+    rh = rf = rw * (beta0 * E / (1.0 + E)) * Q  # the history's flux, read until the first delay
     t = 0.0
     buf = bytearray(56 * (n_steps + 1))
     pack, unpack_two, unpack_QE = _pack_row, _unpack_two_rows, _unpack_QE
@@ -270,9 +253,9 @@ def _hill_rows(
             if delayed:
                 # stages 2 and 3 read at t + dt/2 - tau (segment j - m), stage 4
                 # and mesh point j + 1 at t + dt - tau (mesh point j + 1 - m)
-                tq = t + half - tau
                 i = j - m
                 if i >= 0:
+                    tq = t + half - tau
                     ti, Q0, _, E0, dQ0, _, dE0, _, Q1, _, E1, dQ1, _, dE1 = unpack_two(buf, 56 * i)
                     s = (tq - ti) / dt
                     s2, u2 = s * s, (1.0 - s) ** 2
@@ -280,15 +263,11 @@ def _hill_rows(
                     w1, v1 = s2 * (3.0 - 2.0 * s), dt * (s2 * (s - 1.0))
                     Qh = w0 * Q0 + v0 * dQ0 + w1 * Q1 + v1 * dQ1
                     Eh = w0 * E0 + v0 * dE0 + w1 * E1 + v1 * dE1
-                else:
-                    Qh, _, Eh = history.eval(tq)
+                    rh = rw * (beta0 * Eh / (1.0 + Eh)) * Qh
                 i = j + 1 - m
                 if i >= 0:
                     Qf, Ef = unpack_QE(buf, 56 * i + 8)
-                else:
-                    Qf, _, Ef = history.eval(i * dt)
-                rh = rw * (beta0 * Eh / (1.0 + Eh)) * Qh
-                rf = rw * (beta0 * Ef / (1.0 + Ef)) * Qf
+                    rf = rw * (beta0 * Ef / (1.0 + Ef)) * Qf
             Q2, M2, E2 = Q + half * kQ1, M + half * kM1, E + half * kE1
             gQ, b = G * Q2, beta0 * E2 / (1.0 + E2)
             try:

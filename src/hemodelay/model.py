@@ -98,7 +98,7 @@ class ModelParams:
 
     Every set is checked when it is built (dataclasses.replace included)
     against the model's box: delta, mu, k, beta0, G, a, K > 0, gamma,
-    tau >= 0, the scalars finite and r > 1; one ValueError names each
+    tau >= 0, every field finite and r > 1; one ValueError names each
     violation.  rates must be of exactly type HillRates: a subclass that
     overrides a rate would be computed with the written-out Hill formulas
     silently.
@@ -126,6 +126,8 @@ class ModelParams:
             *((getattr(hr, n) > 0.0, f"rate parameter {n} must be positive")
               for n in ("beta0", "G", "a", "K")),
             (hr.r > 1.0, "rate parameter r must exceed 1"),
+            (all(map(math.isfinite, (hr.beta0, hr.G, hr.a, hr.K, hr.r))),
+             "rate parameters must be finite"),
         ) if not ok]
         if bad:
             raise ValueError("; ".join(bad))

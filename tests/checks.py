@@ -82,7 +82,8 @@ class CountingRates(HillRates):
 def composed_trajectory(p, history, t_end: float, max_step: float | None = None,
                         rates=None) -> Trajectory:
     """integrate(p, history, t_end, max_step=max_step) with the field composed
-    from the bound beta, g and f of `rates` (p.rates by default).
+    from the bound beta, g and f of `rates` (p.rates by default), from the
+    constant SystemState `history`.
 
     The reference that dde._hill_rows, which writes the Hill field out,
     matches bit for bit: the same mesh, delayed reads, fluxes and RK4
@@ -105,9 +106,8 @@ def composed_trajectory(p, history, t_end: float, max_step: float | None = None,
         gQ, b = g(Q), beta(Q, E)
         return nd * Q - gQ - b * Q + (flux if delayed else rw * b * Q), nmu * M + gQ, nk * E + f(M)
 
-    Q, M, E = history.eval(0.0)
-    Qf, _, Ef = history.eval(-tau) if delayed else (Q, M, E)
-    rh = rf = rw * beta(Qf, Ef) * Qf
+    Q, M, E = history
+    rh = rf = rw * beta(Q, E) * Q
     t = 0.0
     rows: list[float] = []
     for j in range(n_steps + 1):
@@ -129,12 +129,12 @@ def composed_trajectory(p, history, t_end: float, max_step: float | None = None,
                 Qh = w0 * Q0 + v0 * dQ0 + w1 * Q1 + v1 * dQ1
                 Eh = w0 * E0 + v0 * dE0 + w1 * E1 + v1 * dE1
             else:
-                Qh, _, Eh = history.eval(tq)
+                Qh, _, Eh = history
             i = j + 1 - m
             if i >= 0:
                 Qf, Ef = rows[7 * i + 1], rows[7 * i + 3]
             else:
-                Qf, _, Ef = history.eval(i * dt)
+                Qf, _, Ef = history
             rh = rw * beta(Qh, Eh) * Qh
             rf = rw * beta(Qf, Ef) * Qf
         kQ2, kM2, kE2 = field(Q + half * kQ1, M + half * kM1, E + half * kE1, rh)

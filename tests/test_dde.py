@@ -11,7 +11,6 @@ import pytest
 from hemodelay import (
     DivergenceError,
     HillRates,
-    History,
     InvalidStateError,
     InvariantViolationError,
     NumericalError,
@@ -62,31 +61,30 @@ def sine_trajectory(dt: float = 0.1, t_end: float = 600.0) -> Trajectory:
     )
     derivs = tuple(SystemState(*(w * math.cos(w * t),) * 3) for t in times)
     return packed_trajectory(
-        default_params(tau=0.5), History.constant(SystemState(2.0, 2.0, 2.0)), dt, times, states, derivs
+        default_params(tau=0.5), SystemState(2.0, 2.0, 2.0), dt, times, states, derivs
     )
 
 
 class TestHistory:
+    """The history is one SystemState, the constant initial data on [-tau, 0]."""
+
     def test_constant_roundtrip(self):
-        h = History.constant(SystemState(1.0, 2.0, 3.0))
+        h = SystemState(1.0, 2.0, 3.0)
+        traj = integrate(default_params(tau=2.0), h, 5.0)
+        assert traj.history is h
         for t in (-2.0, -0.5, 0.0):
-            assert h.eval(t) == SystemState(1.0, 2.0, 3.0)
+            assert traj.state(t) is h
 
     @pytest.mark.parametrize("state", [(-1.0, 1.0, 1.0), (1.0, math.nan, 1.0),
                                        (1.0, 1.0, math.inf)])
     def test_rejects_bad_values(self, state):
-        h = History.constant(SystemState(*state))
-        with pytest.raises(InvalidStateError):
-            h.eval(0.0)
-
-    def test_callable_history(self):
-        h = History(lambda t: SystemState(1.0 + t * t, 2.0, 3.0))
-        assert h.eval(-1.0).Q == 2.0
+        with pytest.raises(InvalidStateError, match="history"):
+            integrate(default_params(tau=1.0), SystemState(*state), 1.0)
 
     def test_scaled_equilibrium(self, params):
         eq = positive_equilibrium(params, 0.0)
-        h = scaled_equilibrium_history(eq, factor=1.1)
-        s = h.eval(0.0)
+        s = scaled_equilibrium_history(eq, factor=1.1)
+        assert type(s) is SystemState
         assert s.Q == pytest.approx(1.1 * eq.Q, rel=1e-15)
         assert s.M == pytest.approx(1.1 * eq.M, rel=1e-15)
         assert s.E == pytest.approx(1.1 * eq.E, rel=1e-15)
@@ -184,7 +182,7 @@ class TestIntegrateAccuracy:
         for tau in (0.5, 1.4):
             p = default_params(tau=tau)
             eq = positive_equilibrium(p, tau)
-            traj = integrate(p, History.constant(eq.state), 1000.0)
+            traj = integrate(p, eq.state, 1000.0)
             dev = max(
                 abs(s[i] - eq.state[i]) / (1.0 + abs(eq.state[i]))
                 for s in traj.states
@@ -222,7 +220,7 @@ class TestIntegrateAccuracy:
 
 class TestIntegrateErrors:
     def test_rejects_nonpositive_t_end(self, params):
-        h = History.constant(SystemState(1.0, 1.0, 1.0))
+        h = SystemState(1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="t_end"):
             integrate(params, h, 0.0)
         with pytest.raises(ValueError, match="t_end"):
@@ -230,12 +228,12 @@ class TestIntegrateErrors:
 
     @pytest.mark.parametrize("t_end", [math.inf, math.nan])
     def test_rejects_nonfinite_t_end(self, params, t_end):
-        h = History.constant(SystemState(1.0, 1.0, 1.0))
+        h = SystemState(1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="t_end must be positive and finite"):
             integrate(params, h, t_end)
 
     def test_rejects_nonpositive_max_step(self, params):
-        h = History.constant(SystemState(1.0, 1.0, 1.0))
+        h = SystemState(1.0, 1.0, 1.0)
         for max_step in (0.0, math.inf):
             with pytest.raises(ValueError, match="max_step"):
                 integrate(params, h, 1.0, max_step=max_step)
@@ -250,34 +248,27 @@ class TestIntegrateErrors:
         ],
     )
     def test_refuses_too_many_steps_before_allocating(self, tau, t_end, max_step, match):
-        h = History.constant(SystemState(1.0, 1.0, 1.0))
+        h = SystemState(1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match=match) as exc:
             integrate(default_params(tau=tau), h, t_end, max_step=max_step)
         assert "at most 10000000 are allowed" in str(exc.value)
 
     def test_rejects_invalid_params(self):
         # a set with mu = 0 is refused when it is built, before integrate runs
-        h = History.constant(SystemState(1.0, 1.0, 1.0))
+        h = SystemState(1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="mu must be positive"):
             integrate(dataclasses.replace(default_params(), mu=0.0), h, 1.0)
 
     def test_bad_history_raises_invalid_state(self, params):
-        h = History.constant(SystemState(-1.0, 1.0, 1.0))
+        h = SystemState(-1.0, 1.0, 1.0)
         with pytest.raises(InvalidStateError):
             integrate(params, h, 1.0)
-
-    def test_bad_history_inside_the_delay_interval(self):
-        # valid at 0 and -tau, negative in between: an input error, not a divergence
-        p = default_params(tau=1.0)
-        h = History(lambda t: SystemState(1.0, 1.0 if t < -0.9 or t > -0.1 else -1.0, 1.0))
-        with pytest.raises(InvalidStateError, match="history"):
-            integrate(p, h, 5.0)
 
     def test_negative_overshoot_raises_invariant_violation(self):
         # k*dt = 4.004 with f(M) = 0 (M**r overflows) puts stage 2's E just
         # below -1, where beta is about 250: Q overshoots below the floor
         p = dataclasses.replace(default_params(tau=1.0), k=4.004 * 64.0)
-        h = History.constant(SystemState(1.0, 1e300, 1.0))
+        h = SystemState(1.0, 1e300, 1.0)
         with pytest.raises(InvariantViolationError) as exc:
             integrate(p, h, 10.0)
         assert exc.value.last_time == 0.0
@@ -288,7 +279,7 @@ class TestIntegrateErrors:
         # k*dt = 4 with f(M) = 0 puts stage 2's E at exactly 1 - 2 = -1, where
         # beta divides by zero
         p = dataclasses.replace(default_params(tau=tau), k=256.0)
-        h = History.constant(SystemState(1.0, 1e300, 1.0))
+        h = SystemState(1.0, 1e300, 1.0)
         with pytest.raises(InvariantViolationError, match="E reached -1") as exc:
             integrate(p, h, 1.0)
         assert exc.value.last_time == 0.0
@@ -297,7 +288,7 @@ class TestIntegrateErrors:
         # with M = 0 the feedback is a = 1e308, and the E update overflows
         rates = dataclasses.replace(default_params().rates, a=1e308)
         p = dataclasses.replace(default_params(tau=1.0), rates=rates)
-        h = History.constant(SystemState(0.0, 0.0, 0.0))
+        h = SystemState(0.0, 0.0, 0.0)
         with pytest.raises(DivergenceError) as exc:
             integrate(p, h, 10.0)
         assert exc.value.last_time == 0.0
@@ -344,17 +335,10 @@ class TestTrajectoryBits:
             "7f6cc47e78678a56a3bcccbb72465abcc1ddabfd640497b7de0fcce5ff6dde58"
         )
 
-    def test_nonconstant_history(self):
-        h = History(lambda t: SystemState(1.0 + t * t, 2.0, 3.0))
-        traj = integrate(default_params(tau=1.4), h, 30.0)
-        assert trajectory_digest(traj) == (
-            "19a89a811f44aed958b203736d47706b9a58975de93a960cfdde50cbc1101a36"
-        )
-
     def test_generic_rate_functions(self):
         # the composed stepper that integrate is held to, on rates whose beta
         # falls with Q
-        h = History.constant(SystemState(1.0, 2.0, 3.0))
+        h = SystemState(1.0, 2.0, 3.0)
         p = default_params(tau=1.4)
         traj = checks.composed_trajectory(p, h, 30.0, rates=checks.DampedRates())
         assert trajectory_digest(traj) == (
@@ -377,7 +361,7 @@ class TestInlineHillField:
     @pytest.mark.parametrize("tau", [0.0, 0.5, 1.4, 2.9])
     def test_rows_match_the_generic_path(self, tau, seed):
         p = self.hill_params(seed, tau)
-        history = History.constant(SystemState(3.6, 7.3, 0.12))
+        history = SystemState(3.6, 7.3, 0.12)
         # the default tau/64, the sweep's 0.05 and one step per delay
         for max_step in (None, 0.05) + ((tau,) if tau > 0.0 else ()):
             inline = integrate(p, history, 12.0, max_step=max_step)
@@ -429,7 +413,7 @@ class TestInlineHillField:
                 (p, (0.0, 0.0, 0.0)),
                 (fast_mu, (2.9, 6.6, 0.24)),
             ):
-                history = History.constant(SystemState(*state))
+                history = SystemState(*state)
                 inline = outcome(integrate, q, history, 12.0)
                 generic = outcome(
                     checks.composed_trajectory, q, history, 12.0,
@@ -470,7 +454,7 @@ class TestInterpolate:
 
     def test_history_side_queries(self):
         p, eq, traj = perturbed_run(1.0, 5.0)
-        expect = scaled_equilibrium_history(eq).eval(-0.5)
+        expect = scaled_equilibrium_history(eq)
         assert traj.state(-0.5) == expect
         assert traj.state(-1.0) == expect
 
@@ -496,7 +480,7 @@ class TestInterpolate:
         states = tuple(SystemState(*(y(t),) * 3) for t in times)
         derivs = tuple(SystemState(*(dy(t),) * 3) for t in times)
         traj = packed_trajectory(
-            default_params(tau=1.0), History.constant(SystemState(3.0, 3.0, 3.0)), dt, times, states, derivs
+            default_params(tau=1.0), SystemState(3.0, 3.0, 3.0), dt, times, states, derivs
         )
         for t in (0.1, 0.77, 2.34, 4.9, 4.999):
             got = traj.state(t)
@@ -669,7 +653,7 @@ class TestClassify:
         derivs = tuple(
             SystemState(1e-5 * math.exp(0.01 * t), 0.0, 0.0) for t in times
         )
-        traj = packed_trajectory(p, History.constant(eq.state), 1.0, times, states, derivs)
+        traj = packed_trajectory(p, eq.state, 1.0, times, states, derivs)
         assert classify_asymptotics(traj, eq, 100.0) == "diverging"
 
     def test_transient_must_precede_end(self, standard_runs):

@@ -100,6 +100,13 @@ def test_validate_rejects_nonpositive_hill_scales():
         assert_refused_when_built(field, **{field: value})
 
 
+@pytest.mark.parametrize("field", ["beta0", "G", "a", "K", "r"])
+def test_validate_rejects_infinite_rates(field):
+    # unrefused, K = inf gives a tau_max of 2.989 but no positive equilibrium
+    # below it, and G = inf no tau_max
+    assert_refused_when_built("finite", **{field: math.inf})
+
+
 def test_every_violation_is_named_in_order():
     # delta, gamma, tau, mu, k and every rate field out of the box at once
     with pytest.raises(ValueError) as exc:
