@@ -181,8 +181,9 @@ def integrate(
 ) -> Trajectory:
     """Integrate from the constant history up to (the next mesh point at or past) t_end.
 
-    Raises InvalidStateError if a component of the history is not finite
-    and nonnegative.
+    The history is taken as a SystemState (a triple of another type is
+    converted; any other length raises TypeError), and InvalidStateError is
+    raised if a component of it is not finite and nonnegative.
     """
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise ValueError("t_end must be positive and finite")
@@ -195,6 +196,7 @@ def integrate(
             f"at most {_MAX_STEPS} are allowed"
         )
     n_steps = max(1, math.ceil(steps - 1e-12))
+    history = SystemState._make(history)
     for name, v in zip(_COMPONENTS, history):
         if not (math.isfinite(v) and v >= 0.0):
             raise InvalidStateError(f"history {name} = {v!r}")

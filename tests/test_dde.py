@@ -71,9 +71,17 @@ class TestHistory:
     def test_constant_roundtrip(self):
         h = SystemState(1.0, 2.0, 3.0)
         traj = integrate(default_params(tau=2.0), h, 5.0)
-        assert traj.history is h
+        assert traj.history == h and type(traj.history) is SystemState
         for t in (-2.0, -0.5, 0.0):
-            assert traj.state(t) is h
+            assert traj.state(t) is traj.history
+
+    def test_history_is_taken_as_a_state(self):
+        # a plain triple reads back as a SystemState, like every other read
+        traj = integrate(default_params(tau=1.0), (1.0, 2.0, 3.0), 2.0)
+        assert type(traj.state(-0.5)) is SystemState
+        for bad in ((1.0, 2.0), (1.0, 2.0, 3.0, -4.0)):
+            with pytest.raises(TypeError):
+                integrate(default_params(tau=1.0), bad, 2.0)
 
     @pytest.mark.parametrize("state", [(-1.0, 1.0, 1.0), (1.0, math.nan, 1.0),
                                        (1.0, 1.0, math.inf)])
