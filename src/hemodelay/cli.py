@@ -21,7 +21,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, fields, replace
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable
 
@@ -51,14 +51,25 @@ _RK4_STABILITY_LIMIT = 2.785
 # reproduction runs: (tau, t_end, transient), windows sized to hold several
 # oscillation periods past the transient
 _REPRO_RUNS = ((0.5, 1000.0, 100.0), (1.4, 1200.0, 400.0), (2.8, 2500.0, 800.0), (2.9, 2500.0, 800.0))
+_TRAJ_HEADER = ["t", "Q", "M", "E"]
+_CHUNK = 1024  # CSV rows formatted by one %
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> Path:
-    """One CSV with every cell written by %s: a float as its repr, a str as is."""
-    row_format = ",".join(["%s"] * len(header)) + "\n"
+    """One CSV with every cell written by %s: a float as its repr, a str as is.
+
+    Rows are formatted _CHUNK at a time, with one % over the block's cells; a
+    row whose length is not len(header) raises TypeError.
+    """
+    width = len(header)
+    row_format = ",".join(["%s"] * width) + "\n"
+    rows = iter(rows)
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row_format % row for row in rows)
+        while block := list(islice(rows, _CHUNK)):
+            if set(map(len, block)) != {width}:
+                raise TypeError(f"every row of {path.name} must have {width} cells")
+            fh.write(row_format * len(block) % tuple(chain.from_iterable(block)))
     return path
 
 
@@ -287,15 +298,6 @@ def _simulate_once(
     return traj, verdict, detect_period(traj, "Q", transient)
 
 
-def _write_trajectory(path: Path, traj: Trajectory, stride: int = 1) -> Path:
-    """Every stride-th mesh row (t, Q, M, E), each float as its repr: _write_csv's bytes."""
-    rows = islice(zip(traj.times, traj.Q, traj.M, traj.E), 0, None, stride)
-    with path.open("w") as fh:
-        fh.write("t,Q,M,E\n")
-        fh.writelines(f"{t!r},{q!r},{m!r},{e!r}\n" for t, q, m, e in rows)
-    return path
-
-
 def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
     params, opts, cfg = _load(args)
     if opts.tau is None:
@@ -309,7 +311,8 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
         params, tau, t_end, transient, opts.max_step, opts.history
     )
     out = args.out if args.out is not None else args.out_dir / f"sim_tau{tau:g}.csv"
-    _write_trajectory(out, traj, args.stride)
+    rows = islice(zip(traj.times, traj.Q, traj.M, traj.E), 0, None, args.stride)
+    _write_csv(out, _TRAJ_HEADER, rows)
     print(f"verdict: {verdict}")
     if period is not None:
         print(f"period: {period.period:.3f} +- {period.std:.3f} over {period.n_peaks} peaks")
@@ -439,7 +442,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> tuple[dict, int]:
         )
         verdicts[tau] = verdict
         periods[tau] = None if period is None else period.period
-        outputs.append(_write_trajectory(args.out_dir / f"sim_tau{tau:g}.csv", traj))
+        rows = zip(traj.times, traj.Q, traj.M, traj.E)
+        outputs.append(_write_csv(args.out_dir / f"sim_tau{tau:g}.csv", _TRAJ_HEADER, rows))
     regimes_ok = (
         verdicts[0.5] == "converging"
         and verdicts[2.9] == "converging"

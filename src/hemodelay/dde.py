@@ -52,6 +52,7 @@ import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .equilibria import Equilibrium
 from .model import (
@@ -308,8 +309,7 @@ def _hill_rows(p: ModelParams, history: SystemState, dt: float, n_steps: int) ->
     return buf
 
 
-@dataclass(frozen=True)
-class PeriodEstimate:
+class PeriodEstimate(NamedTuple):
     period: float
     std: float
     n_peaks: int

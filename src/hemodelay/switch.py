@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .cubic import cubic_prime, cubic_value, real_cubic_roots
@@ -59,16 +58,14 @@ class OmegaRoot(NamedTuple):
     dh_sign: int
 
 
-@dataclass(frozen=True)
-class SnCurve:
+class SnCurve(NamedTuple):
     n: int
     branch: int
     samples: tuple[tuple[float, float], ...]  # (tau, S_n(tau)) where defined
     roots: tuple[float, ...]  # refined crossing delays
 
 
-@dataclass(frozen=True)
-class SwitchReport:
+class SwitchReport(NamedTuple):
     tau_star: float
     omega_star: float
     n: int
@@ -80,8 +77,7 @@ class SwitchReport:
     refined: bool
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     curves: tuple[SnCurve, ...]
     reports: tuple[SwitchReport, ...]
     # half-open intervals (lo, hi, verdict) tiling [0, tau_max)
@@ -376,7 +372,7 @@ def _mark_simultaneous(reports: list[SwitchReport]) -> list[SwitchReport]:
         while j + 1 < len(out) and out[j + 1].tau_star - out[i].tau_star < 1e-8:
             j += 1
         if j > i:
-            out[i : j + 1] = [replace(r, direction="unclassified") for r in out[i : j + 1]]
+            out[i : j + 1] = [r._replace(direction="unclassified") for r in out[i : j + 1]]
         i = j + 1
     return out
 

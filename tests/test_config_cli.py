@@ -21,7 +21,7 @@ from hemodelay import (
     positive_equilibrium,
     tau_max,
 )
-from hemodelay.cli import main
+from hemodelay.cli import _CHUNK, _write_csv, main
 from hemodelay.config import (
     ConfigError,
     RunOptions,
@@ -362,6 +362,40 @@ class TestScanCommand:
         monkeypatch.setattr("hemodelay.cli.run_scan", boom)
         code = main(["scan", "--out-dir", str(tmp_path), "--grid-step", "0.01"])
         assert code == 3
+
+
+class TestWriteCsv:
+    HEADER = ["t", "n", "label", "x"]
+
+    @staticmethod
+    def rows(count):
+        rng = random.Random(count)
+        cells = [0.1, -0.0, 1e-300, 2.5e17, math.inf, math.nan, 7, -3, 0, "", "sustained"]
+        return [(i * 0.005, rng.choice(cells), rng.choice(cells), rng.uniform(-1e3, 1e3))
+                for i in range(count)]
+
+    @pytest.mark.parametrize(
+        "count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]
+    )
+    def test_blocks_match_a_per_row_join(self, tmp_path, count):
+        rows = self.rows(count)
+        expected = "".join(",".join(map(str, row)) + "\n" for row in [self.HEADER, *rows])
+        path = _write_csv(tmp_path / "rows.csv", self.HEADER, iter(rows))
+        assert path.read_text() == expected
+
+    @pytest.mark.parametrize("at", [0, _CHUNK - 1, _CHUNK, 2 * _CHUNK + 2])
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_row_of_wrong_width_raises(self, tmp_path, at, width):
+        rows = self.rows(2 * _CHUNK + 3)
+        rows[at] = tuple(range(width))
+        with pytest.raises(TypeError, match="must have 4 cells"):
+            _write_csv(tmp_path / "rows.csv", self.HEADER, rows)
+
+    def test_widths_that_cancel_in_a_block_raise(self, tmp_path):
+        # 3 + 5 cells fill two rows of 4: only a per-row width check sees it
+        rows = [(1.0, 2.0, 3.0), (4.0, 5.0, 6.0, 7.0, 8.0)]
+        with pytest.raises(TypeError, match="must have 4 cells"):
+            _write_csv(tmp_path / "rows.csv", self.HEADER, rows)
 
 
 class TestSimulateCommand:
