@@ -23,7 +23,7 @@ import time
 from dataclasses import asdict, fields, replace
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .config import ConfigError, RunOptions, default_config_path, parse_config
 from .dde import (
@@ -39,7 +39,7 @@ from .equilibria import Equilibrium, positive_equilibrium, tau_max, trivial_equi
 from .linearization import CharCoeffs, LinCoeffs
 from .linearization import char_coeffs, linearize  # noqa: F401 (traced by name in perfbench)
 from .model import InvalidStateError, ModelParams, NumericalError, SystemState
-from .switch import ScanResult, linear_coeffs, positive_root_intervals
+from .switch import ScanResult, SwitchReport, linear_coeffs, positive_root_intervals
 from .switch import scan as run_scan
 
 _NO_EQ_SPAN = 10.0  # tau span for outputs when no positive equilibrium exists
@@ -55,7 +55,7 @@ _TRAJ_HEADER = ["t", "Q", "M", "E"]
 _CHUNK = 1024  # CSV rows formatted by one %
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> Path:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[tuple]) -> Path:
     """One CSV with every cell written by %s: a float as its repr, a str as is.
 
     Rows are formatted _CHUNK at a time, with one % over the block's cells; a
@@ -241,12 +241,8 @@ def _scan(
     outputs.append(
         _write_csv(
             out_dir / "switches.csv",
-            ["tau_star", "omega_star", "n", "branch", "transversality", "direction", "residual", "refined"],
-            [
-                (r.tau_star, r.omega_star, r.n, r.branch, r.transversality,
-                 r.direction, r.residual, int(r.refined))
-                for r in result.reports
-            ],
+            SwitchReport._fields,
+            [(*r[:-1], int(r.refined)) for r in result.reports],
         )
     )
     outputs.append(
@@ -345,12 +341,8 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[dict, int]:
         _traj, verdict, period = _simulate_once(
             params, tau, t_end, transient, max_step, opts.history
         )
-        rows.append(
-            (tau, verdict,
-             "" if period is None else period.period,
-             "" if period is None else period.std,
-             "" if period is None else period.amplitude_ratio)
-        )
+        cells = ("", "", "") if period is None else (period.period, period.std, period.amplitude_ratio)
+        rows.append((tau, verdict, *cells))
         print(f"tau={tau:g}: {verdict}" + (f", period {period.period:.2f}" if period else ""))
     out = _write_csv(
         args.out_dir / "sweep.csv",
