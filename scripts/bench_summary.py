@@ -28,8 +28,10 @@ For each workload and side the file holds the median and quartiles
 (statistics.quantiles, n=4, exclusive method) of every end-to-end metric
 named in BENCHMARK.json, the raw runs, the pairs the change won (ties
 count for neither side) and a verdict per metric, together with both
-commits, the sha256 and line count of each side's `src/hemodelay` (in total
-and per module), the seeds, the Python version and `nproc`.  The verdicts,
+commits, the sha256 of each side's `src/hemodelay`, the line counts of its
+`src/hemodelay` and `tests` (in total and per module: `src_lines`,
+`src_module_lines`, `tests_lines`, `tests_module_lines`), the seeds, the
+Python version and `nproc`.  The verdicts,
 with a metric's bound taken relative to the parent's median:
 - `gain`: the change won at least 9 in 10 pairs, and the medians differ in
   the better direction by more than the parent's q3 - q1;
@@ -75,10 +77,15 @@ def extract(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def module_lines(tree: Path) -> dict[str, int]:
-    """Lines in each of the tree's src/hemodelay/*.py, by module name."""
-    return {f.stem: len(f.read_text().splitlines())
-            for f in sorted((tree / "src" / "hemodelay").glob("*.py"))}
+def line_counts(tree: Path) -> dict:
+    """Lines in the tree's src/hemodelay/*.py and tests/*.py, in total and
+    per file by module name."""
+    counts = {}
+    for key, directory in (("src", tree / "src" / "hemodelay"), ("tests", tree / "tests")):
+        per_file = {f.stem: len(f.read_text().splitlines()) for f in sorted(directory.glob("*.py"))}
+        counts[f"{key}_lines"] = sum(per_file.values())
+        counts[f"{key}_module_lines"] = per_file
+    return counts
 
 
 def max_rss_mb(usage: resource.struct_rusage) -> float:
@@ -232,8 +239,7 @@ def main(argv: list[str] | None = None) -> int:
         report["workloads"][workload] = {
             side: {
                 "src_sha256": sorted({r["src_sha256"] for r in side_runs}),
-                "src_lines": sum(module_lines(trees[side]).values()),
-                "src_module_lines": module_lines(trees[side]),
+                **line_counts(trees[side]),
                 "failed": sum(r["failed"] for r in side_runs),
                 "attempted": sum(r["attempted"] for r in side_runs),
                 "summary": summary(side_runs, metrics),

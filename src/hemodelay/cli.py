@@ -23,7 +23,7 @@ import time
 from dataclasses import asdict, fields, replace
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .config import ConfigError, RunOptions, default_config_path, parse_config
 from .dde import (
@@ -51,6 +51,7 @@ _RK4_STABILITY_LIMIT = 2.785
 # reproduction runs: (tau, t_end, transient), windows sized to hold several
 # oscillation periods past the transient
 _REPRO_RUNS = ((0.5, 1000.0, 100.0), (1.4, 1200.0, 400.0), (2.8, 2500.0, 800.0), (2.9, 2500.0, 800.0))
+_NEAR_THRESHOLD = 1e-6  # trivial_limit's offset below tau_max
 _TRAJ_HEADER = ["t", "Q", "M", "E"]
 _CHUNK = 1024  # CSV rows formatted by one %
 
@@ -192,16 +193,14 @@ def _cmd_equilibria(args: argparse.Namespace) -> tuple[dict, int]:
 _COEFF_HEADER = ["tau", *LinCoeffs._fields[:6], *CharCoeffs._fields[:9]]
 
 
-def _coeff_rows(params: ModelParams, grid: list[float]) -> list[tuple]:
-    """One row per grid delay with a positive equilibrium."""
-    rows = []
-    for t in grid:
-        built = linear_coeffs(params, t)
-        if built is None:
-            continue
-        lc, cc = built
-        rows.append((t, *lc[:6], *cc[:9]))
-    return rows
+def _coefficients(params: ModelParams, grid: list[float]) -> list[tuple[LinCoeffs, CharCoeffs]]:
+    """linear_coeffs at each grid delay with a positive equilibrium."""
+    return [built for t in grid if (built := linear_coeffs(params, t)) is not None]
+
+
+def _write_coeffs(out_dir: Path, coefficients: list[tuple[LinCoeffs, CharCoeffs]]) -> Path:
+    rows = [(lc.tau, *lc[:6], *cc[:9]) for lc, cc in coefficients]
+    return _write_csv(out_dir / "coeffs.csv", _COEFF_HEADER, rows)
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> tuple[dict, int]:
@@ -209,7 +208,7 @@ def _cmd_coeffs(args: argparse.Namespace) -> tuple[dict, int]:
     tm, grid = _tau_grid(params, opts)
     if tm is None:
         print("no positive equilibrium at any delay; nothing to linearize")
-    out = _write_csv(args.out_dir / "coeffs.csv", _COEFF_HEADER, _coeff_rows(params, grid))
+    out = _write_coeffs(args.out_dir, _coefficients(params, grid))
     return _manifest("coeffs", cfg, params, opts, [out], []), 0
 
 
@@ -352,9 +351,87 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[dict, int]:
     return _manifest("sweep", cfg, params, opts, [out], []), 0
 
 
-def _check(name: str, passed: bool, detail: str) -> dict:
-    print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
-    return {"name": name, "passed": bool(passed), "detail": detail}
+class _Reproduction(NamedTuple):
+    """What the reproduction criteria read: the analysis on the delay grid
+    and the _REPRO_RUNS simulations."""
+
+    tau_max: float
+    trivial_E: float  # f(0)/k
+    near_threshold: Equilibrium | None  # the positive equilibrium at tau_max - _NEAR_THRESHOLD
+    coeffs: list[CharCoeffs]  # at each grid delay with a positive equilibrium
+    intervals: list[tuple[float, float]]
+    scan: ScanResult
+    verdicts: dict[float, str]  # by run delay
+    periods: dict[float, float | None]
+
+
+def _near(x: float | None, ref: float, tol: float) -> bool:
+    return x is not None and abs(x - ref) <= tol
+
+
+def _existence_threshold(q: _Reproduction) -> tuple[bool, str]:
+    return _near(q.tau_max, 2.99, 0.01), f"tau_max = {q.tau_max!r}"
+
+
+def _trivial_limit(q: _Reproduction) -> tuple[bool, str]:
+    eq = q.near_threshold
+    dist = math.inf if eq is None else max(abs(eq.Q), abs(eq.M), abs(eq.E - q.trivial_E))
+    return (
+        _near(q.trivial_E, 2346.4, 0.5) and dist <= 1e-3,
+        f"f(0)/k = {q.trivial_E!r}; distance at tau_max - 1e-6 = {dist!r}",
+    )
+
+
+def _root_window(q: _Reproduction) -> tuple[bool, str]:
+    window_ok = (
+        len(q.intervals) == 1
+        and q.intervals[0][0] <= 1e-12
+        and _near(q.intervals[0][1], 2.92, 0.01)
+    )
+    signs_ok = all(c.b2 > 0.0 and c.b3 < 0.0 for c in q.coeffs if c.tau <= 2.9)
+    return (
+        window_ok and signs_ok,
+        f"intervals = {q.intervals!r}; b2>0 and b3<0 on [0, 2.9]: {signs_ok}",
+    )
+
+
+def _stability_switches(q: _Reproduction) -> tuple[bool, str]:
+    reports = q.scan.reports
+    s1_rootless = not any(r.n >= 1 for r in reports) and all(
+        c.roots == () for c in q.scan.curves if c.n == 1
+    )
+    ok = (
+        [r.direction for r in reports] == ["destabilizing", "stabilizing"]
+        and all(r.refined and r.residual < 1e-8 for r in reports)
+        and _near(reports[0].tau_star, 1.40, 0.05)
+        and _near(reports[1].tau_star, 2.82, 0.02)
+        and s1_rootless
+    )
+    crossings = [(r.tau_star, r.direction, r.residual) for r in reports]
+    return ok, f"crossings = {crossings!r}; S1 rootless: {s1_rootless}"
+
+
+def _regimes(q: _Reproduction) -> tuple[bool, str]:
+    expected = {0.5: "converging", 1.4: "sustained-oscillation",
+                2.8: "sustained-oscillation", 2.9: "converging"}
+    return q.verdicts == expected, f"verdicts = {q.verdicts!r}"
+
+
+def _oscillation_periods(q: _Reproduction) -> tuple[bool, str]:
+    ok = _near(q.periods[1.4], 100.0, 15.0) and _near(q.periods[2.8], 220.0, 25.0)
+    return ok, f"periods = {q.periods!r}"
+
+
+# the reproduction criteria, in the order reproduce reports them: each maps
+# a _Reproduction to (passed, detail) and holds its own reference bands
+_CRITERIA = {
+    "existence_threshold": _existence_threshold,
+    "trivial_limit": _trivial_limit,
+    "root_window": _root_window,
+    "stability_switches": _stability_switches,
+    "regimes": _regimes,
+    "oscillation_periods": _oscillation_periods,
+}
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> tuple[dict, int]:
@@ -368,90 +445,31 @@ def _cmd_reproduce(args: argparse.Namespace) -> tuple[dict, int]:
         manifest["note"] = "no positive equilibrium"
         return manifest, 0
 
-    checks = [_check("existence_threshold", abs(tm - 2.99) <= 0.01, f"tau_max = {tm!r}")]
-    f0k = trivial_equilibrium(params).E
-    eq_near = positive_equilibrium(params, tm - 1e-6)
-    if eq_near is None:
-        dist = math.inf
-    else:
-        dist = max(abs(eq_near.Q), abs(eq_near.M), abs(eq_near.E - f0k))
-    checks.append(
-        _check(
-            "trivial_limit",
-            abs(f0k - 2346.4) <= 0.5 and dist <= 1e-3,
-            f"f(0)/k = {f0k!r}; distance at tau_max - 1e-6 = {dist!r}",
-        )
-    )
-
-    coeff_rows = _coeff_rows(params, grid)
-    outputs.append(_write_csv(args.out_dir / "coeffs.csv", _COEFF_HEADER, coeff_rows))
+    near_threshold = positive_equilibrium(params, tm - _NEAR_THRESHOLD)
+    coefficients = _coefficients(params, grid)
+    outputs.append(_write_coeffs(args.out_dir, coefficients))
     intervals = positive_root_intervals(params, grid)
-    window_ok = (
-        len(intervals) == 1
-        and intervals[0][0] <= 1e-12
-        and abs(intervals[0][1] - 2.92) <= 0.01
-    )
-    signs_ok = all(
-        row[14] > 0.0 and row[15] < 0.0 for row in coeff_rows if row[0] <= 2.9
-    )
-    checks.append(
-        _check(
-            "root_window",
-            window_ok and signs_ok,
-            f"intervals = {intervals!r}; b2>0 and b3<0 on [0, 2.9]: {signs_ok}",
-        )
-    )
-
     result, scan_outputs = _scan(args.out_dir, params, grid, opts.n_max)
     outputs += scan_outputs
-    refined = [r for r in result.reports if r.refined]
-    s1_rootless = not any(r.n >= 1 for r in result.reports)
-    switches_ok = (
-        len(refined) == 2
-        and len(result.reports) == 2
-        and abs(refined[0].tau_star - 1.40) <= 0.05
-        and refined[0].direction == "destabilizing"
-        and abs(refined[1].tau_star - 2.82) <= 0.02
-        and refined[1].direction == "stabilizing"
-        and s1_rootless
-        and all(r.residual < 1e-8 for r in refined)
-    )
-    checks.append(
-        _check(
-            "stability_switches",
-            switches_ok,
-            "crossings = "
-            + repr([(r.tau_star, r.direction, r.residual) for r in result.reports])
-            + f"; S1 rootless: {s1_rootless}",
-        )
-    )
-
     verdicts: dict[float, str] = {}
     periods: dict[float, float | None] = {}
     for tau, t_end, transient in _REPRO_RUNS:
-        traj, verdict, period = _simulate_once(
+        traj, verdicts[tau], period = _simulate_once(
             params, tau, t_end, transient, opts.max_step, opts.history
         )
-        verdicts[tau] = verdict
         periods[tau] = None if period is None else period.period
         rows = zip(traj.times, traj.Q, traj.M, traj.E)
         outputs.append(_write_csv(args.out_dir / f"sim_tau{tau:g}.csv", _TRAJ_HEADER, rows))
-    regimes_ok = (
-        verdicts[0.5] == "converging"
-        and verdicts[2.9] == "converging"
-        and verdicts[1.4] == "sustained-oscillation"
-        and verdicts[2.8] == "sustained-oscillation"
-    )
-    checks.append(_check("regimes", regimes_ok, f"verdicts = {verdicts!r}"))
-    p14, p28 = periods[1.4], periods[2.8]
-    periods_ok = (
-        p14 is not None
-        and abs(p14 - 100.0) <= 15.0
-        and p28 is not None
-        and abs(p28 - 220.0) <= 25.0
-    )
-    checks.append(_check("oscillation_periods", periods_ok, f"periods = {periods!r}"))
 
+    q = _Reproduction(
+        tm, trivial_equilibrium(params).E, near_threshold, [cc for _, cc in coefficients],
+        intervals, result, verdicts, periods,
+    )
+    checks = []
+    for name, criterion in _CRITERIA.items():
+        passed, detail = criterion(q)
+        print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
+        checks.append({"name": name, "passed": passed, "detail": detail})
     manifest = _manifest("reproduce", cfg, params, opts, outputs, checks)
     return manifest, 0 if all(c["passed"] for c in checks) else 4
 

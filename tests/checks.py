@@ -25,6 +25,8 @@ from hemodelay import (
     HillRates,
     LinCoeffs,
     ModelParams,
+    PeriodEstimate,
+    RunOptions,
     ScanResult,
     Trajectory,
     char_coeffs,
@@ -39,6 +41,7 @@ from hemodelay import (
     scaled_equilibrium_history,
     tau_max,
 )
+from hemodelay.cli import _simulate_once, _tau_grid
 from hemodelay.cubic import cubic_value
 from hemodelay.dde import _state_error, mesh_step
 from hemodelay.model import reward
@@ -192,9 +195,7 @@ OMEGA_STAR_1 = 0.06800618620120236
 TAU_STAR_2 = 2.8239968982956762
 OMEGA_STAR_2 = 0.029174789323648354
 
-# simulation windows (t_end, transient) per delay; probes bracket the switches
-RUN_WINDOWS = {0.5: (1000.0, 100.0), 1.4: (1200.0, 400.0),
-               2.8: (2500.0, 800.0), 2.9: (2500.0, 800.0)}
+# simulation windows (t_end, transient) of the runs bracketing each switch
 PROBE_WINDOWS = {1.3234: (1200.0, 400.0), 1.4234: (1200.0, 400.0),
                  2.774: (2500.0, 800.0), 2.874: (2500.0, 800.0)}
 
@@ -220,30 +221,34 @@ def record(num: int, passed: bool, detail: str) -> bool:
     return passed
 
 
+def timed(fn, *args):
+    """fn(*args) and its wall time in seconds."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - t0
+
+
 class SimRun(NamedTuple):
     tau: float
     traj: Trajectory
     eq: Equilibrium
     transient: float
+    verdict: str
+    period: PeriodEstimate | None
     wall: float
 
 
-def run_case(tau: float, windows: dict[float, tuple[float, float]]) -> SimRun:
-    t_end, transient = windows[tau]
-    p = default_params(tau)
-    eq = positive_equilibrium(p, tau)
-    assert eq is not None
-    start = time.perf_counter()
-    traj = integrate(p, scaled_equilibrium_history(eq), t_end)
-    return SimRun(tau, traj, eq, transient, time.perf_counter() - start)
+def run_case(tau: float, t_end: float, transient: float) -> SimRun:
+    """The reference set run at `tau` as `hemodelay reproduce` runs it."""
+    (traj, verdict, period), wall = timed(
+        _simulate_once, default_params(), tau, t_end, transient, None, None
+    )
+    return SimRun(tau, traj, positive_equilibrium(traj.params, tau), transient, verdict, period, wall)
 
 
-def make_grid(p, step: float = 0.005) -> list[float]:
-    tm = tau_max(p)
-    grid = [0.0]
-    while grid[-1] + step < tm:
-        grid.append(grid[-1] + step)
-    return grid
+def cli_grid(p, step: float | None = None) -> list[float]:
+    """The delay grid the CLI scans for p: i*step below tau_max (step 0.005 by default)."""
+    return _tau_grid(p, RunOptions(grid_step=step))[1]
 
 
 def perturbed_params(seed: int) -> ModelParams:

@@ -21,6 +21,7 @@ from hemodelay import (
     positive_equilibrium,
     tau_max,
 )
+from hemodelay import cli
 from hemodelay.cli import _CHUNK, _write_csv, main
 from hemodelay.config import (
     ConfigError,
@@ -726,14 +727,23 @@ class TestReproduceCommand:
             assert rows, f"{path.name} has no data rows"
             assert all(len(r) == len(header) for r in rows)
 
-    def test_switch_values(self, repro):
+    def test_switch_values(self, repro, scan_result):
+        # the library's scan on the CLI grid, written bit for bit
         _, dirs = repro
         _, rows = read_csv(dirs[0] / "switches.csv")
-        assert len(rows) == 2
-        assert abs(float(rows[0][0]) - 1.40) <= 0.05
-        assert abs(float(rows[1][0]) - 2.82) <= 0.02
-        assert float(rows[0][6]) < 1e-8
-        assert float(rows[1][6]) < 1e-8
+        got = [(float(row[0]), float(row[6])) for row in rows]
+        assert got == [(r.tau_star, r.residual) for r in scan_result.reports]
+        assert all(residual < 1e-8 for _, residual in got)
+
+    def test_checks_are_the_criteria_table(self, repro, reproduction):
+        # reproduce and the acceptance gate evaluate one table, cli._CRITERIA,
+        # on one delay grid and one set of runs, so their verdicts agree
+        want = [
+            dict(zip(("name", "passed", "detail"), (name, *criterion(reproduction[0]))))
+            for name, criterion in cli._CRITERIA.items()
+        ]
+        _, dirs = repro
+        assert load_manifest(dirs[0])["checks"] == want
 
     @pytest.mark.parametrize("flag", ["--t-end", "--transient"])
     def test_window_flags_are_refused(self, tmp_path, flag):

@@ -115,10 +115,10 @@ class TestPositiveEquilibrium:
         assert positive_equilibrium(params, tm - 1e-9) is not None
 
     def test_exact_bits(self, params):
-        # sha256 of repr of every solve on the reference 0.005 grid and at 50
-        # delays of 20 sets drawn from a +-20% box, recorded before the memo
-        # and the one-closure residual were added: any change to a solved
-        # bit moves them
+        # sha256 of repr of every solve on the CLI's 0.005 grid and at 50
+        # delays of 20 sets drawn from a +-20% box (the box recorded before
+        # the memo and the one-closure residual were added): any change to a
+        # solved bit moves them
         rng = random.Random(20261018)
         box = []
         for _ in range(20):
@@ -128,8 +128,8 @@ class TestPositiveEquilibrium:
             rates = hill(beta0=beta0, G=G, a=a, K=K, r=rng.uniform(5.0, 9.0))
             box.append(with_rates(rates, delta=delta, gamma=gamma, mu=mu, k=k))
         cases = {
-            "hill": ([(params, checks.make_grid(params))],
-                     "b3fbab79ba53dec0f0c7d407c5b678b6d3f823631ea05fa800c750e707b6bbc7"),
+            "hill": ([(params, checks.cli_grid(params))],
+                     "bfc7c69a89e964b8d4a7c18f678383f721ef0cfa72ea1eb4aaaebb439c55f852"),
             "box": ([(p, [tau_max(p) * i / 50 for i in range(50)]) for p in box],
                     "89354c1a13d477a9a6dad41444c0520bfa9f65308d1728b8a2b867ba8e0a09be"),
         }
@@ -268,8 +268,8 @@ class TestHillWindow:
         """(params, delays): the reference grid and every 7th point of eight
         +-20% Hill sets, each followed by tau_max*(1 - 10**-k)."""
         ref = default_params()
-        runs = [(ref, checks.make_grid(ref))]
-        runs += [(p, checks.make_grid(p)[::7]) for p in map(checks.perturbed_params, range(8))]
+        runs = [(ref, checks.cli_grid(ref))]
+        runs += [(p, checks.cli_grid(p)[::7]) for p in map(checks.perturbed_params, range(8))]
         return [
             (p, taus + [tau_max(p) * (1.0 - 10.0**-k) for k in (3, 6, 9, 12, 14)])
             for p, taus in runs
@@ -356,7 +356,7 @@ class TestHillWindow:
         monkeypatch.setattr(equilibria, "_hill_window", recorded_window)
         self.fresh_memo(monkeypatch)
         p = default_params()
-        grid = checks.make_grid(p)
+        grid = checks.cli_grid(p)
         windowed = inside = 0
         for tau in grid:
             events.clear()
@@ -388,7 +388,7 @@ class TestHillWindow:
         monkeypatch.setattr(equilibria, "_residual_fn", residual_fn)
         self.fresh_memo(monkeypatch)
         p = default_params()
-        grid = checks.make_grid(p)
+        grid = checks.cli_grid(p)
         for tau in grid:
             positive_equilibrium(p, tau)
         assert len(grid) <= calls[0] <= 13 * len(grid), calls[0] / len(grid)
@@ -399,7 +399,7 @@ class TestHillWindow:
         rng = random.Random(20261019)
         for p in (default_params(), checks.perturbed_params(5), checks.perturbed_params(3)):
             tm = tau_max(p)
-            grid = checks.make_grid(p, 0.01)
+            grid = checks.cli_grid(p, 0.01)
             beyond = [int(tm) + 1, tm * (1.0 - 1e-9), tm, 1.01 * tm]
             crossing = grid[::3] + beyond + grid[-2::-5]
             for walk in (grid[::-1], rng.sample(grid, len(grid)), crossing):
@@ -424,7 +424,7 @@ class TestHillWindow:
         bad = with_rates(hill(beta0=1e300, a=1e300))  # tau_max raises
         runs = [default_params(), checks.perturbed_params(3), checks.perturbed_params(5)]
         for p in runs:
-            for tau in checks.make_grid(p, 0.05):
+            for tau in checks.cli_grid(p, 0.05):
                 got = positive_equilibrium(p, tau)
                 assert len(memo.table) <= 16
                 assert repr(got) == repr(equilibria._solve_positive(p, tau)), (p, tau)
@@ -469,7 +469,7 @@ class TestWarmStart:
         # ascending one costs (about 12.1 a solve), far below the plain
         # bisection's 58
         p = default_params()
-        grid = checks.make_grid(p)
+        grid = checks.cli_grid(p)
         ascending = self.counted_walk(monkeypatch, p, grid)
         assert 1.0 <= ascending <= 25.0, ascending
         shuffled = random.Random(20261019).sample(grid, len(grid))
@@ -479,7 +479,7 @@ class TestWarmStart:
     def test_warm_solves_cost_at_most_18_rate_calls(self, monkeypatch):
         # the eight +-20% Hill sets' grids: 11.9 to 12.3 a solve
         for p in map(checks.perturbed_params, range(8)):
-            cost = self.counted_walk(monkeypatch, p, checks.make_grid(p))
+            cost = self.counted_walk(monkeypatch, p, checks.cli_grid(p))
             assert 1.0 <= cost <= 18.0, (p, cost)
 
 
