@@ -64,11 +64,12 @@ def reproduction(params, default_grid, standard_runs):
     near, walls["trivial_limit"] = checks.timed(
         positive_equilibrium, params, tm - cli._NEAR_THRESHOLD
     )
+    # the scan goes first, before the root window's calls fill the memos
+    result, walls["stability_switches"] = checks.timed(scan, params, default_grid, 1)
     t0 = time.perf_counter()
     coeffs = [checks.coeffs_at(params, t) for t in default_grid]
     intervals = positive_root_intervals(params, default_grid)
     walls["root_window"] = time.perf_counter() - t0
-    result, walls["stability_switches"] = checks.timed(scan, params, default_grid, 1)
     walls["regimes"] = sum(run.wall for run in standard_runs.values())
     runs = standard_runs.values()
     quantities = cli._Reproduction(

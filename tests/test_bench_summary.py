@@ -62,19 +62,12 @@ def test_verdicts(bench_summary, parent, change, verdict):
 
 
 def test_line_counts(bench_summary, tmp_path):
-    files = {
-        "src/hemodelay/a.py": "x = 1\n",
-        "src/hemodelay/b.py": "1\n2\n3",
-        "src/hemodelay/default.cfg": "not counted\n",
-        "tests/test_a.py": "1\n\n2\n",
-        "tests/conftest.py": "",
-    }
+    files = {"src/hemodelay/a.py": "1\n2\n3", "src/hemodelay/default.cfg": "x\n",
+             "tests/test_a.py": "1\n\n2\n", "tests/conftest.py": ""}
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text)
     assert bench_summary.line_counts(tmp_path) == {
-        "src_lines": 4,
-        "src_module_lines": {"a": 1, "b": 3},
-        "tests_lines": 3,
-        "tests_module_lines": {"conftest": 0, "test_a": 3},
+        "src_lines": 3, "src_module_lines": {"a": 3},
+        "tests_lines": 3, "tests_module_lines": {"conftest": 0, "test_a": 3},
     }

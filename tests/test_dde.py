@@ -697,18 +697,6 @@ class TestClassify:
 
 
 class TestOscillationPeriods:
-    # near a switch the cycle is born at the crossing frequency: the periods
-    # are 94.39 and 217.52 d against 2*pi/omega* = 92.39 and 215.36 d
-    def test_period_near_first_switch(self, standard_runs):
-        est = detect_period(standard_runs[1.4].traj, "Q", 400.0)
-        assert est is not None
-        assert abs(est.period * checks.OMEGA_STAR_1 / (2.0 * math.pi) - 1.0) <= 0.04
-
-    def test_period_near_second_switch(self, standard_runs):
-        est = detect_period(standard_runs[2.8].traj, "Q", 800.0)
-        assert est is not None
-        assert abs(est.period * checks.OMEGA_STAR_2 / (2.0 * math.pi) - 1.0) <= 0.04
-
     def test_period_tracks_crossing_frequency(self, probe_runs):
         # just past the first switch the cycle period should sit close to
         # 2*pi over the crossing frequency
