@@ -4,15 +4,16 @@ The history, the initial data on [-tau, 0], is one constant SystemState,
 checked once by integrate to be finite and nonnegative.  The delay is
 constant, so derivative discontinuities inherited from the history sit
 exactly at multiples of tau.  The stepper exploits that: the mesh spacing
-is dt = tau/m (m chosen so the step stays at or below max_step, default
-tau/64), which pins every multiple of tau to a mesh point and keeps the
-classical fourth-order Runge-Kutta scheme at full order between them.  It
-also turns the delayed reads of step j into mesh reads.  The full-step
-read at t + dt - tau is mesh point j + 1 - m, the stored state (the
-current one with one step per delay, max_step >= tau).  The half-step read
-at t + dt/2 - tau lies inside segment j - m and comes from its cubic
-Hermite interpolant.  Before the first delay both reads are the history,
-and so is their re-entry flux, computed once.
+is dt = tau/m, m from mesh_step, the one step rule, which pins every
+multiple of tau to a mesh point and keeps the classical fourth-order
+Runge-Kutta scheme at full order between them, with dt inside RK4's
+stability interval for the field's fastest decay rate.  It also turns the
+delayed reads of step j into mesh reads.  The full-step read at
+t + dt - tau is mesh point j + 1 - m, the stored state (the current one
+when m = 1).  The half-step read at t + dt/2 - tau lies inside segment
+j - m and comes from its cubic Hermite interpolant.  Before the first
+delay both reads are the history, and so is their re-entry flux,
+computed once.
 
 The field is the Hill field written out at every stage, the operations of
 HillRates.beta, g and f in their order, branches included, with -delta,
@@ -64,6 +65,9 @@ from .model import (
 )
 
 _DEFAULT_SUBSTEPS = 64
+# RK4 damps a decay at rate lam while dt*lam < 2.785; at half of that a step
+# damps by 0.28 and keeps each stage above -0.1 of the state
+_RK4_STABLE = 2.785 / 2
 # a mesh point keeps a row of 7 float64s, 56 bytes, also while stepping:
 # 10M steps, 78 times the 128k of the tau = 0.5 run, peak near 0.56 GB
 _MAX_STEPS = 10_000_000
@@ -154,23 +158,36 @@ class Trajectory:
         ))
 
 
-def mesh_step(tau: float, max_step: float | None) -> float:
-    """The step integrate takes: tau/m for the least m that keeps it at or below max_step.
-
-    The default max_step is tau/64; at tau = 0 the step is max_step itself, or 1/64.
+def mesh_step(p: ModelParams, max_step: float | None, t_end: float = 0.0) -> float:
+    """The step integrate takes to t_end: tau/m for the least m that keeps it at or
+    below both max_step (default tau/64, 1/64 at tau = 0) and _RK4_STABLE/lam,
+    where lam = max(k, mu, delta + G + beta0) is the field's fastest decay rate;
+    at tau = 0 the lower of the two.  ValueError past _MAX_STEPS steps per delay
+    or up to t_end names lam when it set the step.
     """
     if max_step is not None and not 0.0 < max_step < math.inf:
         raise ValueError("max_step must be positive and finite")
-    if tau > 0.0:
-        cap = max_step if max_step is not None else tau / _DEFAULT_SUBSTEPS
-        per_delay = tau / cap  # compared as a float: ceil(inf) would overflow
+    dt = max_step if max_step is not None else (p.tau or 1.0) / _DEFAULT_SUBSTEPS
+    lam = max(p.k, p.mu, p.delta + p.rates.G + p.rates.beta0)
+    note = ""
+    if _RK4_STABLE / lam < dt:  # lam = inf leaves a step of 5e-324, refused as too many
+        dt = max(_RK4_STABLE / lam, 5e-324)
+        note = (f" (RK4 stability cap {_RK4_STABLE}/lambda, "
+                f"lambda = max(k, mu, delta + G + beta0) = {lam!r})")
+    if p.tau > 0.0:
+        per_delay = p.tau / dt  # compared as a float: ceil(inf) would overflow
         if not per_delay <= _MAX_STEPS:
             raise ValueError(
-                f"max_step {cap!r} gives {per_delay:.3g} steps per delay; "
+                f"step cap {dt!r}{note} gives {per_delay:.3g} steps per delay; "
                 f"at most {_MAX_STEPS} are allowed"
             )
-        return tau / max(1, math.ceil(per_delay - 1e-12))
-    return max_step if max_step is not None else 1.0 / _DEFAULT_SUBSTEPS
+        dt = p.tau / max(1, math.ceil(per_delay - 1e-12))
+    if not t_end / dt <= _MAX_STEPS:
+        raise ValueError(
+            f"t_end {t_end!r} needs {t_end / dt:.3g} steps of {dt!r}{note}; "
+            f"at most {_MAX_STEPS} are allowed"
+        )
+    return dt
 
 
 def integrate(
@@ -188,15 +205,8 @@ def integrate(
     """
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise ValueError("t_end must be positive and finite")
-    tau = p.tau
-    dt = mesh_step(tau, max_step)
-    steps = t_end / dt
-    if not steps <= _MAX_STEPS:
-        raise ValueError(
-            f"t_end {t_end!r} needs {steps:.3g} steps of {dt!r}; "
-            f"at most {_MAX_STEPS} are allowed"
-        )
-    n_steps = max(1, math.ceil(steps - 1e-12))
+    dt = mesh_step(p, max_step, t_end)
+    n_steps = max(1, math.ceil(t_end / dt - 1e-12))
     history = SystemState._make(history)
     for name, v in zip(_COMPONENTS, history):
         if not (math.isfinite(v) and v >= 0.0):

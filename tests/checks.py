@@ -100,7 +100,7 @@ def composed_trajectory(p, history, t_end: float, max_step: float | None = None,
     tau, nd, nmu, nk = p.tau, -p.delta, -p.mu, -p.k
     rw = reward(p, tau)
     delayed = tau > 0.0
-    dt = mesh_step(tau, max_step)
+    dt = mesh_step(p, max_step, t_end)
     n_steps = max(1, math.ceil(t_end / dt - 1e-12))
     m = round(tau / dt)
     half, sixth = 0.5 * dt, dt / 6.0
@@ -259,6 +259,29 @@ def perturbed_params(seed: int) -> ModelParams:
     u = lambda: rng.uniform(0.8, 1.2)  # noqa: E731
     rates = HillRates(r.beta0 * u(), r.G * u(), r.a * u(), r.K * u(), rng.uniform(5.0, 9.0))
     return ModelParams(p.delta * u(), p.gamma * u(), 0.0, p.mu * u(), p.k * u(), rates)
+
+
+def log_box(seed: int, draws: int, decades: float) -> dict[int, ModelParams]:
+    """The valid sets of a log-uniform box around the reference set, by draw.
+
+    Each draw scales delta, gamma, mu, k, beta0, G, a and K, in that order,
+    by 10**U(-decades, decades), then takes r ~ U(1.5, 20); it is kept when
+    its ModelParams builds and its tau_max is finite.
+    """
+    rng = random.Random(seed)
+    p, r = default_params(), default_params().rates
+    ref = (p.delta, p.gamma, p.mu, p.k, r.beta0, r.G, r.a, r.K)
+    kept = {}
+    for draw in range(draws):
+        delta, gamma, mu, k, beta0, G, a, K = (x * 10.0 ** rng.uniform(-decades, decades) for x in ref)
+        try:
+            q = ModelParams(delta, gamma, 0.0, mu, k, HillRates(beta0, G, a, K, rng.uniform(1.5, 20.0)))
+        except ValueError:
+            continue
+        tm = tau_max(q)
+        if tm is not None and math.isfinite(tm):
+            kept[draw] = q
+    return kept
 
 
 def coeffs_at(p, tau: float) -> CharCoeffs:

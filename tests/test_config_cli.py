@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -14,7 +15,9 @@ import pytest
 
 import hemodelay
 from hemodelay import (
+    HillRates,
     NumericalError,
+    SystemState,
     char_coeffs,
     default_params,
     linearize,
@@ -29,6 +32,7 @@ from hemodelay.config import (
     default_config_path,
     parse_config,
 )
+from hemodelay.dde import _RK4_STABLE
 
 import checks
 
@@ -36,6 +40,21 @@ BASE_CFG = default_config_path().read_text()
 NO_EQ_CFG = BASE_CFG.replace("beta0 = 0.5", "beta0 = 0.01")  # no positive equilibrium
 # A and B near 1.4e4: A^2 - B^2 cancels, so b1..b3 carry rounding error above 1e-9 relative
 CANCELLING_CFG = BASE_CFG.replace("beta0 = 0.5", "beta0 = 2000000").replace("G = 0.04", "G = 7000")
+# draw 43 of checks.log_box(7, 120, 2): at tau_max/2 = 4.603 the step tau/64
+# gives dt*(delta + G + beta0) = 3.08, past RK4's stability interval, and
+# with k and mu alone checked the run stopped at the floor (exit 3)
+DRAW_43_CFG = """[model]
+delta = 0.21799961836562176
+gamma = 0.07470923646611713
+mu = 0.021270309255321678
+k = 15.780653139831
+[rates.hill]
+beta0 = 42.5336023004326
+G = 0.009394604313536703
+a = 140188.22683328582
+K = 0.2564277191744263
+r = 13.265573554372772
+"""
 
 EQ_HEADER = ["tau", "Q_trivial", "M_trivial", "E_trivial",
              "Q_positive", "M_positive", "E_positive"]
@@ -61,6 +80,15 @@ def write_cfg(tmp_path: Path, text: str) -> Path:
     path = tmp_path / "test.cfg"
     path.write_text(text)
     return path
+
+
+def model_cfg(v: dict) -> str:
+    """A config file of the [model] and [rates.hill] values in v, by name."""
+    return "[model]\n" + "".join(
+        f"{name} = {v[name]!r}\n" for name in ("delta", "gamma", "mu", "k")
+    ) + "[rates.hill]\n" + "".join(
+        f"{name} = {v[name]!r}\n" for name in ("beta0", "G", "a", "K", "r")
+    )
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -448,7 +476,8 @@ class TestSimulateCommand:
         assert manifest["resolved"] == {
             "delta": 0.01, "gamma": 0.2, "mu": 0.02, "k": 2.8, "tau": 1.4,
             "beta0": 0.5, "G": 0.04, "a": 6570.0, "K": 0.0382, "r": 7.0,
-            "tau_max": 2.9889912895287343, "verdict": "unclassified", "period": None,
+            "tau_max": 2.9889912895287343, "dt": 1.4 / 64, "verdict": "unclassified",
+            "period": None,
         }
         assert manifest["options"] == {
             "tau": 1.4, "t_end": 50.0, "transient": 10.0, "max_step": None,
@@ -537,17 +566,20 @@ class TestSimulateCommand:
         assert "max_step must be positive and finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags, code",
+        "flags, dt",
         [
-            (["--tau", "1.4", "--max-step", "1.4"], 2),  # k*dt = 3.92
-            (["--tau", "200"], 2),  # the default step tau/64 gives k*dt = 8.75
-            (["--tau", "1.4", "--max-step", "0.99"], 0),  # k*dt = 1.96
+            (["--tau", "1.4", "--max-step", "1.4"], 1.4 / 3),  # k*max_step = 3.92
+            (["--tau", "200"], 200.0 / 403),  # the default step tau/64 gives k*dt = 8.75
+            (["--tau", "1.4", "--max-step", "0.35"], 0.35),  # k*dt = 0.98: kept
         ],
+        ids=["max-step-1.4", "tau-200", "max-step-0.35"],
     )
-    def test_step_past_rk4_stability_is_refused(self, tmp_path, capsys, flags, code):
+    def test_step_is_capped_at_rk4_stability(self, tmp_path, flags, dt):
+        # on the reference set lambda = max(k, mu, delta + G + beta0) = k
         assert main(["simulate", "--out-dir", str(tmp_path), "--t-end", "30",
-                     "--transient", "5", *flags]) == code
-        assert ("RK4" in capsys.readouterr().err) == (code == 2)
+                     "--transient", "5", *flags]) == 0
+        assert load_manifest(tmp_path)["resolved"]["dt"] == dt
+        assert dt * 2.8 <= _RK4_STABLE
 
     def test_transient_must_precede_t_end(self, tmp_path):
         code = main(["simulate", "--out-dir", str(tmp_path), "--tau", "0.5",
@@ -825,13 +857,47 @@ class TestExitCodes:
             assert main(argv) == 3, cmd
             assert "cubic with b1=1e+110" in capsys.readouterr().err
 
-    def test_negative_stage_state_with_fractional_r(self, tmp_path, capsys):
-        # an RK4 stage state dips below M = 0, where M**7.5 would be complex;
-        # f treats it as no feedback and the run stops at the -1e-6 floor
-        cfg = str(write_cfg(tmp_path, CANCELLING_CFG.replace("r = 7", "r = 7.5")))
-        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out"),
-                     "--tau", "3.0", "--t-end", "50", "--transient", "5"]) == 3
-        assert "component reached" in capsys.readouterr().err
+    def test_negative_stage_state_with_fractional_r(self, tmp_path):
+        # mu = 200 caps the step at 1.3925/mu, and from M = 100 stage 4 of a
+        # step takes M to about -0.09*M, where M**7.5 would be complex; f
+        # treats it as no feedback, and the run goes on to exit 0
+        cfg = write_cfg(tmp_path, BASE_CFG.replace("r = 7", "r = 7.5").replace("mu = 0.02", "mu = 200"))
+        p = dataclasses.replace(parse_config(cfg)[0], tau=3.0)
+        stage_M = []
+
+        @dataclasses.dataclass(frozen=True)
+        class NotedHill(HillRates):
+            def f(self, M):
+                stage_M.append(M)
+                return super().f(M)
+
+        history = SystemState(1.0, 100.0, 1.0)
+        checks.composed_trajectory(p, history, 1.0, rates=NotedHill(**dataclasses.asdict(p.rates)))
+        assert min(stage_M) < 0.0
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+                     "--tau", "3.0", "--t-end", "50", "--transient", "5", "--history", "1,100,1"]) == 0
+
+    def test_log_box_slice_runs_with_the_default_step(self, tmp_path):
+        # draws of the 10^+-2 box that simulate at tau_max/2 refused (exit 2)
+        # or stopped at the floor (exit 3) when the step was tau/64 with only
+        # k and mu checked, of those whose capped run takes at most 10k steps
+        box = checks.log_box(7, 120, 2)
+        assert len(box) == 75
+        assert parse_config(write_cfg(tmp_path, DRAW_43_CFG))[0] == box[43]
+        for draw in (20, 39, 43, 56, 78, 79, 88, 91, 93, 94, 101, 110):
+            p, out = box[draw], tmp_path / str(draw)
+            tau = tau_max(p) / 2
+            cfg = write_cfg(tmp_path, model_cfg({**dataclasses.asdict(p), **dataclasses.asdict(p.rates)}))
+            assert main(["simulate", "--config", str(cfg), "--out-dir", str(out), "--tau", repr(tau),
+                         "--t-end", "300", "--transient", "100"]) == 0, draw
+            if draw in (43, 56):
+                # the verdict and the state at t_end, relative to its largest
+                # component, hold at a quarter of the step
+                runs = [cli._simulate_once(p, tau, 300.0, 100.0, step, None)
+                        for step in (None, load_manifest(out)["resolved"]["dt"] / 4)]
+                assert [verdict for _, verdict, _ in runs] == ["converging"] * 2, draw
+                coarse, fine = (traj.state(300.0) for traj, _, _ in runs)
+                assert max(abs(x - y) for x, y in zip(coarse, fine)) <= 1e-3 * max(fine), draw
 
     def test_fuzzed_configs(self, tmp_path, capsys):
         # the reference scalars scaled by 10^U(-8, 8), r in [1, 1e4], one set
@@ -846,11 +912,7 @@ class TestExitCodes:
             if rng.random() < 0.2:
                 v["gamma"] = 0.0
             v["r"] = 10.0 ** rng.uniform(0.0, 4.0)
-            path = write_cfg(tmp_path, "[model]\n" + "".join(
-                f"{name} = {v[name]!r}\n" for name in ("delta", "gamma", "mu", "k")
-            ) + "[rates.hill]\n" + "".join(
-                f"{name} = {v[name]!r}\n" for name in ("beta0", "G", "a", "K", "r")
-            ))
+            path = write_cfg(tmp_path, model_cfg(v))
             try:
                 tm = tau_max(parse_config(path)[0])
             except ConfigError:

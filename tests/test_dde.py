@@ -27,7 +27,7 @@ from hemodelay import (
     routh_hurwitz_tau0,
     scaled_equilibrium_history,
 )
-from hemodelay.dde import mesh_step
+from hemodelay.dde import _RK4_STABLE, mesh_step
 
 import checks
 
@@ -129,8 +129,30 @@ class TestIntegrateMesh:
         assert traj.dt == 0.05
         assert traj.t_end == pytest.approx(10.0, rel=1e-12)
 
-    @pytest.mark.parametrize("tau", [0.03, 1.4])
+    @pytest.mark.parametrize("rate", ["k", "mu", "beta0"])
+    @pytest.mark.parametrize("tau", [0.0, 1.4])
+    def test_step_is_capped_by_the_fastest_decay_rate(self, tau, rate):
+        # each of k, mu and the Q equation's delta + G + beta0 in turn is the
+        # fastest rate lam, and lowers the default step to the largest
+        # tau/m (at tau = 0 to the bound itself) at or below 1.3925/lam
+        p = default_params(tau=tau)
+        if rate == "beta0":
+            p = dataclasses.replace(p, rates=dataclasses.replace(p.rates, beta0=100.0))
+        else:
+            p = dataclasses.replace(p, **{rate: 100.0})
+        lam = {"k": 100.0, "mu": 100.0, "beta0": 0.01 + 0.04 + 100.0}[rate]
+        dt = mesh_step(p, None)
+        assert dt * lam <= _RK4_STABLE
+        if tau > 0.0:
+            m = round(tau / dt)
+            assert dt == tau / m and (tau / (m - 1)) * lam > _RK4_STABLE
+        else:
+            assert dt == _RK4_STABLE / lam
+
+    @pytest.mark.parametrize("tau", [0.03, 0.48])
     def test_one_step_per_delay(self, tau):
+        # up to tau 0.49 on the reference set, max_step = tau is inside RK4's
+        # stability cap 1.3925/k
         # the read at t_next - tau is the mesh state the step starts from
         p, _, traj = perturbed_run(tau, 30 * tau, max_step=tau)
         assert traj.dt == tau
@@ -260,6 +282,15 @@ class TestIntegrateErrors:
         with pytest.raises(ValueError, match=match) as exc:
             integrate(default_params(tau=tau), h, t_end, max_step=max_step)
         assert "at most 10000000 are allowed" in str(exc.value)
+        assert "lambda" not in str(exc.value)  # the stability cap did not set the step
+
+    @pytest.mark.parametrize("tau, match", [(1.4, "steps per delay"), (0.0, "t_end 30.0 needs")])
+    def test_step_count_errors_name_the_stability_cap(self, tau, match):
+        # k = 1e9 lowers the step to 1.3925e-9, a max_step never passed
+        p = dataclasses.replace(default_params(tau=tau), k=1e9)
+        with pytest.raises(ValueError, match=match) as exc:
+            integrate(p, SystemState(1.0, 1.0, 1.0), 30.0)
+        assert "lambda = max(k, mu, delta + G + beta0) = 1000000000.0" in str(exc.value)
 
     def test_rejects_invalid_params(self):
         # a set with mu = 0 is refused when it is built, before integrate runs
@@ -273,10 +304,13 @@ class TestIntegrateErrors:
             integrate(params, h, 1.0)
 
     def test_negative_overshoot_raises_invariant_violation(self):
-        # k*dt = 4.004 with f(M) = 0 (M**r overflows) puts stage 2's E just
-        # below -1, where beta is about 250: Q overshoots below the floor
-        p = dataclasses.replace(default_params(tau=1.0), k=4.004 * 64.0)
-        h = SystemState(1.0, 1e300, 1.0)
+        # the step capped at 1.3925/k, z = k*dt = 1.3913, with f(M) = 0 (M**r
+        # overflows) takes stage 4's E to E*(1 - z + z**2/2 - z**3/4), about
+        # -0.097*E; this E puts it just below -1, where beta is about 5000: Q
+        # overshoots below the floor
+        p = dataclasses.replace(default_params(tau=1.0), k=256.0)
+        z = p.k * mesh_step(p, None)
+        h = SystemState(1.0, 1e300, -1.0001 / (1.0 - z + z * z / 2.0 - z**3 / 4.0))
         with pytest.raises(InvariantViolationError) as exc:
             integrate(p, h, 10.0)
         assert exc.value.last_time == 0.0
@@ -284,10 +318,11 @@ class TestIntegrateErrors:
 
     @pytest.mark.parametrize("tau", [1.0, 0.0])
     def test_stage_growth_factor_at_minus_one_raises_invariant_violation(self, tau):
-        # k*dt = 4 with f(M) = 0 puts stage 2's E at exactly 1 - 2 = -1, where
-        # beta divides by zero
+        # the step capped at 1.3925/k with f(M) = 0 takes stage 4's E to about
+        # -0.1*E, as above; from these E it lands on exactly -1, where beta
+        # divides by zero
         p = dataclasses.replace(default_params(tau=tau), k=256.0)
-        h = SystemState(1.0, 1e300, 1.0)
+        h = SystemState(1.0, 1e300, {1.0: 10.337298215802882, 0.0: 10.203474418554386}[tau])
         with pytest.raises(InvariantViolationError, match="E reached -1") as exc:
             integrate(p, h, 1.0)
         assert exc.value.last_time == 0.0
@@ -366,11 +401,12 @@ class TestInlineHillField:
         return dataclasses.replace(p, tau=tau)
 
     @pytest.mark.parametrize("seed", [None, 5])
-    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.4, 2.9])
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 0.5, 1.4, 2.9])
     def test_rows_match_the_generic_path(self, tau, seed):
         p = self.hill_params(seed, tau)
         history = SystemState(3.6, 7.3, 0.12)
-        # the default tau/64, the sweep's 0.05 and one step per delay
+        # the default tau/64, the sweep's 0.05 and max_step = tau: one step
+        # per delay at 0.3, lowered by the stability cap 1.3925/k past 0.5
         for max_step in (None, 0.05) + ((tau,) if tau > 0.0 else ()):
             inline = integrate(p, history, 12.0, max_step=max_step)
             generic = checks.composed_trajectory(p, history, 12.0, max_step)
@@ -380,8 +416,9 @@ class TestInlineHillField:
     def test_runs_match_the_generic_path_from_edge_histories(self, seed):
         # M = 0, 5e-324 (K*M**r underflows) and 1e300 (M**r overflows); E = 0
         # and a huge E push beta to its ends, and 1.7e308 overflows -k*E and
-        # ends the run; a clearance mu of 2.4/dt drives the stage M below 0,
-        # f's no-feedback branch.  Rows, or the error, must be the same
+        # ends the run; a clearance mu of 2.4/dt caps the step at 1.3925/mu,
+        # and stage 4 takes M to about -0.09*M, f's no-feedback branch.  Rows,
+        # or the error, must be the same
         branches = set()
 
         @dataclasses.dataclass(frozen=True)
@@ -410,7 +447,7 @@ class TestInlineHillField:
         errors = 0
         for tau in (0.0, 1.4):
             p = self.hill_params(seed, tau)
-            fast_mu = dataclasses.replace(p, mu=2.4 / mesh_step(tau, None))
+            fast_mu = dataclasses.replace(p, mu=2.4 / mesh_step(p, None))
             for q, state in (
                 (p, (2.9, 0.0, 0.24)),
                 (p, (2.9, 5e-324, 0.24)),
@@ -678,13 +715,14 @@ class TestClassify:
             classify_asymptotics(run.traj, run.eq, math.nan)
 
     def test_window_without_mesh_point(self):
-        # dt = 0.7 leaves no mesh point in [19.5, 19.58], and from t = 16.8
-        # on an eighth of the span (0.44) can fall between two mesh points
-        p, eq, traj = perturbed_run(1.4, 20.0, max_step=0.7)
+        # dt = 1.4/3 leaves no mesh point in [19.5, 19.56], and from t = 17.7
+        # on an eighth of the span (0.29) can fall between two mesh points
+        p, eq, traj = perturbed_run(1.4, 20.0, max_step=0.49)
+        assert traj.dt == 1.4 / 3
         with pytest.raises(ValueError, match="^the first 10% window after the transient holds no mesh"):
             classify_asymptotics(traj, eq, 19.5)
         with pytest.raises(ValueError, match="^segment 3 of 8 after the transient holds no mesh"):
-            classify_asymptotics(traj, eq, traj.times[24])
+            classify_asymptotics(traj, eq, traj.times[38])
 
     def test_tau_zero_run_matches_tau0_stability(self):
         p = default_params(tau=0.0)
