@@ -269,8 +269,8 @@ def log_box(seed: int, draws: int, decades: float) -> dict[int, ModelParams]:
     its ModelParams builds and its tau_max is finite.
     """
     rng = random.Random(seed)
-    p, r = default_params(), default_params().rates
-    ref = (p.delta, p.gamma, p.mu, p.k, r.beta0, r.G, r.a, r.K)
+    p = default_params()
+    ref = (p.delta, p.gamma, p.mu, p.k, p.rates.beta0, p.rates.G, p.rates.a, p.rates.K)
     kept = {}
     for draw in range(draws):
         delta, gamma, mu, k, beta0, G, a, K = (x * 10.0 ** rng.uniform(-decades, decades) for x in ref)

@@ -151,9 +151,8 @@ class TestIntegrateMesh:
 
     @pytest.mark.parametrize("tau", [0.03, 0.48])
     def test_one_step_per_delay(self, tau):
-        # up to tau 0.49 on the reference set, max_step = tau is inside RK4's
-        # stability cap 1.3925/k
-        # the read at t_next - tau is the mesh state the step starts from
+        # the read at t_next - tau is the mesh state the step starts from;
+        # max_step = tau is inside the stability cap 1.3925/k up to tau 0.49
         p, _, traj = perturbed_run(tau, 30 * tau, max_step=tau)
         assert traj.dt == tau
         assert len(traj.times) == 31
