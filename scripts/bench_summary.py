@@ -30,8 +30,10 @@ named in BENCHMARK.json, the raw runs, the pairs the change won (ties
 count for neither side) and a verdict per metric, together with both
 commits, the sha256 of each side's `src/hemodelay`, the line counts of its
 `src/hemodelay` and `tests` (in total and per module: `src_lines`,
-`src_module_lines`, `tests_lines`, `tests_module_lines`), the seeds, the
-Python version and `nproc`.  The verdicts,
+`src_module_lines`, `tests_lines`, `tests_module_lines`, and the same four
+as `*_code_lines`, which leave out blank lines, comment-only lines and
+module, class and function docstrings), the seeds, the Python version and
+`nproc`.  The verdicts,
 with a metric's bound taken relative to the parent's median:
 - `gain`: the change won at least 9 in 10 pairs, and the medians differ in
   the better direction by more than the parent's q3 - q1;
@@ -46,6 +48,7 @@ Stdlib only.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import io
 import json
@@ -58,6 +61,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,14 +81,43 @@ def extract(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(text: str) -> int:
+    """Lines that hold a token other than a comment or a module, class or
+    function docstring: blank and comment-only lines and docstrings do not
+    count."""
+    docstrings = {
+        (node.body[0].lineno, node.body[0].col_offset)
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+        and isinstance(node.body[0].value.value, str)
+    }
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type in _NOT_CODE or (tok.type == tokenize.STRING and tok.start in docstrings):
+            continue
+        lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
 def line_counts(tree: Path) -> dict:
-    """Lines in the tree's src/hemodelay/*.py and tests/*.py, in total and
-    per file by module name."""
+    """Raw and code lines (code_lines) in the tree's src/hemodelay/*.py and
+    tests/*.py, in total and per file by module name."""
     counts = {}
     for key, directory in (("src", tree / "src" / "hemodelay"), ("tests", tree / "tests")):
-        per_file = {f.stem: len(f.read_text().splitlines()) for f in sorted(directory.glob("*.py"))}
+        texts = {f.stem: f.read_text() for f in sorted(directory.glob("*.py"))}
+        per_file = {name: len(text.splitlines()) for name, text in texts.items()}
+        per_file_code = {name: code_lines(text) for name, text in texts.items()}
         counts[f"{key}_lines"] = sum(per_file.values())
         counts[f"{key}_module_lines"] = per_file
+        counts[f"{key}_code_lines"] = sum(per_file_code.values())
+        counts[f"{key}_module_code_lines"] = per_file_code
     return counts
 
 

@@ -37,7 +37,7 @@ from .dde import (
 from .equilibria import Equilibrium, positive_equilibrium, tau_max, trivial_equilibrium
 from .linearization import CharCoeffs, LinCoeffs
 from .linearization import char_coeffs, linearize  # noqa: F401 (traced by name in perfbench)
-from .model import InvalidStateError, ModelParams, NumericalError, SystemState
+from .model import ModelParams, NumericalError, SystemState
 from .switch import ScanResult, SwitchReport, linear_coeffs, positive_root_intervals
 from .switch import scan as run_scan
 
@@ -208,23 +208,8 @@ def _cmd_coeffs(args: argparse.Namespace) -> tuple[dict, int]:
     return _manifest("coeffs", cfg, params, opts, [out], []), 0
 
 
-def _check_n_max(n_max: int, grid: list[float]) -> None:
-    """Refuse n_max < 1, and (n_max + 1) S_n samples per grid point past
-    _MAX_GRID_POINTS; run before any CSV is written."""
-    if n_max < 1:
-        raise ConfigError(f"n_max must be at least 1, got {n_max}")
-    if (n_max + 1) * len(grid) > _MAX_GRID_POINTS:
-        raise ConfigError(
-            f"n_max {n_max} gives {(n_max + 1) * len(grid)} S_n points over "
-            f"{len(grid)} delays; at most {_MAX_GRID_POINTS} are allowed"
-        )
-
-
-def _scan(
-    out_dir: Path, params: ModelParams, grid: list[float], n_max: int
-) -> tuple[ScanResult, list[Path]]:
-    """switch.scan and its CSVs."""
-    result = run_scan(params, grid, n_max)
+def _write_scan(out_dir: Path, result: ScanResult, n_max: int) -> list[Path]:
+    """The S_n curve, switch and partition CSVs of a switch.scan result."""
     outputs = [
         _write_csv(
             out_dir / f"s{n}_curve.csv",
@@ -243,17 +228,17 @@ def _scan(
     outputs.append(
         _write_csv(out_dir / "partition.csv", ["tau_lo", "tau_hi", "verdict"], result.partition)
     )
-    return result, outputs
+    return outputs
 
 
 def _cmd_scan(args: argparse.Namespace) -> tuple[dict, int]:
     params, opts, cfg = _load(args)
     tm, grid = _tau_grid(params, opts)
-    _check_n_max(opts.n_max, grid)
     if tm is None:
         print("no positive equilibrium at any delay; scan skipped")
         return _manifest("scan", cfg, params, opts, [], []), 0
-    result, outputs = _scan(args.out_dir, params, grid, opts.n_max)
+    result = run_scan(params, grid, opts.n_max)
+    outputs = _write_scan(args.out_dir, result, opts.n_max)
     for r in result.reports:
         print(
             f"crossing: tau*={r.tau_star:.6f} omega*={r.omega_star:.6f} "
@@ -426,9 +411,11 @@ _CRITERIA = {
 def _cmd_reproduce(args: argparse.Namespace) -> tuple[dict, int]:
     params, opts, cfg = _load(args)
     tm, grid = _tau_grid(params, opts)
-    _check_n_max(opts.n_max, grid)
+    # the scan refuses its inputs before any CSV is written; the later calls
+    # on the grid read its equilibrium and coefficient memos
+    result = None if tm is None else run_scan(params, grid, opts.n_max)
     outputs = [_write_equilibria(args.out_dir, params, grid)]
-    if tm is None:
+    if result is None:
         print("no positive equilibrium at any delay; scan and simulations skipped")
         manifest = _manifest("reproduce", cfg, params, opts, outputs, [])
         manifest["note"] = "no positive equilibrium"
@@ -438,8 +425,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> tuple[dict, int]:
     coefficients = _coefficients(params, grid)
     outputs.append(_write_coeffs(args.out_dir, coefficients))
     intervals = positive_root_intervals(params, grid)
-    result, scan_outputs = _scan(args.out_dir, params, grid, opts.n_max)
-    outputs += scan_outputs
+    outputs += _write_scan(args.out_dir, result, opts.n_max)
     verdicts: dict[float, str] = {}
     periods: dict[float, float | None] = {}
     for tau, t_end, transient in _REPRO_RUNS:
@@ -469,8 +455,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="parameter file (default: packaged reference set)")
     common.add_argument("--out-dir", type=Path, default=Path("out"),
                         help="directory for CSV artifacts and the manifest")
-    common.add_argument("--grid-step", dest="grid_step", type=float, default=None,
-                        help="tau grid spacing (default 0.005)")
+
+    # the commands that build the delay grid
+    grid_flags = argparse.ArgumentParser(add_help=False)
+    grid_flags.add_argument("--grid-step", dest="grid_step", type=float, default=None,
+                            help="tau grid spacing (default 0.005)")
 
     window_flags = argparse.ArgumentParser(add_help=False)
     window_flags.add_argument("--t-end", dest="t_end", type=float, default=None)
@@ -488,15 +477,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("equilibria", parents=[common],
+    p = sub.add_parser("equilibria", parents=[common, grid_flags],
                        help="steady states over the delay range (CSV)")
     p.set_defaults(handler=_cmd_equilibria)
 
-    p = sub.add_parser("coeffs", parents=[common],
+    p = sub.add_parser("coeffs", parents=[common, grid_flags],
                        help="linearization and characteristic coefficients per tau (CSV)")
     p.set_defaults(handler=_cmd_coeffs)
 
-    p = sub.add_parser("scan", parents=[common],
+    p = sub.add_parser("scan", parents=[common, grid_flags],
                        help="S_n curves, stability switches and the stability partition")
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
     p.set_defaults(handler=_cmd_scan)
@@ -515,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-step", dest="tau_step", type=float, default=0.1)
     p.set_defaults(handler=_cmd_sweep)
 
-    p = sub.add_parser("reproduce", parents=[common, run_flags],
+    p = sub.add_parser("reproduce", parents=[common, grid_flags, run_flags],
                        help="full pipeline with reproduction checks; exit 4 if any fails")
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
     p.set_defaults(handler=_cmd_reproduce)
@@ -531,9 +520,6 @@ def main(argv: list[str] | None = None) -> int:
         manifest["duration_seconds"] = time.perf_counter() - start
         manifest_path = args.out_dir / "manifest.json"
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    except InvalidStateError as exc:
-        print(f"invalid state: {exc}", file=sys.stderr)
-        return 2
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -40,7 +40,8 @@ comparable with the Routh-Hurwitz verdict.
 
 Post-processing quantifies what the long runs show: detect_period measures
 the spacing of oscillation peaks, classify_asymptotics sorts a run into
-converging, sustained-oscillation or diverging relative to an equilibrium.
+converging, sustained-oscillation, diverging or unclassified relative to an
+equilibrium.
 
 Trajectories are immutable once returned; distinct runs are independent.
 """

@@ -42,6 +42,7 @@ _S_TOL = 1e-10
 _RESIDUAL_TOL = 1e-8
 # the runtime check only rejects grids too coarse to bracket crossings at all
 _GRID_SPACING_CAP = 0.05
+_MAX_SN_SAMPLES = 1_000_000  # (n_max + 1) * len(grid); the reference scan takes 1196
 
 _coeff_memo = ParamsMemo()  # linear_coeffs' builds, replaced as the equilibrium memo is
 
@@ -293,9 +294,16 @@ def scan(p: ModelParams, tau_grid: list[float], n_max: int) -> ScanResult:
     at a destabilizing crossing, -1 at a stabilizing one.  A crossing left
     unrefined (S_n changed sign but no zero was found, as at a theta wrap
     or a branch switch) is unclassified, and so is every piece after it.
+    ValueError for n_max < 1 or past _MAX_SN_SAMPLES S_n samples, before
+    the grid is checked or any coefficient is built.
     """
     if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    if (n_max + 1) * len(tau_grid) > _MAX_SN_SAMPLES:
+        raise ValueError(
+            f"n_max {n_max} gives {(n_max + 1) * len(tau_grid)} S_n points over "
+            f"{len(tau_grid)} delays; at most {_MAX_SN_SAMPLES} are allowed"
+        )
     _check_grid(p, tau_grid)
     max_gap = max(b - a for a, b in zip(tau_grid, tau_grid[1:]))
 

@@ -61,13 +61,38 @@ def test_verdicts(bench_summary, parent, change, verdict):
     assert got == {"lower": verdict, "higher": verdict}
 
 
+# each kind of line: 7 of its 18 lines are code
+KINDS = '''"""Module docstring,
+on two lines."""
+
+# a comment-only line
+import os  # code, with a trailing comment
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Function docstring,
+
+        with a blank line inside."""
+        x = """a string that is not a docstring,
+        on two lines"""  # code, both lines
+        return (x,  # code
+                os)  # code
+'''
+
+
 def test_line_counts(bench_summary, tmp_path):
-    files = {"src/hemodelay/a.py": "1\n2\n3", "src/hemodelay/default.cfg": "x\n",
+    files = {"src/hemodelay/a.py": "1\n2\n3", "src/hemodelay/b.py": KINDS,
+             "src/hemodelay/default.cfg": "x\n",
              "tests/test_a.py": "1\n\n2\n", "tests/conftest.py": ""}
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text)
     assert bench_summary.line_counts(tmp_path) == {
-        "src_lines": 3, "src_module_lines": {"a": 3},
+        "src_lines": 21, "src_module_lines": {"a": 3, "b": 18},
+        "src_code_lines": 10, "src_module_code_lines": {"a": 3, "b": 7},
         "tests_lines": 3, "tests_module_lines": {"conftest": 0, "test_a": 3},
+        "tests_code_lines": 2, "tests_module_code_lines": {"conftest": 0, "test_a": 2},
     }

@@ -368,12 +368,13 @@ class TestScanCommand:
 
     @pytest.mark.parametrize("command", ["scan", "reproduce"])
     def test_too_many_sn_points_are_refused(self, tmp_path, capsys, monkeypatch, command):
-        # (n_max + 1) S_n samples per grid point are refused from the count,
-        # before switch.scan builds them; the default grid has 598 points
-        def no_scan(*args, **kwargs):
-            raise NumericalError("scan ran")
+        # switch.scan refuses (n_max + 1) S_n samples per grid point from the
+        # count, before it builds a coefficient and before any CSV is
+        # written; the default grid has 598 points
+        def no_build(*args, **kwargs):
+            raise NumericalError("coefficients built")
 
-        monkeypatch.setattr("hemodelay.cli.run_scan", no_scan)
+        monkeypatch.setattr("hemodelay.switch._coeffs_at", no_build)
         for n_max in ("1672", "1000000"):
             assert main([command, "--out-dir", str(tmp_path), "--n-max", n_max]) == 2
             assert "at most 1000000 are allowed" in capsys.readouterr().err
@@ -381,8 +382,10 @@ class TestScanCommand:
         assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
         assert "at most 1000000 are allowed" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
-        # 1672 * 598 points are within the bound and reach the scan
+        # 1672 * 598 points are within the bound and reach the build
         assert main([command, "--out-dir", str(tmp_path), "--n-max", "1671"]) == 3
+        assert "coefficients built" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
@@ -521,10 +524,18 @@ class TestSimulateCommand:
                      "--t-end", "50", "--transient", "10", "--history", spec])
         assert code == 2
 
-    def test_negative_history_component(self, tmp_path):
+    def test_negative_history_component(self, tmp_path, capsys):
         code = main(["simulate", "--out-dir", str(tmp_path), "--tau", "0.5",
                      "--t-end", "50", "--transient", "10", "--history=-1,2,3"])
         assert code == 2
+        assert capsys.readouterr().err == "config error: history Q = -1.0\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_grid_step_is_refused(self, tmp_path, command):
+        # only the commands that build the delay grid take --grid-step
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out-dir", str(tmp_path), "--tau", "0.5", "--grid-step", "0.1"])
+        assert exc.value.code == 2
 
     def test_csv_bytes(self, tmp_path):
         # sha256 of the written CSV: a change to any simulated float, to the
@@ -778,6 +789,13 @@ class TestReproduceCommand:
             want.append({"name": name, "passed": passed, "detail": detail})
         _, dirs = repro
         assert load_manifest(dirs[0])["checks"] == want
+
+    def test_grid_the_scan_refuses_writes_nothing(self, tmp_path, capsys):
+        # spacing 0.06 passes the grid builder and is refused by switch.scan,
+        # which runs before the first CSV
+        assert main(["reproduce", "--out-dir", str(tmp_path), "--grid-step", "0.06"]) == 2
+        assert "tau grid spacing" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag", ["--t-end", "--transient"])
     def test_window_flags_are_refused(self, tmp_path, flag):

@@ -335,6 +335,20 @@ class TestScan:
         with pytest.raises(ValueError):
             scan(params, [0.01 * i for i in range(302)], 1)  # passes tau_max
 
+    def test_too_many_sn_samples_are_refused_before_any_build(self, params, default_grid, monkeypatch):
+        # (n_max + 1) * len(grid) past 1,000,000 is refused from the count,
+        # ahead of the grid checks; the default grid has 598 points
+        def no_build(*args, **kwargs):
+            raise NumericalError("coefficients built")
+
+        monkeypatch.setattr(switch, "_coeffs_at", no_build)
+        assert len(default_grid) == 598
+        for grid, n_max in ((default_grid, 1672), ([0.0], 10**6), ([0.5, 0.0], 10**30)):
+            with pytest.raises(ValueError, match="S_n points .* at most 1000000 are allowed"):
+                scan(params, grid, n_max)
+        with pytest.raises(NumericalError, match="coefficients built"):
+            scan(params, default_grid, 1671)
+
     def test_grid_refusals_name_their_cause(self, params):
         with pytest.raises(ValueError, match="strictly increasing"):
             scan(params, [0.0, 0.01, 0.01, 0.02], 1)
