@@ -791,7 +791,7 @@ class TestReproduceCommand:
         assert load_manifest(dirs[0])["checks"] == want
 
     def test_grid_the_scan_refuses_writes_nothing(self, tmp_path, capsys):
-        # spacing 0.06 passes the grid builder and is refused by switch.scan,
+        # spacing 0.06 passes cli._tau_grid and is refused by switch.scan,
         # which runs before the first CSV
         assert main(["reproduce", "--out-dir", str(tmp_path), "--grid-step", "0.06"]) == 2
         assert "tau grid spacing" in capsys.readouterr().err
