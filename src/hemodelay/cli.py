@@ -131,14 +131,9 @@ def _manifest(
     }
 
 
-def _reference_equilibrium(params: ModelParams, tau: float) -> Equilibrium:
-    """The attracting candidate: the positive equilibrium if it exists, else trivial."""
-    eq = positive_equilibrium(params, tau)
-    return eq if eq is not None else trivial_equilibrium(params)
-
-
-def _make_history(params: ModelParams, tau: float, spec: str | None) -> SystemState:
-    spec = spec if spec is not None else "equilibrium*1.1"
+def _make_history(eq: Equilibrium, spec: str | None) -> SystemState:
+    if spec is None:
+        return scaled_equilibrium_history(eq)
     if spec.startswith("equilibrium"):
         rest = spec[len("equilibrium"):]
         if rest == "":
@@ -150,7 +145,7 @@ def _make_history(params: ModelParams, tau: float, spec: str | None) -> SystemSt
                 raise ConfigError(f"bad history factor in {spec!r}") from None
         else:
             raise ConfigError(f"bad history spec {spec!r}")
-        return scaled_equilibrium_history(_reference_equilibrium(params, tau), factor)
+        return scaled_equilibrium_history(eq, factor)
     parts = spec.split(",")
     if len(parts) != 3:
         raise ConfigError(
@@ -262,9 +257,11 @@ def _simulate_once(
             f"need t_end > transient >= 0, got t_end={t_end!r}, transient={transient!r}"
         )
     p = replace(params, tau=tau)
-    history = _make_history(p, tau, history_spec)
-    traj = integrate(p, history, t_end, max_step=max_step)
-    verdict = classify_asymptotics(traj, _reference_equilibrium(p, tau), transient)
+    # the positive equilibrium, else the trivial one; a solve reads its delay
+    # argument, not p.tau, so solving on params keeps the grid's memo
+    eq = positive_equilibrium(params, tau) or trivial_equilibrium(p)
+    traj = integrate(p, _make_history(eq, history_spec), t_end, max_step=max_step)
+    verdict = classify_asymptotics(traj, eq, transient)
     return traj, verdict, detect_period(traj, "Q", transient)
 
 
@@ -287,7 +284,8 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
     if period is not None:
         print(f"period: {period.period:.3f} +- {period.std:.3f} over {period.n_peaks} peaks")
     manifest = _manifest("simulate", cfg, replace(params, tau=tau), opts, [out], [])
-    manifest["resolved"].update(dt=traj.dt, verdict=verdict, period=period.period if period else None)
+    manifest["resolved"].update(dt=traj.dt, t_end=t_end, transient=transient, verdict=verdict,
+                                period=period.period if period else None)
     return manifest, 0
 
 
@@ -322,7 +320,9 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[dict, int]:
         ["tau", "verdict", "period", "period_std", "amplitude_ratio"],
         rows,
     )
-    return _manifest("sweep", cfg, params, opts, [out], []), 0
+    manifest = _manifest("sweep", cfg, params, opts, [out], [])
+    manifest["resolved"].update(t_end=t_end, transient=transient, max_step=max_step)
+    return manifest, 0
 
 
 class _Reproduction(NamedTuple):
@@ -411,34 +411,34 @@ _CRITERIA = {
 def _cmd_reproduce(args: argparse.Namespace) -> tuple[dict, int]:
     params, opts, cfg = _load(args)
     tm, grid = _tau_grid(params, opts)
-    # the scan refuses its inputs before any CSV is written; the later calls
-    # on the grid read its equilibrium and coefficient memos
-    result = None if tm is None else run_scan(params, grid, opts.n_max)
-    outputs = [_write_equilibria(args.out_dir, params, grid)]
-    if result is None:
+    if tm is None:
+        outputs = [_write_equilibria(args.out_dir, params, grid)]
         print("no positive equilibrium at any delay; scan and simulations skipped")
         manifest = _manifest("reproduce", cfg, params, opts, outputs, [])
         manifest["note"] = "no positive equilibrium"
         return manifest, 0
 
-    near_threshold = positive_equilibrium(params, tm - _NEAR_THRESHOLD)
-    coefficients = _coefficients(params, grid)
-    outputs.append(_write_coeffs(args.out_dir, coefficients))
-    intervals = positive_root_intervals(params, grid)
-    outputs += _write_scan(args.out_dir, result, opts.n_max)
+    # the scan and the runs refuse their inputs before the first CSV; the
+    # analytic calls on the grid after them read the scan's memos
+    result = run_scan(params, grid, opts.n_max)
     verdicts: dict[float, str] = {}
     periods: dict[float, float | None] = {}
+    simulations = []
     for tau, t_end, transient in _REPRO_RUNS:
         traj, verdicts[tau], period = _simulate_once(
             params, tau, t_end, transient, opts.max_step, opts.history
         )
         periods[tau] = None if period is None else period.period
         rows = zip(traj.times, traj.Q, traj.M, traj.E)
-        outputs.append(_write_csv(args.out_dir / f"sim_tau{tau:g}.csv", _TRAJ_HEADER, rows))
+        simulations.append(_write_csv(args.out_dir / f"sim_tau{tau:g}.csv", _TRAJ_HEADER, rows))
 
+    coefficients = _coefficients(params, grid)
+    outputs = [_write_equilibria(args.out_dir, params, grid), _write_coeffs(args.out_dir, coefficients)]
+    outputs += _write_scan(args.out_dir, result, opts.n_max) + simulations
     q = _Reproduction(
-        tm, trivial_equilibrium(params).E, near_threshold, [cc for _, cc in coefficients],
-        intervals, result, verdicts, periods,
+        tm, trivial_equilibrium(params).E, positive_equilibrium(params, tm - _NEAR_THRESHOLD),
+        [cc for _, cc in coefficients], positive_root_intervals(params, grid),
+        result, verdicts, periods,
     )
     checks = []
     for name, criterion in _CRITERIA.items():

@@ -96,9 +96,8 @@ class InvariantViolationError(NumericalError):
 
 
 def scaled_equilibrium_history(eq: Equilibrium, factor: float = 1.1) -> SystemState:
-    """The history at the equilibrium scaled componentwise by `factor`."""
-    if not (math.isfinite(factor) and factor >= 0.0):
-        raise ValueError(f"factor must be finite and nonnegative, got {factor!r}")
+    """The history at the equilibrium scaled componentwise by `factor`, unchecked:
+    integrate refuses a component that is negative or not finite."""
     return SystemState(factor * eq.Q, factor * eq.M, factor * eq.E)
 
 

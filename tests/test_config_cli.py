@@ -1,3 +1,4 @@
+import collections
 import csv
 import dataclasses
 import hashlib
@@ -24,7 +25,7 @@ from hemodelay import (
     positive_equilibrium,
     tau_max,
 )
-from hemodelay import cli
+from hemodelay import cli, equilibria, switch
 from hemodelay.cli import _CHUNK, _write_csv, main
 from hemodelay.config import (
     ConfigError,
@@ -479,13 +480,20 @@ class TestSimulateCommand:
         assert manifest["resolved"] == {
             "delta": 0.01, "gamma": 0.2, "mu": 0.02, "k": 2.8, "tau": 1.4,
             "beta0": 0.5, "G": 0.04, "a": 6570.0, "K": 0.0382, "r": 7.0,
-            "tau_max": 2.9889912895287343, "dt": 1.4 / 64, "verdict": "unclassified",
-            "period": None,
+            "tau_max": 2.9889912895287343, "dt": 1.4 / 64, "t_end": 50.0, "transient": 10.0,
+            "verdict": "unclassified", "period": None,
         }
         assert manifest["options"] == {
             "tau": 1.4, "t_end": 50.0, "transient": 10.0, "max_step": None,
             "history": None, "grid_step": None, "n_max": 1,
         }
+
+    def test_manifest_records_the_default_window(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--out-dir", str(out), "--tau", "1", "--max-step", "1"]) == 0
+        manifest = load_manifest(out)
+        assert (manifest["resolved"]["t_end"], manifest["resolved"]["transient"]) == (1000.0, 100.0)
+        assert (manifest["options"]["t_end"], manifest["options"]["transient"]) == (None, None)
 
     def test_stride(self, tmp_path):
         out = self.run(tmp_path, "--tau", "0.5", "--stride", "100")
@@ -636,6 +644,13 @@ class TestSweepCommand:
         assert code == 0
         _, rows = read_csv(out / "sweep.csv")
         assert [float(r[0]) for r in rows] == [0.0, 0.01, 0.02, 0.03, 0.04, 0.05]
+        # the manifest records the window and the step that ran, the options
+        # what was asked for
+        manifest = load_manifest(out)
+        assert {k: manifest["resolved"][k] for k in ("t_end", "transient", "max_step")} == {
+            "t_end": 1200.0, "transient": 400.0, "max_step": 0.05,
+        }
+        assert manifest["options"]["max_step"] is None
 
     def test_requires_tau_max(self, tmp_path):
         assert main(["sweep", "--out-dir", str(tmp_path)]) == 2
@@ -790,12 +805,26 @@ class TestReproduceCommand:
         _, dirs = repro
         assert load_manifest(dirs[0])["checks"] == want
 
-    def test_grid_the_scan_refuses_writes_nothing(self, tmp_path, capsys):
-        # spacing 0.06 passes cli._tau_grid and is refused by switch.scan,
-        # which runs before the first CSV
-        assert main(["reproduce", "--out-dir", str(tmp_path), "--grid-step", "0.06"]) == 2
-        assert "tau grid spacing" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
+    def test_runs_read_the_grid_memo(self, tmp_path, monkeypatch):
+        # from empty memos, one reproduce solves each delay once and builds
+        # each delay's coefficients once: the runs at 0.5 and 2.9, which are
+        # grid delays, and the analytic CSVs after them read the scan's memos
+        monkeypatch.setattr(equilibria, "_memo", equilibria.ParamsMemo(equilibria._set_constants))
+        monkeypatch.setattr(switch, "_coeff_memo", equilibria.ParamsMemo())
+        solves, builds = collections.Counter(), collections.Counter()
+
+        def counted(calls, fn, delay_arg):
+            def wrapper(*args):
+                calls[args[delay_arg]] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(equilibria, "_solve_positive", counted(solves, equilibria._solve_positive, 1))
+        monkeypatch.setattr(switch, "linearize", counted(builds, switch.linearize, 2))
+        assert main(["reproduce", "--out-dir", str(tmp_path)]) == 4
+        assert {0.5, 1.4, 2.8, 2.9} <= solves.keys()
+        assert max(solves.values()) == 1 and max(builds.values()) == 1
+        assert len(builds) == 678
 
     @pytest.mark.parametrize("flag", ["--t-end", "--transient"])
     def test_window_flags_are_refused(self, tmp_path, flag):
@@ -815,6 +844,46 @@ class TestReproduceCommand:
         assert [Path(p).name for p in manifest["outputs"]] == ["equilibria.csv"]
         _, rows = read_csv(out / "equilibria.csv")
         assert all(r[4] == "" and r[5] == "" and r[6] == "" for r in rows)
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        pytest.param("reproduce", ["--max-step=-1"], "max_step must be positive and finite",
+                     id="reproduce-max-step-negative"),
+        pytest.param("reproduce", ["--max-step", "1e-9"], "at most 10000000 are allowed",
+                     id="reproduce-max-step-too-fine"),
+        pytest.param("reproduce", ["--history", "bogus"], "history must be",
+                     id="reproduce-history-bogus"),
+        pytest.param("reproduce", ["--history=-1,1,1"], "history Q = -1.0",
+                     id="reproduce-history-negative-triple"),
+        pytest.param("reproduce", ["--history", "equilibrium*-1"],
+                     "history Q = -3.1959158301552106", id="reproduce-history-negative-factor"),
+        pytest.param("reproduce", ["--history", "equilibrium*nan"], "history Q = nan",
+                     id="reproduce-history-nan-factor"),
+        pytest.param("reproduce", ["--grid-step", "0.06"], "tau grid spacing",
+                     id="reproduce-grid-step-0.06"),
+        pytest.param("reproduce", ["--n-max", "0"], "n_max must be at least 1",
+                     id="reproduce-n-max-0"),
+        pytest.param("scan", ["--grid-step", "0.06"], "tau grid spacing", id="scan-grid-step-0.06"),
+        pytest.param("scan", ["--n-max", "0"], "n_max must be at least 1", id="scan-n-max-0"),
+        pytest.param("simulate", ["--tau", "0.5", "--history", "bogus"], "history must be",
+                     id="simulate-history-bogus"),
+        pytest.param("simulate", ["--tau", "0.5", "--t-end", "10", "--transient", "10"],
+                     "need t_end > transient", id="simulate-transient-at-t-end"),
+        pytest.param("sweep", ["--tau-max", "0.2", "--history", "bogus"], "history must be",
+                     id="sweep-history-bogus"),
+        pytest.param("sweep", ["--tau-max", "0.2", "--t-end", "10", "--transient", "10"],
+                     "need t_end > transient", id="sweep-transient-at-t-end"),
+    ],
+)
+def test_refused_input_writes_nothing(tmp_path, capsys, command, flags, message):
+    # every rule on a run's inputs is checked before the first file is
+    # written: reproduce scans and runs its simulations before its analytic CSVs
+    out = tmp_path / "out"
+    assert main([command, "--out-dir", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(out.iterdir())
 
 
 class TestPlotScript:

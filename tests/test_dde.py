@@ -99,9 +99,13 @@ class TestHistory:
 
     @pytest.mark.parametrize("factor", [-0.5, math.nan, math.inf])
     def test_scaled_rejects_bad_factor(self, params, factor):
+        # scaled_equilibrium_history checks nothing; a negative, NaN or
+        # infinite factor gives a state that integrate refuses
         eq = positive_equilibrium(params, 0.0)
-        with pytest.raises(ValueError):
-            scaled_equilibrium_history(eq, factor=factor)
+        history = scaled_equilibrium_history(eq, factor=factor)
+        with pytest.raises(InvalidStateError) as exc:
+            integrate(default_params(tau=1.0), history, 1.0)
+        assert str(exc.value) == f"history Q = {history.Q!r}"
 
 
 class TestIntegrateMesh:

@@ -194,6 +194,14 @@ class TestPositiveEquilibrium:
         assert memo.get(params, math.nan) is memo.MISSING
         assert len(memo.table) == 5
 
+    def test_solve_reads_the_delay_argument_not_p_tau(self, params):
+        # cli._simulate_once solves its reference on the config's set, not on
+        # the run's replace(params, tau=tau), so that it reads the grid's memo
+        for t in (0.0, 0.5, 1.4, 2.9, 2.98, 3.5):
+            want = repr(positive_equilibrium(params, t))
+            for x in (0.0, 1.0, 2.9, 100.0):
+                assert repr(positive_equilibrium(dataclasses.replace(params, tau=x), t)) == want
+
     def test_balance_and_consistency(self, params):
         tm = tau_max(params)
         for i in range(25):
