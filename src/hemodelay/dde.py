@@ -30,9 +30,9 @@ DivergenceError (a component not finite) or an InvariantViolationError
 The stepper writes each mesh point as a row (t, Q, M, E, dQ, dM, dE) of
 float64s into one buffer allocated up front, 56 bytes a point, and reads
 its delayed states back from it.  A Trajectory keeps that buffer as one
-read-only float64 view, and its columns (times, Q, M, E, dQ, dM, dE) are
-strided views of it.  Its one dense-output entry is Trajectory.state(t);
-`states` is a SystemState view of the mesh states, built on first use.
+read-only float64 view, its columns as strided views of it.  Its dense
+output Trajectory.state(t) is traj.history for t <= 0 and a plain tuple
+(Q, M, E) after: cheaper than a SystemState, and untracked by CPython's GC.
 
 With tau = 0 the same stepper runs as a plain ODE integrator, the delayed
 state being the current stage state, so the no-delay limit stays
@@ -107,10 +107,10 @@ class Trajectory:
 
     `rows` is a read-only float64 memoryview holding one row (t, Q, M, E,
     dQ, dM, dE) per mesh point, 56 bytes a point.  The columns times, Q, M,
-    E, dQ, dM, dE are read-only strided views of it, built on first use;
-    their slices are views too.  `states` holds the mesh states as
-    SystemState tuples, built on first use.  `state(t)` is the dense output.
-    `history` is the constant state on [-tau, 0].
+    E, dQ, dM, dE are read-only strided views of it, built on first use,
+    as is `states`, the mesh states as SystemStates; slices are views too.
+    `history` is the constant state on [-tau, 0]; the dense output `state(t)`
+    returns it for t <= 0 and a plain (Q, M, E) tuple, read by position, after.
     """
 
     params: ModelParams
@@ -135,8 +135,8 @@ class Trajectory:
         t0 = -self.params.tau
         return t0 - tol, self.t_end + tol, t0, self.dt, len(self.rows) // 7 - 2, self.rows
 
-    def state(self, t: float) -> SystemState:
-        """Dense output: the history for t <= 0, the cubic Hermite segments after."""
+    def state(self, t: float) -> tuple[float, float, float]:
+        """Dense output: the history for t <= 0, a (Q, M, E) tuple of the Hermite segments after."""
         lo, hi, t0, dt, last, rows = self._dense
         if not (lo <= t <= hi):  # NaN fails too
             raise ValueError(f"t={t!r} outside [{t0!r}, {self.t_end!r}]")
@@ -151,11 +151,11 @@ class Trajectory:
         s2, u2 = s * s, (1.0 - s) ** 2
         w0, v0 = (1.0 + 2.0 * s) * u2, dt * (s * u2)
         w1, v1 = s2 * (3.0 - 2.0 * s), dt * (s2 * (s - 1.0))
-        return tuple.__new__(SystemState, (
+        return (
             w0 * Q0 + v0 * dQ0 + w1 * Q1 + v1 * dQ1,
             w0 * M0 + v0 * dM0 + w1 * M1 + v1 * dM1,
             w0 * E0 + v0 * dE0 + w1 * E1 + v1 * dE1,
-        ))
+        )
 
 
 def mesh_step(p: ModelParams, max_step: float | None, t_end: float = 0.0) -> float:
@@ -385,7 +385,7 @@ def classify_asymptotics(
     """Sort a run into converging, sustained-oscillation, diverging.
 
     Converging: the largest relative deviation from `eq` over the last 10%
-    of the run is below 5% of the one over the first 10% after the
+    of the run is at most 5% of the one over the first 10% after the
     transient.  Sustained: detect_period (on Q) finds peaks whose amplitude
     ratio stays in [0.8, 1.25].  Diverging: deviation maxima over eight
     equal segments grow monotonically to more than 10 times the first.
@@ -416,7 +416,7 @@ def classify_asymptotics(
 
     d_first = window_max(t_transient, t_transient + 0.1 * span, "the first 10% window")
     d_last = window_max(T - 0.1 * span, T, "the last 10% window")
-    if d_last < 0.05 * d_first:
+    if d_last <= 0.05 * d_first:
         return "converging"
     est = detect_period(traj, "Q", t_transient)
     if est is not None and 0.8 <= est.amplitude_ratio <= 1.25:

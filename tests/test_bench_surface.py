@@ -6,7 +6,7 @@ The check runs in a fresh interpreter, as the benchmark imports the package,
 and loads perfbench/tracing.py by path without writing anything next to it.
 The sweep and stability-map checks repeat, for the inputs nearest their
 gates, the benchmark's comparison against perfbench/reference.json, which
-they only read.
+they only read; one more runs the benchmark's own sweep check on two delays.
 """
 
 from __future__ import annotations
@@ -124,6 +124,37 @@ def test_stability_map_members_match_the_benchmark_reference():
     done = subprocess.run(
         [sys.executable, "-B", "-c", MAP_CHILD, str(ROOT / "perfbench"), json.dumps(MAP_MEMBERS)],
         capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
+
+
+SWEEP_CHILD = r"""
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import workloads
+hd = workloads.fresh_import()
+ref, _ = hd.parse_config(hd.default_config_path())
+recorded = workloads.load_reference()["sweep_dense"]
+fn = workloads.api(hd)
+errors = []
+for delay in workloads.sweep_inputs(int(sys.argv[2]), 1, 400):
+    rec = recorded[repr(delay["tau"])]
+    off_mesh = [row[0] for row in rec["off_mesh"]]
+    out = workloads.simulate_delay(hd, fn, ref, delay, off_mesh=off_mesh)
+    errors += workloads.check_delay(rec, delay["tau"], out)
+print(json.dumps(errors))
+"""
+
+
+def test_sweep_reads_pass_the_benchmark_check():
+    # tau = 0 and one pool delay, read back as sweep_dense reads them: the
+    # mesh reads against `states`, the recorded off-mesh reads, and every
+    # read finite and nonnegative
+    env = dict(os.environ, PYTHONPATH=str(Path(hemodelay.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", SWEEP_CHILD, str(ROOT / "perfbench"), "3401"],
+        capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == []

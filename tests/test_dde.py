@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import math
+import platform
 import random
 import tracemalloc
 from array import array
@@ -76,7 +77,8 @@ class TestHistory:
             assert traj.state(t) is traj.history
 
     def test_history_is_taken_as_a_state(self):
-        # a plain triple reads back as a SystemState, like every other read
+        # a plain triple is taken as a SystemState, which state(t) returns
+        # as it is for t <= 0
         traj = integrate(default_params(tau=1.0), (1.0, 2.0, 3.0), 2.0)
         assert type(traj.state(-0.5)) is SystemState
         for bad in ((1.0, 2.0), (1.0, 2.0, 3.0, -4.0)):
@@ -515,6 +517,23 @@ class TestInterpolate:
         with pytest.raises(ValueError, match="outside"):
             traj.state(math.nan)
 
+    @pytest.mark.skipif(platform.python_implementation() != "CPython",
+                        reason="tuple untracking is CPython's collector")
+    def test_reads_are_plain_tuples_the_gc_stops_tracking(self):
+        # a held read is not walked again by each older-generation
+        # collection; both sides of t = 0 unpack by position, and the
+        # history side is the history itself
+        _, _, traj = perturbed_run(0.5, 20.0)
+        held = traj.state(3.3)
+        gc.collect()
+        assert not gc.is_tracked(held)
+        for t in (-0.5, -0.2, 0.0):
+            Q, M, E = traj.state(t)
+            assert traj.state(t) is traj.history and (Q, M, E) == traj.history
+        for m in (1, 64, len(traj.times) - 1):
+            Q, M, E = traj.state(traj.times[m])
+            assert (Q, M, E) == traj.states[m]
+
     def test_reproduces_cubics_between_mesh_points(self):
         # Hermite segments are exact on polynomials up to degree three
         def y(t):
@@ -531,8 +550,8 @@ class TestInterpolate:
             default_params(tau=1.0), SystemState(3.0, 3.0, 3.0), dt, times, states, derivs
         )
         for t in (0.1, 0.77, 2.34, 4.9, 4.999):
-            got = traj.state(t)
-            assert got.Q == pytest.approx(y(t), rel=1e-12, abs=1e-9)
+            Q, _, _ = traj.state(t)
+            assert Q == pytest.approx(y(t), rel=1e-12, abs=1e-9)
 
     def test_state_method_is_dense_output(self):
         # the cubic Hermite interpolant of the stored columns, written out
@@ -545,14 +564,15 @@ class TestInterpolate:
             s = (t - traj.times[i]) / dt
             h00, h10 = 2 * s**3 - 3 * s**2 + 1, s**3 - 2 * s**2 + s
             h01, h11 = -2 * s**3 + 3 * s**2, s**3 - s**2
-            for c in "QME":
+            for k, c in enumerate("QME"):
                 y, dy = getattr(traj, c), getattr(traj, "d" + c)
                 want = h00 * y[i] + h10 * dt * dy[i] + h01 * y[i + 1] + h11 * dt * dy[i + 1]
-                assert getattr(traj.state(t), c) == pytest.approx(want, rel=1e-14)
+                assert traj.state(t)[k] == pytest.approx(want, rel=1e-14)
 
 
 def dense_read_digest(traj: Trajectory, seed: int) -> str:
-    """sha256 of the repr of 2000 seeded state(t) reads over the whole domain."""
+    """sha256 of the repr of 2000 seeded state(t) reads over the whole domain,
+    each taken as a SystemState, so the digest pins the floats and their order."""
     rng = random.Random(seed)
     tau, t_end, last = traj.params.tau, traj.t_end, len(traj.times) - 1
     tol = 1e-9 * max(1.0, t_end)
@@ -561,7 +581,7 @@ def dense_read_digest(traj: Trajectory, seed: int) -> str:
     ts += [traj.times[rng.randrange(last + 1)] for _ in range(400)]  # mesh times
     ts += [t_end * rng.random() for _ in range(1000)]  # interior points
     ts += [traj.times[last - 1] + traj.dt * rng.random() for _ in range(395)]  # last segment
-    return hashlib.sha256(repr([traj.state(t) for t in ts]).encode()).hexdigest()
+    return hashlib.sha256(repr([SystemState._make(traj.state(t)) for t in ts]).encode()).hexdigest()
 
 
 class TestDenseReadBits:
@@ -591,7 +611,7 @@ class TestStorage:
             assert c.format == "d"
             with pytest.raises(TypeError):
                 c[0] = 1.0
-        assert type(traj.state(3.3)) is SystemState
+        assert type(traj.state(3.3)) is tuple
 
     def test_columns_are_views_of_one_row_buffer(self):
         _, _, traj = perturbed_run(1.4, 20.0)
@@ -696,6 +716,15 @@ class TestClassify:
     def test_slow_decay_is_unclassified(self, probe_runs):
         run = probe_runs[1.3234]
         assert classify_asymptotics(run.traj, run.eq, run.transient) == "unclassified"
+
+    def test_run_at_the_equilibrium_converges(self):
+        # the history is the equilibrium itself, so the deviation is 0.0 in
+        # both windows; 0.0 is at most 5% of 0.0
+        p = default_params(tau=0.5)
+        eq = positive_equilibrium(p, 0.5)
+        traj = integrate(p, scaled_equilibrium_history(eq, 1.0), 1000.0)
+        assert (set(traj.Q), set(traj.M), set(traj.E)) == ({eq.Q}, {eq.M}, {eq.E})
+        assert classify_asymptotics(traj, eq, 100.0) == "converging"
 
     def test_synthetic_divergence(self):
         p = default_params(tau=1.4)
