@@ -63,15 +63,20 @@ OTHER_NAMES = [
 ]
 
 
-def test_names_read_by_the_benchmark_resolve():
-    tracing = ROOT / "perfbench" / "tracing.py"
+def child_errors(code: str, *args: str) -> list:
+    """What `code` prints as JSON when run in a fresh interpreter on this package."""
     env = dict(os.environ, PYTHONPATH=str(Path(hemodelay.__file__).parents[1]))
     done = subprocess.run(
-        [sys.executable, "-B", "-c", CHILD, str(tracing), json.dumps(OTHER_NAMES)],
+        [sys.executable, "-B", "-c", code, *args],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == []
+    return json.loads(done.stdout)
+
+
+def test_names_read_by_the_benchmark_resolve():
+    tracing = ROOT / "perfbench" / "tracing.py"
+    assert child_errors(CHILD, str(tracing), json.dumps(OTHER_NAMES)) == []
 
 
 # sweep-pool delays whose recorded off-mesh states sit nearest the 1e-12
@@ -120,13 +125,7 @@ MAP_MEMBERS = [0, 22, 88, 44, 212, 160, 96, 237, 119]
 
 
 def test_stability_map_members_match_the_benchmark_reference():
-    env = dict(os.environ, PYTHONPATH=str(Path(hemodelay.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-B", "-c", MAP_CHILD, str(ROOT / "perfbench"), json.dumps(MAP_MEMBERS)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == []
+    assert child_errors(MAP_CHILD, str(ROOT / "perfbench"), json.dumps(MAP_MEMBERS)) == []
 
 
 SWEEP_CHILD = r"""
@@ -151,10 +150,4 @@ def test_sweep_reads_pass_the_benchmark_check():
     # tau = 0 and one pool delay, read back as sweep_dense reads them: the
     # mesh reads against `states`, the recorded off-mesh reads, and every
     # read finite and nonnegative
-    env = dict(os.environ, PYTHONPATH=str(Path(hemodelay.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-B", "-c", SWEEP_CHILD, str(ROOT / "perfbench"), "3401"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == []
+    assert child_errors(SWEEP_CHILD, str(ROOT / "perfbench"), "3401") == []
