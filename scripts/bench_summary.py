@@ -27,7 +27,9 @@ BENCHMARK.json metric.
 For each workload and side the file holds the median and quartiles
 (statistics.quantiles, n=4, exclusive method) of every end-to-end metric
 named in BENCHMARK.json, the raw runs, the pairs the change won (ties
-count for neither side) and a verdict per metric, together with both
+count for neither side), the median, min and max of the per-pair ratio
+change/parent (`pair_ratio`; the two runs of a pair share the machine's
+drift) and a verdict per metric, together with both
 commits, the sha256 of each side's `src/hemodelay`, the line counts of its
 `src/hemodelay` and `tests` (in total and per module: `src_lines`,
 `src_module_lines`, `tests_lines`, `tests_module_lines`, and the same four
@@ -193,6 +195,19 @@ def pairs_won(parent: list[dict], change: list[dict], metrics: list[dict]) -> di
     return won
 
 
+def pair_ratios(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict:
+    """Median, min and max of change/parent over the pairs, for each metric;
+    a pair whose parent run reads 0 has no ratio, and a metric with none gets None."""
+    out = {}
+    for m in metrics:
+        name = m["name"]
+        ratios = [c["metrics"][name] / p["metrics"][name]
+                  for p, c in zip(parent, change) if p["metrics"][name]]
+        out[name] = {"median": statistics.median(ratios), "min": min(ratios),
+                     "max": max(ratios)} if ratios else None
+    return out
+
+
 def verdicts(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict:
     """The verdict on the change for each metric, by the rules above."""
     stats = {"parent": summary(parent, metrics), "change": summary(change, metrics)}
@@ -281,6 +296,9 @@ def main(argv: list[str] | None = None) -> int:
             for side, side_runs in runs.items()
         }
         report["workloads"][workload]["change_won_pairs"] = pairs_won(
+            runs["parent"], runs["change"], metrics
+        )
+        report["workloads"][workload]["pair_ratio"] = pair_ratios(
             runs["parent"], runs["change"], metrics
         )
         report["workloads"][workload]["pairs"] = len(args.seeds)

@@ -235,7 +235,7 @@ def _solve_positive(p: ModelParams, tau: float, constants: tuple | None = None) 
         raise NumericalError(f"equilibrium residual {r_end:.3e} above tolerance {tol:.3e}")
     M = p.rates.g(Q) / p.mu
     E = p.rates.f(M) / p.k
-    return Equilibrium("positive", Q, M, E, tau)
+    return tuple.__new__(Equilibrium, ("positive", Q, M, E, tau))
 
 
 def _hill_window(

@@ -66,7 +66,7 @@ def linearize(p: ModelParams, eq: Equilibrium, tau: float) -> LinCoeffs:
     bE = r.beta_dE(Q, E)
     G = r.g_prime(Q)
     # A, B, C, D, G, H, tau; beta does not depend on Q, so A and B carry no beta_Q*Q
-    return LinCoeffs(p.delta + G + b, surv * b, bE * Q, surv * bE * Q, G, -r.f_prime(M), tau)
+    return tuple.__new__(LinCoeffs, (p.delta + G + b, surv * b, bE * Q, surv * bE * Q, G, -r.f_prime(M), tau))
 
 
 def char_coeffs(c: LinCoeffs, mu: float, k: float) -> CharCoeffs:
@@ -83,7 +83,7 @@ def char_coeffs(c: LinCoeffs, mu: float, k: float) -> CharCoeffs:
     b2 = a2 * a2 + 2.0 * a4 * a6 - 2.0 * a1 * a3 - a5 * a5
     b3 = a3 * a3 - a6 * a6
 
-    return CharCoeffs(a1, a2, a3, a4, a5, a6, b1, b2, b3, c.tau)
+    return tuple.__new__(CharCoeffs, (a1, a2, a3, a4, a5, a6, b1, b2, b3, c.tau))
 
 
 def routh_hurwitz_tau0(cc: CharCoeffs) -> bool:

@@ -118,7 +118,7 @@ def positive_roots_h(cc: CharCoeffs) -> list[OmegaRoot]:
     out = []
     for z in reversed(found):  # found is ascending and distinct
         d = cubic_prime(b1, b2, z)
-        out.append(OmegaRoot(z, math.sqrt(z), (d > 0.0) - (d < 0.0)))
+        out.append(tuple.__new__(OmegaRoot, (z, math.sqrt(z), (d > 0.0) - (d < 0.0))))
     return out
 
 

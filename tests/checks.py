@@ -42,9 +42,9 @@ from hemodelay import (
     tau_max,
 )
 from hemodelay.cli import _simulate_once, _tau_grid
-from hemodelay.cubic import cubic_value
+from hemodelay.cubic import cubic_prime, cubic_value
 from hemodelay.dde import _state_error, mesh_step
-from hemodelay.model import reward
+from hemodelay.model import NumericalError, reward
 
 
 class DampedRates:
@@ -164,6 +164,75 @@ def composed_residual(p, rates=None):
         return alpha * rates.beta(Q, rates.f(gQ / p.mu) / p.k) - p.delta - gQ / Q
 
     return residual
+
+
+def composed_cubic_roots(b1: float, b2: float, b3: float, path: list | None = None) -> list[float]:
+    """real_cubic_roots with its Newton polish composed from cubic_prime and
+    cubic_value: the reference that cubic.real_cubic_roots, which writes the
+    polish out, matches bit for bit, errors included.
+
+    `path`, if given, collects the branches taken: "trig" or "cardano", then
+    "disc < 0" or "q == 0" where the deflated quadratic adds no root or one,
+    and per root "d" (zero or non-finite derivative), "step" (non-finite
+    step), "worse" (the step worsens |h|) or "kept".
+    """
+    seen = [] if path is None else path
+
+    def polish(z):
+        d = cubic_prime(b1, b2, z)
+        if d == 0.0 or not math.isfinite(d):
+            seen.append("d")
+            return z
+        v = cubic_value(b1, b2, b3, z)
+        step = v / d
+        if not math.isfinite(step):
+            seen.append("step")
+            return z
+        zn = z - step
+        keep = abs(cubic_value(b1, b2, b3, zn)) <= abs(v)
+        seen.append("kept" if keep else "worse")
+        return zn if keep else z
+
+    if not (math.isfinite(b1) and math.isfinite(b2) and math.isfinite(b3)):
+        raise ValueError("coefficients must be finite")
+    try:
+        Q = (b1 * b1 - 3.0 * b2) / 9.0
+        R = (2.0 * b1 ** 3 - 9.0 * b1 * b2 + 27.0 * b3) / 54.0
+        Q3 = Q ** 3
+        R2 = R * R
+        if not math.isfinite(R2):
+            raise OverflowError
+    except OverflowError:
+        raise NumericalError(f"cubic with b1={b1!r}, b2={b2!r}, b3={b3!r} overflows") from None
+    seen.append("trig" if R2 < Q3 else "cardano")
+    if R2 < Q3:
+        th = math.acos(R / math.sqrt(Q3))
+        m = -2.0 * math.sqrt(Q)
+        shift = b1 / 3.0
+        roots = [m * math.cos((th + 2.0 * math.pi * k) / 3.0) - shift for k in (0, 1, 2)]
+    else:
+        big = -math.copysign((abs(R) + math.sqrt(max(R2 - Q3, 0.0))) ** (1.0 / 3.0), R)
+        small = Q / big if big != 0.0 else 0.0
+        r0 = big + small - b1 / 3.0
+        roots = [r0]
+        u = b1 + r0
+        v = b2 + r0 * u
+        disc = u * u - 4.0 * v
+        if disc >= 0.0:
+            s = math.sqrt(disc)
+            q = -0.5 * (u + math.copysign(s, u))
+            roots.append(q)
+            if q != 0.0:
+                roots.append(v / q)
+            else:
+                seen.append("q == 0")
+        else:
+            seen.append("disc < 0")
+    out: list[float] = []
+    for z in sorted([polish(z) for z in roots]):
+        if not out or abs(z - out[-1]) > 1e-9 * max(1.0, abs(z)):
+            out.append(z)
+    return out
 
 
 # existence threshold and trivial state

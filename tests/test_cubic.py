@@ -110,3 +110,66 @@ def test_recovers_constructed_roots(r1, r2, r3):
             continue
         nearest = min(abs(r - z) for z in roots)
         assert nearest <= 1e-7 * spread, (r, roots)
+
+
+# the coefficient triples of the deterministic tests above, refusals included
+DETERMINISTIC = [
+    (0.0, 0.0, -8.0), (-6.0, 11.0, -6.0), (-1.0, 1.0, -1.0), (-6.0, 9.0, -4.0),
+    (-6.0, 12.0, -8.0), (2.0, -15.0, 0.0),
+    (math.nan, 0.0, 1.0), (-math.inf, 0.0, 1.0), (0.0, math.inf, 1.0),
+    (0.0, 0.0, math.nan), (0.0, 0.0, math.inf), (0.0, 0.0, -math.inf),
+    (0.0, 0.0, -1e160), (0.0, 0.0, 1e160), (0.0, -1e100, 1e160),
+]
+
+
+def _outcome(fn, b):
+    try:
+        return repr(fn(*b))
+    except (ValueError, NumericalError) as exc:
+        return type(exc).__name__
+
+
+def _assert_matches_composed(triples):
+    for b in triples:
+        assert _outcome(real_cubic_roots, b) == _outcome(checks.composed_cubic_roots, b), b
+
+
+def test_written_out_polish_matches_composed_on_seeded_triples():
+    rng = random.Random(3501)
+    mag = lambda: rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)  # noqa: E731
+    _assert_matches_composed([(mag(), mag(), mag()) for _ in range(20_000)])
+
+
+def test_written_out_polish_matches_composed_on_fixed_cases():
+    _assert_matches_composed(DETERMINISTIC)
+
+
+def test_written_out_polish_matches_composed_on_the_reference_grid(params, default_grid):
+    triples = [(cc.b1, cc.b2, cc.b3) for cc in (checks.coeffs_at(params, t) for t in default_grid)]
+    assert len(triples) == 598
+    _assert_matches_composed(triples)
+
+
+@pytest.mark.parametrize(
+    "b, branch",
+    [
+        # (z-2)^3: h' vanishes at each of the three Cardano roots
+        ((-6.0, 12.0, -8.0), "d"),
+        # z^2 (z+1): the deflated quadratic's q is 0, where h' is 0 too
+        ((1.0, 0.0, 0.0), "q == 0"),
+        ((1.0, 0.0, 0.0), "d"),
+        # (z-1)(z^2+1): the deflated quadratic has no real root
+        ((-1.0, 1.0, -1.0), "disc < 0"),
+        # roots 1, 1.00001 and 1: the step from the middle root worsens |h|
+        ((-3.00001, 3.00002, -1.00001), "worse"),
+    ],
+)
+def test_written_out_polish_matches_composed_on_each_branch(b, branch):
+    # the polish's third refusal, a non-finite step h/d, has no input here:
+    # at a computed root of a finite cubic |h/d| stays far inside the float
+    # range, and over 10^6 random triples with magnitudes 10^-320 to 10^300,
+    # zeros and subnormals included, never reached it
+    path = []
+    checks.composed_cubic_roots(*b, path=path)
+    assert branch in path, path
+    _assert_matches_composed([b])

@@ -229,6 +229,12 @@ class TestCharResidual:
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
+@pytest.fixture(scope="module")
+def perturbed_scans():
+    """scan(p, its CLI grid, 2) on the 20 sets checks.perturbed_params(0..19)."""
+    return [scan(p, checks.cli_grid(p), 2) for p in map(checks.perturbed_params, range(20))]
+
+
 class TestScan:
     def test_exactly_two_refined_crossings(self, scan_result):
         reports = scan_result.reports
@@ -308,18 +314,24 @@ class TestScan:
         warm = repr((positive_root_intervals(params, default_grid), scan(params, default_grid, 1)))
         assert cold == warm
 
-    def test_reports_pinned_on_perturbed_sets(self):
+    def test_reports_pinned_on_perturbed_sets(self, perturbed_scans):
         # sha256 of every report field on 20 seeded sets, each on its CLI
         # grid; switches.csv pins the reference set only
-        rows = []
-        for seed in range(20):
-            p = checks.perturbed_params(seed)
-            rows.append([
-                (r.tau_star, r.omega_star, r.transversality, r.direction, r.residual, r.refined)
-                for r in scan(p, checks.cli_grid(p), 2).reports
-            ])
+        rows = [
+            [(r.tau_star, r.omega_star, r.transversality, r.direction, r.residual, r.refined)
+             for r in result.reports]
+            for result in perturbed_scans
+        ]
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
         assert digest == "506f1f7dff969dfcde9fa083992428951655c3a67d211f99c4083c19cbbb1b2f"
+
+    def test_sn_samples_pinned_on_perturbed_sets(self, perturbed_scans):
+        # sha256 of every S_n sample of the same 20 scans: the pin that moves
+        # if the cubic, theta or a coefficient changes any omega on the grid;
+        # s0_curve.csv and s1_curve.csv pin the reference set only
+        rows = [[c.samples for c in result.curves] for result in perturbed_scans]
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "1622cd3220320bce60b3c2894d8ca01a8f82bbc5ef35e468506b4c408324ca75"
 
     def test_grid_validation(self, params, default_grid):
         with pytest.raises(ValueError):
