@@ -196,15 +196,12 @@ def pairs_won(parent: list[dict], change: list[dict], metrics: list[dict]) -> di
 
 
 def pair_ratios(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict:
-    """Median, min and max of change/parent over the pairs, for each metric;
-    a pair whose parent run reads 0 has no ratio, and a metric with none gets None."""
+    """Median, min and max of change/parent over the pairs, for each metric."""
     out = {}
     for m in metrics:
         name = m["name"]
-        ratios = [c["metrics"][name] / p["metrics"][name]
-                  for p, c in zip(parent, change) if p["metrics"][name]]
-        out[name] = {"median": statistics.median(ratios), "min": min(ratios),
-                     "max": max(ratios)} if ratios else None
+        ratios = [c["metrics"][name] / p["metrics"][name] for p, c in zip(parent, change)]
+        out[name] = {"median": statistics.median(ratios), "min": min(ratios), "max": max(ratios)}
     return out
 
 

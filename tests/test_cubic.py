@@ -160,15 +160,14 @@ def test_written_out_polish_matches_composed_on_the_reference_grid(params, defau
         ((1.0, 0.0, 0.0), "d"),
         # (z-1)(z^2+1): the deflated quadratic has no real root
         ((-1.0, 1.0, -1.0), "disc < 0"),
-        # roots 1, 1.00001 and 1: the step from the middle root worsens |h|
+        # (z-1)^2 (z-1.00001): the step from one computed root worsens |h|
         ((-3.00001, 3.00002, -1.00001), "worse"),
     ],
 )
 def test_written_out_polish_matches_composed_on_each_branch(b, branch):
     # the polish's third refusal, a non-finite step h/d, has no input here:
-    # at a computed root of a finite cubic |h/d| stays far inside the float
-    # range, and over 10^6 random triples with magnitudes 10^-320 to 10^300,
-    # zeros and subnormals included, never reached it
+    # no finite triple is known to reach it, and over 10^6 random triples
+    # with magnitudes 10^-320 to 10^300, zeros and subnormals included, none did
     path = []
     checks.composed_cubic_roots(*b, path=path)
     assert branch in path, path
