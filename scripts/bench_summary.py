@@ -29,7 +29,9 @@ For each workload and side the file holds the median and quartiles
 named in BENCHMARK.json, the raw runs, the pairs the change won (ties
 count for neither side), the median, min and max of the per-pair ratio
 change/parent (`pair_ratio`; the two runs of a pair share the machine's
-drift) and a verdict per metric, together with both
+drift), the distinct `peak_rss_mb` values rounded to 0.1 MB with their run
+counts (`peak_rss_levels`, so a verdict that is only a step between two
+levels shows as one) and a verdict per metric, together with both
 commits, the sha256 of each side's `src/hemodelay`, the line counts of its
 `src/hemodelay` and `tests` (in total and per module: `src_lines`,
 `src_module_lines`, `tests_lines`, `tests_module_lines`, and the same four
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import collections
 import hashlib
 import io
 import json
@@ -184,6 +187,12 @@ def summary(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def peak_rss_levels(runs: list[dict]) -> list[list]:
+    """[level, runs] for each distinct peak_rss_mb rounded to 0.1 MB, ascending."""
+    levels = collections.Counter(round(r["metrics"]["peak_rss_mb"], 1) for r in runs)
+    return [[level, count] for level, count in sorted(levels.items())]
+
+
 def pairs_won(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict:
     won = {}
     for m in metrics:
@@ -288,6 +297,7 @@ def main(argv: list[str] | None = None) -> int:
                 "failed": sum(r["failed"] for r in side_runs),
                 "attempted": sum(r["attempted"] for r in side_runs),
                 "summary": summary(side_runs, metrics),
+                "peak_rss_levels": peak_rss_levels(side_runs),
                 "runs": side_runs,
             }
             for side, side_runs in runs.items()

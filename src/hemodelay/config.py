@@ -67,12 +67,13 @@ def default_config_path() -> Path:
 def parse_config(path: str | Path) -> tuple[ModelParams, RunOptions]:
     """Read and type a config file; ModelParams checks the values.
 
-    The returned ModelParams carries tau from run.tau when present, else 0;
-    subcommands overlay their --tau flag on top.
+    The file is UTF-8, with or without a byte-order mark.  The returned
+    ModelParams carries tau from run.tau when present, else 0; subcommands
+    overlay their --tau flag on top.
     """
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
     seen: dict[str, tuple[str, int]] = {}

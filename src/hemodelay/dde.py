@@ -101,7 +101,7 @@ def scaled_equilibrium_history(eq: Equilibrium, factor: float = 1.1) -> SystemSt
     return SystemState(factor * eq.Q, factor * eq.M, factor * eq.E)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Mesh times, states and derivatives of one integration, as packed rows.
 
@@ -111,6 +111,7 @@ class Trajectory:
     as is `states`, the mesh states as SystemStates; slices are views too.
     `history` is the constant state on [-tau, 0]; the dense output `state(t)`
     returns it for t <= 0 and a plain (Q, M, E) tuple, read by position, after.
+    A trajectory equals and hashes by identity.
     """
 
     params: ModelParams

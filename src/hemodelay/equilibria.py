@@ -18,18 +18,23 @@ where E(Q) = f(g(Q)/mu)/k chains the two fast compartments; the left side is
 decreasing in Q, the right side nondecreasing, so the root is unique, and
 bisection on the sign of the residual pins it down to adjacent floats.
 
+An accepted delay is one float: checked_delay takes a float or an int
+within float range, refuses any other type, a negative delay and NaN, and
+returns float(tau) + 0.0, so an int becomes its float and -0.0 becomes
+0.0.  Every entry point here and switch.linear_coeffs compute with that
+float, and Equilibrium.tau is it.
+
 positive_equilibrium solves each (params, tau) pair once: the analytic chain
 asks for the same delays several times (the CLI rows, positive_root_intervals
 and scan each walk the whole grid).  The memo (a ParamsMemo, which the switch
 module uses for its coefficients too) is one table for the most recent
-parameter set, keyed by the delay so that 0, 0.0 and -0.0 stay apart (a
-nonzero float is its own key, any other delay a tuple); a call
-with a parameter set that is neither that object nor == to it starts a new
-table, together with the constants every solve of the set shares (tau_max,
-the residual closure, the tolerance), and a miss that finds the table full
-(_MEMO_POINTS) empties it.  A NumericalError is not cached: it is raised
-again on every call.  The memo is module state meant for one thread of
-calls; a solve depends on (params, tau) alone.
+parameter object, keyed by the delay float; a call with another parameter
+object, even an == one, starts a new table, together with the constants
+every solve of the set shares (tau_max, the residual closure, the
+tolerance), and a miss that finds the table full (_MEMO_POINTS) empties it.
+A NumericalError is not cached: it is raised again on every call.  The memo
+is module state meant for one thread of calls; a solve depends on
+(params, tau) alone.
 
 The residual is the Hill residual written out, as dde.integrate's stepper
 writes out the vector field, and the bisection is centred on the
@@ -59,50 +64,53 @@ _MEMO_POINTS = 4096  # entries kept for one parameter set; the reference grid ha
 
 
 class ParamsMemo:
-    """Values for the most recent parameter set, keyed by delay.
+    """Values for the most recent parameter object, keyed by delay.
 
-    A nonzero float delay is its own key, and any other delay's key is
-    (tau, copysign(1.0, tau), type(tau)): two delays share a key exactly
-    when they are the same number of the same type, so 0, 0.0 and -0.0 stay
-    apart; its users refuse a NaN delay before they put.  get and put skip
-    the == check for the stored parameter object itself.  A parameter set
-    that is neither the stored object nor == to it starts a new table, and
-    so does storing into a full one (_MEMO_POINTS).  A table is replaced
-    together with its parameter set, so it only ever holds that set's
-    values.  With per_set, a new set also gets per_set(p) in `constants`,
-    kept when a full table empties; if per_set raises, the memo keeps its
-    old set.
+    The key is the delay float its users make with checked_delay, which
+    refuses NaN, so 1 and 1.0 share an entry, as 0, 0.0 and -0.0 do.  A
+    parameter object that is not the stored one starts a new table, even
+    an == one, and so does storing into a full one (_MEMO_POINTS).  A table
+    is replaced together with its parameter object, so it only ever holds
+    that set's values.  With per_set, a new set also gets per_set(p) in
+    `constants`, kept when a full table empties; if per_set raises, the
+    memo keeps its old set.
     """
 
     MISSING = object()  # what get returns for a delay not stored
 
     def __init__(self, per_set: Callable[[ModelParams], object] | None = None) -> None:
         self.params: ModelParams | None = None
-        self.table: dict[tuple, object] = {}
+        self.table: dict[float, object] = {}
         self.per_set = per_set
         self.constants: object = None
 
-    def table_for(self, p: ModelParams) -> dict[tuple, object]:
-        if p is not self.params and not p == self.params:
-            constants = None if self.per_set is None else self.per_set(p)
-            self.params, self.table, self.constants = p, {}, constants
+    def _start(self, p: ModelParams) -> dict[float, object]:
+        constants = None if self.per_set is None else self.per_set(p)
+        self.params, self.table, self.constants = p, {}, constants
         return self.table
 
     def get(self, p: ModelParams, tau: float) -> object:
-        table = self.table if p is self.params else self.table_for(p)
-        return table.get(_delay_key(tau), self.MISSING)
+        table = self.table if p is self.params else self._start(p)
+        return table.get(tau, self.MISSING)
 
     def put(self, p: ModelParams, tau: float, value: object) -> None:
-        table = self.table if p is self.params else self.table_for(p)
+        table = self.table if p is self.params else self._start(p)
         if len(table) >= _MEMO_POINTS:
             self.table = table = {}
-        table[_delay_key(tau)] = value
+        table[tau] = value
 
 
-def _delay_key(tau: float) -> object:
-    if tau and type(tau) is float:
-        return tau  # a nonzero float; no tuple key equals it
-    return tau, math.copysign(1.0, tau), type(tau)
+def checked_delay(tau) -> float:
+    """tau as the float the chain computes with: float(tau) + 0.0.
+
+    ValueError unless tau is a float or an int within float range, and for
+    a negative delay and NaN.
+    """
+    if not (isinstance(tau, float) or isinstance(tau, int) and tau <= sys.float_info.max):
+        raise ValueError(f"tau must be a float or an int within float range, got {type(tau).__name__}")
+    if not tau >= 0.0:  # NaN fails too
+        raise ValueError("tau must be nonnegative")
+    return float(tau) + 0.0
 
 
 class Equilibrium(NamedTuple):
@@ -137,8 +145,8 @@ def tau_max(p: ModelParams) -> float | None:
 
 
 def trivial_equilibrium(p: ModelParams) -> Equilibrium:
-    """The extinction steady state (0, 0, f(0)/k)."""
-    return Equilibrium("trivial", 0.0, 0.0, p.rates.f(0.0) / p.k, p.tau)
+    """The extinction steady state (0, 0, f(0)/k), at the delay checked_delay(p.tau)."""
+    return Equilibrium("trivial", 0.0, 0.0, p.rates.f(0.0) / p.k, checked_delay(p.tau))
 
 
 def _residual_fn(p: ModelParams) -> Callable[[float, float], float]:
@@ -174,28 +182,21 @@ _memo = ParamsMemo(_set_constants)  # the positive_equilibrium memo
 def positive_equilibrium(p: ModelParams, tau: float) -> Equilibrium | None:
     """Unique positive steady state at delay `tau`, or None past the threshold.
 
-    `tau` is a float or an int within float range; any other type, a
-    negative delay and NaN raise ValueError.  The pool size is bracketed
-    ([1e-12, doubling upward from 1]) and the bracket is bisected down to
-    adjacent floats; the midpoint is the root, and a balance residual there
-    of 1e-12*(delta + g'(0) + 1) or more raises NumericalError.  The result
-    depends on (p, tau) alone; it is memoized for the most recent parameter
-    set (see the module docstring).
+    `tau` is a float or an int within float range, taken as float(tau) +
+    0.0; any other type, a negative delay and NaN raise ValueError.  The
+    pool size is bracketed ([1e-12, doubling upward from 1]) and the
+    bracket is bisected down to adjacent floats; the midpoint is the root,
+    and a balance residual there of 1e-12*(delta + g'(0) + 1) or more
+    raises NumericalError.  The result depends on (p, tau) alone; it is
+    memoized for the most recent parameter object (see the module
+    docstring).
     """
-    _check_delay_type(tau)
-    if not tau >= 0.0:  # NaN fails too
-        raise ValueError("tau must be nonnegative")
+    tau = checked_delay(tau)
     eq = _memo.get(p, tau)
     if eq is _memo.MISSING:
         eq = _solve_positive(p, tau, _memo.constants)
         _memo.put(p, tau, eq)
     return eq
-
-
-def _check_delay_type(tau) -> None:
-    """Raise ValueError unless tau is a float or an int within float range."""
-    if not (isinstance(tau, float) or isinstance(tau, int) and tau <= sys.float_info.max):
-        raise ValueError(f"tau must be a float or an int within float range, got {type(tau).__name__}")
 
 
 def _solve_positive(p: ModelParams, tau: float, constants: tuple | None = None) -> Equilibrium | None:
@@ -286,7 +287,7 @@ def hill_equilibrium_closed_form(p: ModelParams, tau: float) -> Equilibrium:
 
     Q* is the centre of positive_equilibrium's window; the float it returns
     still comes from the residual's signs.  Raises ValueError for a delay
-    positive_equilibrium refuses by type, outside [0, tau_max), when no
+    positive_equilibrium refuses, at or past tau_max, when no
     positive steady state exists, or when the numerator above rounds to <= 0
     (a few ulps below tau_max).
     """
@@ -294,8 +295,8 @@ def hill_equilibrium_closed_form(p: ModelParams, tau: float) -> Equilibrium:
     tm = tau_max(p)
     if tm is None:
         raise ValueError("no positive steady state for any delay")
-    _check_delay_type(tau)
-    if not 0.0 <= tau < tm:
+    tau = checked_delay(tau)
+    if not tau < tm:
         raise ValueError(f"tau={tau} outside [0, tau_max={tm})")
     Q, E = _hill_root(p, tau, reward(p, tau) - 1.0)
     return Equilibrium("positive", Q, (hr.G / p.mu) * Q, E, tau)

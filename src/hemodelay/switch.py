@@ -21,10 +21,13 @@ geometry:
 
 Evaluations at distinct tau are independent; everything is deterministic
 for a fixed grid.  The coefficients of each delay are built once:
-linear_coeffs keeps every build, refused or not, per parameter set and
+linear_coeffs keeps every build, refused or not, per parameter object and
 delay, with the equilibrium memo's rule (equilibria.ParamsMemo), so the
 CLI's rows, the root window, the grid samples, the S_n refinement and the
-crossing reports share one build.  A NumericalError is not cached.
+crossing reports share one build.  linear_coeffs takes its delay as
+positive_equilibrium does (equilibria.checked_delay), so 1 and 1.0 share a
+build whose tau is 1.0, and 0, 0.0 and -0.0 one whose tau is 0.0.  A
+NumericalError is not cached.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import math
 from typing import NamedTuple
 
 from .cubic import cubic_prime, cubic_value, real_cubic_roots
-from .equilibria import ParamsMemo, positive_equilibrium, tau_max
+from .equilibria import ParamsMemo, checked_delay, positive_equilibrium, tau_max
 from .linearization import CharCoeffs, LinCoeffs, char_coeffs, linearize, routh_hurwitz_tau0
 from .model import ModelParams, NumericalError, bisect_flip
 
@@ -148,8 +151,10 @@ def char_residual(cc: CharCoeffs, lam: complex, tau: float) -> complex:
 
 
 def linear_coeffs(p: ModelParams, tau: float) -> tuple[LinCoeffs, CharCoeffs] | None:
-    """The linearization and coefficients at the positive equilibrium, built
-    once per delay and kept, a build that _coeffs_at refuses included."""
+    """The linearization and coefficients at the positive equilibrium at the
+    delay checked_delay(tau), built once per delay and kept, a build that
+    _coeffs_at refuses included."""
+    tau = checked_delay(tau)
     built = _coeff_memo.get(p, tau)
     if built is not _coeff_memo.MISSING:
         return built

@@ -68,6 +68,13 @@ def test_pair_ratios_on_three_pairs(bench_summary):
     assert got == {"lower": want, "higher": want}
 
 
+def test_peak_rss_levels(bench_summary):
+    # runs on two levels about 1 MB apart read as two levels, with their counts
+    rss = [76.38, 75.43, 76.42, 75.41, 76.36, 75.44, 75.38]
+    got = bench_summary.peak_rss_levels([{"metrics": {"peak_rss_mb": v}} for v in rss])
+    assert got == [[75.4, 4], [76.4, 3]]
+
+
 # each kind of line: 7 of its 18 lines are code
 KINDS = '''"""Module docstring,
 on two lines."""

@@ -205,6 +205,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(tmp_path / "nope.cfg")
 
+    def test_byte_order_mark_is_read(self, tmp_path):
+        # an editor may save UTF-8 with a BOM; it is not part of line 1
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + default_config_path().read_bytes())
+        assert parse_config(bom) == parse_config(default_config_path())
+        assert main(["equilibria", "--config", str(bom), "--out-dir", str(tmp_path / "out")]) == 0
+
+    def test_undecodable_file_is_a_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"\xff")
+        with pytest.raises(ConfigError, match="cannot read"):
+            parse_config(bad)
+        assert main(["equilibria", "--config", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
 
 def load_manifest(out_dir: Path) -> dict:
     return json.loads((out_dir / "manifest.json").read_text())

@@ -603,6 +603,14 @@ class TestDenseReadBits:
 class TestStorage:
     """The columns are packed float64 buffers that callers can read, not write."""
 
+    def test_trajectory_hashes_by_identity(self):
+        # the float64 buffer cannot be hashed, so a trajectory is its own key
+        _, _, traj = perturbed_run(1.4, 20.0)
+        twin = dataclasses.replace(traj)
+        assert hash(traj) == hash(traj) and traj == traj
+        assert twin != traj and twin.rows is traj.rows
+        assert {traj, twin, traj} == {traj, twin}
+
     def test_columns_are_read_only_float64(self):
         _, _, traj = perturbed_run(1.4, 20.0)
         columns = (traj.times, traj.Q, traj.M, traj.E, traj.dQ, traj.dM, traj.dE)

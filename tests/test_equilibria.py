@@ -104,9 +104,13 @@ class TestPositiveEquilibrium:
         assert eq.tau == tau
         for got, want in zip(eq.state, expected):
             assert math.isclose(got, want, rel_tol=1e-12)
-        # solved once: the same parameter object, or an equal one, hits the memo
+        # solved once per parameter object: the same object hits the memo, an
+        # equal but distinct one solves again, into its own table
         assert positive_equilibrium(p, tau) is eq
-        assert positive_equilibrium(default_params(tau), tau) is eq
+        same = default_params(tau)
+        again = positive_equilibrium(same, tau)
+        assert again is not eq and repr(again) == repr(eq)
+        assert equilibria._memo.params is same
 
     def test_none_at_and_past_threshold(self, params):
         tm = tau_max(params)
@@ -158,27 +162,32 @@ class TestPositiveEquilibrium:
         assert tau_max(p) is None
         assert positive_equilibrium(p, 0.0) is None
 
-    def test_negative_tau_rejected(self, params):
+    def test_negative_tau_rejected(self, params, monkeypatch):
         with pytest.raises(ValueError):
             positive_equilibrium(params, -0.1)
-        # the memo keys on the delay's value, sign and type: each spelling of
-        # zero keeps its own tau
-        for tau in (0.0, 0, -0.0):
-            assert repr(positive_equilibrium(params, tau).tau) == repr(tau)
+        # every spelling of zero is the delay 0.0, solved alone or after another
+        zeros = (0, 0.0, -0.0, False)
+        alone = []
+        for tau in zeros:
+            TestHillWindow.fresh_memo(monkeypatch)
+            alone.append(repr(positive_equilibrium(params, tau)))
+        shared = [repr(positive_equilibrium(params, tau)) for tau in zeros]
+        assert alone == shared == [repr(positive_equilibrium(params, 0.0))] * len(zeros)
+        assert repr(positive_equilibrium(params, -0.0).tau) == "0.0"
+        assert list(equilibria._memo.table) == [0.0]
 
     def test_nan_tau_rejected(self, params):
         with pytest.raises(ValueError, match="nonnegative"):
             positive_equilibrium(params, math.nan)
-        # a nonzero float delay is its own key, any other delay a tuple led by it
-        keys = [key if isinstance(key, float) else key[0] for key in equilibria._memo.table]
-        assert not any(math.isnan(key) for key in keys)
+        # the memo's keys are the delay floats, and NaN is refused before a put
+        assert not any(math.isnan(key) for key in equilibria._memo.table)
 
     def test_delay_types(self, params):
         # an int of any size or a float gets an answer or ValueError, and any
         # other type gets ValueError
         tm = tau_max(params)
-        assert positive_equilibrium(params, 1) == positive_equilibrium(params, 1.0)
-        assert type(positive_equilibrium(params, 1).tau) is int
+        assert repr(positive_equilibrium(params, 1)) == repr(positive_equilibrium(params, 1.0))
+        assert repr(positive_equilibrium(params, 1).tau) == "1.0"
         assert positive_equilibrium(params, int(tm) + 1) is None
         assert positive_equilibrium(params, 10**308) is None
         for tau in (10**400, -(10**400), 2**1024, -1, decimal.Decimal("1"), "1.0", 1 + 0j,
@@ -187,12 +196,18 @@ class TestPositiveEquilibrium:
                 positive_equilibrium(params, tau)
 
     def test_memo_keys(self, params):
+        # the key is the delay itself, so == delays share an entry; an == but
+        # distinct parameter set starts its own table
         memo = equilibria.ParamsMemo()
         for i, tau in enumerate((0.0, -0.0, 0, 1, 1.0)):
             memo.put(params, tau, i)
-        assert [memo.get(params, tau) for tau in (0.0, -0.0, 0, 1, 1.0)] == [0, 1, 2, 3, 4]
+        assert [memo.get(params, tau) for tau in (0.0, -0.0, 0, 1, 1.0)] == [2, 2, 2, 4, 4]
         assert memo.get(params, math.nan) is memo.MISSING
-        assert len(memo.table) == 5
+        assert len(memo.table) == 2
+        same = dataclasses.replace(params)
+        assert same == params and same is not params
+        assert memo.get(same, 1.0) is memo.MISSING
+        assert memo.params is same and memo.table == {}
 
     def test_solve_reads_the_delay_argument_not_p_tau(self, params):
         # cli._simulate_once solves its reference on the config's set, not on

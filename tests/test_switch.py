@@ -1,5 +1,7 @@
 import cmath
 import dataclasses
+import decimal
+import fractions
 import hashlib
 import math
 import random
@@ -464,13 +466,14 @@ class TestCoefficientMemo:
         assert len(built) > len(default_grid)
         assert len(set(built)) == len(built)
         assert seen["positive_equilibrium"] == seen["linearize"] == built
-        # an == but distinct parameter set reads the same table
-        seen["char_coeffs"].clear()
+        # an == but distinct parameter set builds the same delays into its own
+        # table, with equal results
+        seen["char_coeffs"] = []
         same = dataclasses.replace(params)
         assert same is not params
         assert positive_root_intervals(same, default_grid) == intervals
         assert scan(same, default_grid, 1) == result
-        assert seen["char_coeffs"] == []
+        assert switch._coeff_memo.params is same
 
     def test_second_scan_calls_beta_at_most_twice(self, default_grid, monkeypatch):
         # a deterministic stand-in for a timing: the second scan reads every
@@ -489,9 +492,23 @@ class TestCoefficientMemo:
         assert scan(p, default_grid, 1) == first
         assert calls[0] - before <= 2, calls[0] - before
 
-    def test_signed_zeros_stay_apart(self, params):
-        for tau in (0.0, -0.0, 0):
-            assert repr(_coeffs_at(params, tau).tau) == repr(tau)
+    def test_signed_zeros_share_a_build(self, params):
+        # every spelling of zero reads the one build at the delay 0.0
+        built = [_coeffs_at(params, tau) for tau in (0, 0.0, -0.0, False)]
+        assert all(cc is built[0] for cc in built)
+        assert repr(built[0].tau) == "0.0"
+        assert repr(switch.linear_coeffs(params, -0.0)[0].tau) == "0.0"
+
+    def test_delay_is_checked_before_the_lookup(self, params):
+        # 1 reads 1.0's build, and a number of another type that equals a
+        # stored delay is refused as positive_equilibrium refuses it
+        built = switch.linear_coeffs(params, 1.0)
+        assert switch.linear_coeffs(params, 1) is built
+        for tau in (decimal.Decimal(1), fractions.Fraction(1)):
+            with pytest.raises(ValueError, match="float range"):
+                switch.linear_coeffs(params, tau)
+            with pytest.raises(ValueError, match="float range"):
+                sn_value(params, tau, 0, 0)
 
     @staticmethod
     def rising_feedback(monkeypatch):
@@ -547,9 +564,8 @@ class TestCoefficientMemo:
         with pytest.raises(ValueError, match="nonnegative"):
             sn_value(params, math.nan, 0, 0)
         for memo in (equilibria._memo, switch._coeff_memo):
-            assert memo.params == params and memo.table
-            delays = [k if isinstance(k, float) else k[0] for k in memo.table]
-            assert not any(math.isnan(t) for t in delays), delays
+            assert memo.params is params and memo.table
+            assert not any(math.isnan(t) for t in memo.table), list(memo.table)
 
     def test_coefficient_rows_share_the_build(self, params, default_grid, monkeypatch):
         # the CLI's coeffs.csv rows fill the memo that the root window reads,
