@@ -466,13 +466,15 @@ class TestCoefficientMemo:
         assert len(built) > len(default_grid)
         assert len(set(built)) == len(built)
         assert seen["positive_equilibrium"] == seen["linearize"] == built
-        # an == but distinct parameter set builds the same delays into its own
-        # table, with equal results
-        seen["char_coeffs"] = []
+        # an == but distinct parameter set builds the same delays again, into
+        # its own table, with equal results
+        first = list(built)
+        built.clear()
         same = dataclasses.replace(params)
         assert same is not params
         assert positive_root_intervals(same, default_grid) == intervals
         assert scan(same, default_grid, 1) == result
+        assert built == first
         assert switch._coeff_memo.params is same
 
     def test_second_scan_calls_beta_at_most_twice(self, default_grid, monkeypatch):
